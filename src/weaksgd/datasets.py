@@ -279,27 +279,27 @@ def gen_harmonic_regression(n: int, output_dim: int, rng: np.random.Generator) -
                           source="harmonic-regression")
 
 
-_ANCHOR_POSITIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_ANCHOR_POSITIONS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
-def anchor_conditional(x: float, n_classes: int) -> np.ndarray:
+def anchor_conditional(x, n_classes: int) -> np.ndarray:
     """Class law P(Y | X = x) for the anchored classification task.
 
     Piecewise-linear in x between five anchors: point masses on classes
     1, 2, 3 at x = 0, 1/2, 1 and the uniform law at x = 1/4 and 3/4.
+    A scalar x gives the (n_classes,) law, an array of n points an
+    (n, n_classes) array with one law per row.
     """
     if n_classes < 3:
         raise ValueError("the anchored task needs at least 3 classes")
-    if not 0.0 <= x <= 1.0:
+    x = np.asarray(x, dtype=float)
+    if not ((0.0 <= x) & (x <= 1.0)).all():
         raise ValueError("x must lie in [0, 1]")
-    uniform = np.full(n_classes, 1.0 / n_classes)
-    dirac = [np.zeros(n_classes) for _ in range(3)]
-    for k, cls in enumerate((1, 2, 3)):
-        dirac[k][cls - 1] = 1.0
-    anchors = (dirac[0], uniform, dirac[1], uniform, dirac[2])
-    seg = min(int(x * 4), 3)
-    lo, hi = _ANCHOR_POSITIONS[seg], _ANCHOR_POSITIONS[seg + 1]
-    lam = (x - lo) / (hi - lo)
+    anchors = np.zeros((5, n_classes))
+    anchors[[1, 3]] = 1.0 / n_classes
+    anchors[[0, 2, 4], [0, 1, 2]] = 1.0
+    seg = np.minimum((x * 4).astype(int), 3)
+    lam = ((x - _ANCHOR_POSITIONS[seg]) / 0.25)[..., None]
     return (1.0 - lam) * anchors[seg] + lam * anchors[seg + 1]
 
 
@@ -328,7 +328,7 @@ def gen_anchor_classification(n: int, n_classes: int, band_halfwidth: float,
         cand = cand[anchor_support_mask(cand, band_halfwidth)]
         xs = np.concatenate([xs, cand])
     xs = xs[:n]
-    probs = np.stack([anchor_conditional(float(x), n_classes) for x in xs])
+    probs = anchor_conditional(xs, n_classes)
     cum = np.cumsum(probs, axis=1)
     draws = rng.random(n)
     y = (draws[:, None] >= cum).sum(axis=1) + 1

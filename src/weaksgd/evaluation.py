@@ -91,7 +91,7 @@ def excess_zero_one_anchor(model: KernelModel, n_classes: int, band_halfwidth: f
     """
     xs = midpoint_grid(grid_size)
     xs = xs[anchor_support_mask(xs, band_halfwidth)]
-    probs = np.stack([anchor_conditional(float(x), n_classes) for x in xs])
+    probs = anchor_conditional(xs, n_classes)
     decoded = decode_batch(model.predict_batch(xs[:, None]))
     picked = probs[np.arange(len(xs)), decoded - 1]
     return float((probs.max(axis=1) - picked).mean())

@@ -234,8 +234,7 @@ def _load_input(cfg: ExperimentConfig) -> LabeledDataset:
         return parse_csv_regression(fh, [c.strip() for c in cfg.target.split(",") if c.strip()])
 
 
-def _file_trial(cfg: ExperimentConfig, trial_seed: int):
-    full = _load_input(cfg)
+def _file_trial(cfg: ExperimentConfig, trial_seed: int, full: LabeledDataset):
     train, test = split(full, SplitSpec(cfg.train_fraction, trial_seed))
     train, info = standardize(train)
     test = apply_standardize(test, info)
@@ -283,15 +282,20 @@ _TRIAL_FUNCTIONS = {
 
 
 def _one_trial(args):
-    cfg, trial_index = args
+    cfg, trial_index, data = args
     fn = _TRIAL_FUNCTIONS[cfg.task]
-    return fn(cfg, cfg.seed + trial_index)
+    seed = cfg.seed + trial_index
+    return fn(cfg, seed) if data is None else fn(cfg, seed, data)
 
 
 def run_curve(cfg: ExperimentConfig) -> RiskCurve:
-    """Execute all trials of a validated config and aggregate the risks."""
+    """Execute all trials of a validated config and aggregate the risks.
+
+    A file-backed task reads its input once; every trial gets the parsed data.
+    """
     cfg = cfg.resolved()
-    jobs = [(cfg, i) for i in range(cfg.trials)]
+    data = _load_input(cfg) if cfg.task in ("libsvm", "csv-regression") else None
+    jobs = [(cfg, i, data) for i in range(cfg.trials)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_one_trial, jobs))

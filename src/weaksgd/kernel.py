@@ -55,13 +55,17 @@ def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     Z = _as_points(Z)
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
-    d2 = (
-        (X * X).sum(axis=1)[:, None]
-        + (Z * Z).sum(axis=1)[None, :]
-        - 2.0 * (X @ Z.T)
-    )
+    # built in place, one extra block at a time, with the rounding of
+    # exp(-max(xx + zz - 2 X Z^T, 0) / (2 sigma^2))
+    d2 = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :]
+    xz = X @ Z.T
+    xz *= 2.0
+    d2 -= xz
+    del xz
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(-d2 / (2.0 * spec.bandwidth**2))
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * spec.bandwidth**2
+    return np.exp(d2, out=d2)
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """SGD drivers that learn kernel models from single-bit label queries.
 
-All drivers share the same skeleton: walk the input sequence, spend one
-oracle bit per step, apply the matching coefficient step, and maintain the
-running average of the iterates (checkpoint risks are evaluated on that
-average). A driver consumes exactly ``min(budget, len(sequence))`` queries.
+Every driver runs the same step loop (:func:`_descend`): walk the input
+sequence, spend one oracle bit per step, apply the matching coefficient step,
+and maintain the running average of the iterates (checkpoint risks are
+evaluated on that average). A driver draws its randomness up front and
+supplies only a *bit rule*: one oracle call, then the step's coefficient and
+direction. A driver consumes exactly ``min(budget, len(sequence))`` queries.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import sample_sphere_batch
-from .kernel import AveragedModel, KernelModel, apply_weak_step, kernel_matrix
+from .kernel import KernelModel, kernel_matrix
 from .oracle import QueryOracle
 
 
@@ -66,6 +68,12 @@ class StepSchedule:
             return self.bound / (self.kappa * np.sqrt(self.horizon))
         return self.gamma0 / np.sqrt(t)
 
+    def gammas(self, steps: int) -> np.ndarray:
+        """Vector (gamma(1), ..., gamma(steps)), bit for bit what :meth:`gamma` returns."""
+        if self.kind == "constant":
+            return np.full(steps, self.bound / (self.kappa * np.sqrt(self.horizon)))
+        return self.gamma0 / np.sqrt(np.arange(1, steps + 1))
+
 
 @dataclass
 class TrainReport:
@@ -102,8 +110,9 @@ def _prepare(X, model: KernelModel, budget: int, checkpoint_grid, indices):
                 f"checkpoint {grid[-1]} exceeds the {steps} steps this run can take"
             )
     used = indices[:steps]
-    K = kernel_matrix(model.spec, X[used], model.representers) if steps else None
-    return used, steps, grid, K
+    if not steps:
+        return used, steps, grid, np.empty((0, model.rank))
+    return used, steps, grid, kernel_matrix(model.spec, X[used], model.representers)
 
 
 def default_checkpoints(budget: int) -> list[int]:
@@ -119,27 +128,42 @@ def default_checkpoints(budget: int) -> list[int]:
     return grid
 
 
-class _Recorder:
-    """Evaluates the running average at the requested budgets."""
+def _descend(model: KernelModel, K, schedule: StepSchedule, grid, evaluate, rule,
+             queries: int) -> TrainReport:
+    """The step loop shared by every driver.
 
-    def __init__(self, model, grid, evaluate):
-        self.template = model
-        self.grid = grid
-        self.evaluate = evaluate
-        self.avg = AveragedModel.zeros(model.rank, model.output_dim)
-        self.records = []
-        self._next = 0
-
-    def step(self, coefficients, t):
-        self.avg.accumulate(coefficients)
-        if self._next < len(self.grid) and self.grid[self._next] == t:
-            snap = self.avg.snapshot(self.template)
-            value = self.evaluate(snap) if self.evaluate is not None else snap.coefficients
-            self.records.append((t, value))
-            self._next += 1
-
-    def report(self, model, queries) -> TrainReport:
-        return TrainReport(model, self.avg.snapshot(model), self.records, queries)
+    Step t (1-based) calls ``rule(t - 1, kcol, gamma)``, which reads the current
+    coefficients and returns ``(c, direction)`` or None for no move. The loop
+    then shrinks by ``1 - gamma * ridge``, adds ``c * outer(kcol, direction)``
+    and folds the iterate into the running mean, ``mean += (a - mean) / t``.
+    """
+    a = model.coefficients
+    mean = np.zeros_like(a)
+    buf = np.empty_like(a)
+    gammas = schedule.gammas(len(K))
+    shrink = 1.0 - gammas * model.ridge if model.ridge != 0.0 else None
+    records = []
+    pending = iter(grid)
+    due = next(pending, 0)
+    multiply, subtract = np.multiply, np.subtract
+    # rows of K also as (rank, 1) columns: column * direction is outer(kcol, direction)
+    for s, kcol, column, gamma in zip(range(len(K)), K, K[:, :, None], gammas):
+        move = rule(s, kcol, gamma)
+        if shrink is not None:
+            a *= shrink[s]
+        if move is not None:
+            multiply(column, move[1], out=buf)
+            buf *= move[0]
+            a += buf
+        t = s + 1
+        subtract(a, mean, out=buf)
+        buf /= t
+        mean += buf
+        if t == due:
+            snap = model.with_coefficients(mean)
+            records.append((t, evaluate(snap) if evaluate is not None else snap.coefficients))
+            due = next(pending, 0)
+    return TrainReport(model, model.with_coefficients(mean), records, queries)
 
 
 def run_median_sgd(
@@ -163,7 +187,6 @@ def run_median_sgd(
     """
     used, steps, grid, K = _prepare(X, model, oracle.budget_remaining, checkpoint_grid, indices)
     m = model.output_dim
-    rec = _Recorder(model, grid, evaluate)
     if steps:
         if direction == "sphere":
             U = sample_sphere_batch(rng, m, steps)
@@ -172,15 +195,13 @@ def run_median_sgd(
         else:
             raise ValueError(f"unknown direction scheme {direction!r}")
     a = model.coefficients
-    lam = model.ridge
-    for t in range(1, steps + 1):
-        kcol = K[t - 1]
-        u = U[t - 1]
-        z = kcol @ a
-        eps = oracle.halfspace_query(int(used[t - 1]), z, u)
-        apply_weak_step(model, kcol, u, float(eps), schedule.gamma(t), lam)
-        rec.step(a, t)
-    return rec.report(model, steps)
+    query = oracle.halfspace_query
+
+    def rule(s, kcol, gamma):
+        u = U[s]
+        return gamma * query(int(used[s]), kcol.dot(a), u), u
+
+    return _descend(model, K, schedule, grid, evaluate, rule, steps)
 
 
 def run_least_squares_sgd(
@@ -203,26 +224,19 @@ def run_least_squares_sgd(
     if not bound > 0:
         raise ValueError("bound must be > 0")
     used, steps, grid, K = _prepare(X, model, oracle.budget_remaining, checkpoint_grid, indices)
-    m = model.output_dim
-    rec = _Recorder(model, grid, evaluate)
     if steps:
-        U = sample_sphere_batch(rng, m, steps)
+        U = sample_sphere_batch(rng, model.output_dim, steps)
         V = rng.uniform(0.0, 2.0 * bound, steps)
     a = model.coefficients
-    lam = model.ridge
-    for t in range(1, steps + 1):
-        kcol = K[t - 1]
-        u = U[t - 1]
-        z = kcol @ a
-        c = float(z @ u) - V[t - 1]
-        b = oracle.threshold_query(int(used[t - 1]), u, c)
-        gamma = schedule.gamma(t)
-        if lam != 0.0:
-            a *= 1.0 - gamma * lam
-        if b:
-            a -= gamma * np.outer(kcol, u)
-        rec.step(a, t)
-    return rec.report(model, steps)
+    query = oracle.threshold_query
+
+    def rule(s, kcol, gamma):
+        u = U[s]
+        if query(int(used[s]), u, float(kcol.dot(a).dot(u)) - V[s]):
+            return -gamma, u
+        return None
+
+    return _descend(model, K, schedule, grid, evaluate, rule, steps)
 
 
 def run_full_sgd(
@@ -244,20 +258,14 @@ def run_full_sgd(
         Y = Y[:, None]
     used, steps, grid, K = _prepare(X, model, len(Y) if indices is None else len(indices),
                                     checkpoint_grid, indices)
-    rec = _Recorder(model, grid, evaluate)
     a = model.coefficients
-    lam = model.ridge
-    for t in range(1, steps + 1):
-        kcol = K[t - 1]
-        r = kcol @ a - Y[used[t - 1]]
-        nr = float(np.sqrt(r @ r))
-        gamma = schedule.gamma(t)
-        if lam != 0.0:
-            a *= 1.0 - gamma * lam
-        if nr > 0.0:
-            a -= (gamma / nr) * np.outer(kcol, r)
-        rec.step(a, t)
-    return rec.report(model, 0)  # fully supervised: no oracle bits spent
+
+    def rule(s, kcol, gamma):
+        r = kcol.dot(a) - Y[used[s]]
+        nr = float(np.sqrt(r.dot(r)))
+        return (-(gamma / nr), r) if nr > 0.0 else None
+
+    return _descend(model, K, schedule, grid, evaluate, rule, 0)  # no oracle bits spent
 
 
 def run_passive_median(
@@ -280,24 +288,20 @@ def run_passive_median(
     if model.output_dim != 1:
         raise ValueError("the passive threshold strategy is defined for scalar outputs")
     used, steps, grid, K = _prepare(X, model, oracle.budget_remaining, checkpoint_grid, indices)
-    rec = _Recorder(model, grid, evaluate)
     if steps:
         V = rng.standard_normal(steps)
     a = model.coefficients
-    lam = model.ridge
+    query = oracle.threshold_query
     one = np.ones(1)
-    for t in range(1, steps + 1):
-        kcol = K[t - 1]
-        v = float(V[t - 1])
-        below = oracle.threshold_query(int(used[t - 1]), one, v)  # 1{Y < v}
-        b = 1 - below  # 1{Y > v} up to the null event Y = v
-        z = float(kcol @ a[:, 0])
-        gamma = schedule.gamma(t)
-        if lam != 0.0:
-            a *= 1.0 - gamma * lam
-        if b == 1 and z < v:
-            a[:, 0] += gamma * kcol
-        elif b == 0 and z > v:
-            a[:, 0] -= gamma * kcol
-        rec.step(a, t)
-    return rec.report(model, steps)
+
+    def rule(s, kcol, gamma):
+        v = float(V[s])
+        above = 1 - query(int(used[s]), one, v)  # 1{Y > v} up to the null event Y = v
+        z = float(kcol.dot(a[:, 0]))
+        if above == 1 and z < v:
+            return gamma, one
+        if above == 0 and z > v:
+            return -gamma, one
+        return None
+
+    return _descend(model, K, schedule, grid, evaluate, rule, steps)

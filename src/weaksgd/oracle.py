@@ -75,6 +75,7 @@ class QueryOracle:
             raise ValueError(f"class indices must lie in 1..{n_classes}")
         oracle._classes = c.copy()
         oracle._n, oracle._m = c.size, int(n_classes)
+        oracle._class_ids = frozenset(range(1, oracle._m + 1))
         return oracle
 
     @property
@@ -93,65 +94,67 @@ class QueryOracle:
     def is_classification(self) -> bool:
         return self._classes is not None
 
-    def _precheck(self, i: int) -> None:
-        if self.budget_used >= self.budget_total:
+    def _precheck(self, i: int) -> int:
+        """Raise if query ``i`` may not be asked now; return the ledger count."""
+        used = self.budget_used
+        if used >= self.budget_total:
             raise BudgetExhausted(
                 f"budget of {self.budget_total} queries already spent"
             )
         if not 0 <= i < self._n:
             raise ValueError(f"sample index {i} out of range [0, {self._n})")
-        if self.mode == "streaming" and i != self.budget_used:
+        if i != used and self.mode == "streaming":
             raise StreamingViolation(
-                f"streaming query {self.budget_used + 1} must address sample "
-                f"{self.budget_used}, got {i}"
+                f"streaming query {used + 1} must address sample {used}, got {i}"
             )
+        return used
 
-    def _charge(self, i: int, kind: str) -> None:
-        self.budget_used += 1
+    def _charge(self, used: int, i: int, kind: str) -> None:
+        self.budget_used = used + 1
         if self.query_log is not None:
-            self.query_log.append((self.budget_used, i, kind, 1))
+            self.query_log.append((used + 1, i, kind, 1))
 
     def _label_dot(self, i: int, u: np.ndarray) -> float:
         if self._classes is not None:
             return float(u[self._classes[i] - 1])
-        return float(self._targets[i] @ u)
+        return float(self._targets[i].dot(u))
 
     def halfspace_query(self, i: int, z, u) -> int:
         """Which side of the hyperplane through ``z`` orthogonal to ``u`` the
         hidden label lies on: sign(<Y_i - z, u>) with sign(0) = +1."""
-        self._precheck(i)
-        z = np.asarray(z, dtype=float).ravel()
-        u = np.asarray(u, dtype=float).ravel()
+        used = self._precheck(i)
+        z = _vector(z)
+        u = _vector(u)
         if z.size != self._m or u.size != self._m:
             raise ValueError(
                 f"query dimensions ({z.size}, {u.size}) != label dim {self._m}"
             )
-        value = self._label_dot(i, u) - float(z @ u)
-        self._charge(i, "halfspace")
+        value = self._label_dot(i, u) - float(z.dot(u))
+        self._charge(used, i, "halfspace")
         return 1 if value >= 0.0 else -1
 
     def threshold_query(self, i: int, u, c: float) -> int:
         """Bit 1{<Y_i, u> < c} (strict inequality)."""
-        self._precheck(i)
-        u = np.asarray(u, dtype=float).ravel()
+        used = self._precheck(i)
+        u = _vector(u)
         if u.size != self._m:
             raise ValueError(f"query dimension {u.size} != label dim {self._m}")
         value = self._label_dot(i, u)
-        self._charge(i, "threshold")
+        self._charge(used, i, "threshold")
         return int(value < float(c))
 
     def membership_query(self, i: int, S) -> int:
         """Bit 1{class(Y_i) in S} for a proper nonempty class subset ``S``."""
         if self._classes is None:
             raise ValueError("membership queries require a classification oracle")
-        self._precheck(i)
+        used = self._precheck(i)
         S = frozenset(int(s) for s in S)
-        if any(s < 1 or s > self._m for s in S):
+        if not S <= self._class_ids:
             raise ValueError(f"classes in S must lie in 1..{self._m}")
         if len(S) == 0 or len(S) == self._m:
             raise TrivialSetError("membership set must be a proper nonempty subset")
         answer = int(int(self._classes[i]) in S)
-        self._charge(i, "membership")
+        self._charge(used, i, "membership")
         return answer
 
     def export_query_log(self, path) -> None:
@@ -162,3 +165,13 @@ class QueryOracle:
             fh.write("t,index,kind,cost\n")
             for t, i, kind, cost in self.query_log:
                 fh.write(f"{t},{i},{kind},{cost}\n")
+
+
+_FLOAT = np.dtype(float)
+
+
+def _vector(v) -> np.ndarray:
+    """``v`` as a flat float array, without a copy when it already is one."""
+    if type(v) is np.ndarray and v.ndim == 1 and v.dtype is _FLOAT:
+        return v
+    return np.asarray(v, dtype=float).ravel()

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import geometric_median
-from .kernel import KernelModel, apply_weak_step
-from .learner import StepSchedule, TrainReport, _prepare, _Recorder, run_median_sgd
+from .kernel import KernelModel
+from .learner import StepSchedule, TrainReport, _descend, _prepare, run_median_sgd
 from .oracle import QueryOracle
 
 
@@ -98,10 +98,9 @@ def random_proper_subset(rng: np.random.Generator, n_classes: int) -> frozenset:
     if n_classes < 2:
         raise ValueError("need at least two classes to form a proper subset")
     while True:
-        bits = rng.integers(0, 2, n_classes)
-        s = int(bits.sum())
-        if 0 < s < n_classes:
-            return frozenset(int(j) + 1 for j in np.flatnonzero(bits))
+        members = rng.integers(0, 2, n_classes).nonzero()[0]
+        if 0 < members.size < n_classes:
+            return frozenset((members + 1).tolist())
 
 
 def infimum_loss_sgd(
@@ -125,28 +124,20 @@ def infimum_loss_sgd(
     make_set = set_generator if set_generator is not None else random_proper_subset
     used, steps, grid, K = _prepare(X, model, oracle.budget_remaining, checkpoint_grid, indices)
     m = model.output_dim
-    all_classes = frozenset(range(1, m + 1))
-    rec = _Recorder(model, grid, evaluate)
     a = model.coefficients
-    lam = model.ridge
-    for t in range(1, steps + 1):
-        kcol = K[t - 1]
+    query = oracle.membership_query
+    classes = frozenset(range(1, m + 1))
+
+    def rule(s, kcol, gamma):
         S = frozenset(make_set(rng, m))
-        inside = oracle.membership_query(int(used[t - 1]), S)
-        candidates = S if inside else all_classes - S
-        g = kcol @ a
-        order = sorted(candidates)
-        y_star = order[int(np.argmax(g[[y - 1 for y in order]]))]
-        r = g.copy()
-        r[y_star - 1] -= 1.0
-        nr = float(np.sqrt(r @ r))
-        gamma = schedule.gamma(t)
-        if lam != 0.0:
-            a *= 1.0 - gamma * lam
-        if nr > 0.0:
-            apply_weak_step(model, kcol, r / nr, -1.0, gamma, 0.0)
-        rec.step(a, t)
-    return rec.report(model, steps)
+        inside = query(int(used[s]), S)
+        order = np.array(sorted(S if inside else classes - S)) - 1  # 0-based candidates
+        r = kcol.dot(a)
+        r[order[r[order].argmax()]] -= 1.0  # y*: the smallest class attaining the max
+        nr = float(np.sqrt(r.dot(r)))
+        return (-gamma, r / nr) if nr > 0.0 else None
+
+    return _descend(model, K, schedule, grid, evaluate, rule, steps)
 
 
 @dataclass(frozen=True)

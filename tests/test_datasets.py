@@ -168,6 +168,31 @@ class TestAnchorTask:
         for x in np.linspace(0, 1, 33):
             assert anchor_conditional(float(x), 7).sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_array_input_matches_pointwise_law(self):
+        edges = [np.nextafter(0.25, 0.0), np.nextafter(1.0, 0.0)]
+        xs = np.concatenate([np.linspace(0.0, 1.0, 97), edges])
+        probs = anchor_conditional(xs, 6)
+        assert probs.shape == (xs.size, 6)
+        for x, row in zip(xs, probs):
+            assert row.tobytes() == anchor_conditional(float(x), 6).tobytes()
+
+    def test_array_input_errors(self):
+        with pytest.raises(ValueError, match="at least 3 classes"):
+            anchor_conditional(np.array([0.5]), 2)
+        for bad in ([0.2, 1.5], [-0.1], [0.3, np.nan]):
+            with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+                anchor_conditional(np.array(bad), 4)
+
+    def test_generator_evaluates_the_law_once(self, monkeypatch):
+        from weaksgd import datasets
+
+        calls = []
+        law = datasets.anchor_conditional
+        monkeypatch.setattr(datasets, "anchor_conditional",
+                            lambda x, m: calls.append(np.size(x)) or law(x, m))
+        gen_anchor_classification(500, 4, 0.05, np.random.default_rng(3))
+        assert calls == [500]
+
     def test_band_exclusion(self):
         ds = gen_anchor_classification(2000, 3, 0.05, np.random.default_rng(8))
         x = ds.features[:, 0]

@@ -108,3 +108,33 @@ class TestRunCurve:
                                bound=3.0, input=str(path), target="y1,y2")
         curve = run_curve(cfg)
         assert curve.budgets[-1] == 8
+
+
+class TestFileInputParsedOnce:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_parse_per_run(self, fixtures_dir, monkeypatch, jobs):
+        from weaksgd import experiments
+
+        calls = []
+        parse = experiments.parse_libsvm
+        monkeypatch.setattr(experiments, "parse_libsvm",
+                            lambda fh: calls.append(1) or parse(fh))
+        cfg = ExperimentConfig(task="libsvm", strategy="infimum-loss", budget=64, trials=3,
+                               seed=2, gamma0=0.5, rank=10, jobs=jobs,
+                               input=str(fixtures_dir / "blobs3.libsvm"))
+        run_curve(cfg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("task,name,extra", [
+        ("libsvm", "blobs3.libsvm", {}),
+        ("csv-regression", "weather.csv", {"target": "apparent", "bound": 30.0}),
+    ])
+    def test_curve_bytes_independent_of_jobs(self, fixtures_dir, tmp_path, task, name, extra):
+        from weaksgd.evaluation import emit_csv
+
+        cfg = ExperimentConfig(task=task, strategy="active-median", budget=64, trials=3,
+                               seed=4, gamma0=0.5, rank=10, input=str(fixtures_dir / name),
+                               **extra)
+        emit_csv(run_curve(cfg), tmp_path / "serial.csv")
+        emit_csv(run_curve(replace(cfg, jobs=2)), tmp_path / "parallel.csv")
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()

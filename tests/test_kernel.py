@@ -55,6 +55,16 @@ class TestKernelEval:
             for j in range(3):
                 assert K[i, j] == pytest.approx(kernel_eval(spec, X[i], Z[j]), abs=1e-12)
 
+    def test_matrix_bits_match_the_out_of_place_formula(self, spec):
+        # the in-place block keeps the rounding of the plain expression
+        rng = np.random.default_rng(2)
+        for n, p, d in ((1, 1, 1), (37, 11, 1), (50, 20, 7)):
+            X, Z = rng.standard_normal((n, d)), rng.standard_normal((p, d))
+            d2 = ((X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :]
+                  - 2.0 * (X @ Z.T))
+            expected = np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.bandwidth**2))
+            assert kernel_matrix(spec, X, Z).tobytes() == expected.tobytes()
+
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             KernelSpec(bandwidth=0.0)

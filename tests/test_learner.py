@@ -35,6 +35,14 @@ class TestStepSchedule:
         assert sched.gamma(1) == 1.5
         assert sched.gamma(9) == pytest.approx(0.5, rel=1e-15)
 
+    def test_step_vector_matches_gamma_bit_for_bit(self):
+        for sched in (StepSchedule.decaying(0.3), StepSchedule.decaying(7.0),
+                      StepSchedule.constant(0.3, horizon=50),
+                      StepSchedule.constant_for_horizon(2.0, 1.5, 17)):
+            expected = np.array([sched.gamma(t) for t in range(1, 1001)])
+            assert sched.gammas(1000).tobytes() == expected.tobytes()
+        assert StepSchedule.decaying(1.0).gammas(0).shape == (0,)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StepSchedule.decaying(0.0)
