@@ -14,6 +14,7 @@ from .datasets import (
 )
 from .estimators import WeakSGDClassifier, WeakSGDRegressor
 from .evaluation import RiskCurve, aggregate_trials, emit_csv, emit_svg, loglog_slope
+from .experiments import train
 from .game import MatrixGame, build_game, solve_game
 from .geometry import (
     MonteCarloEstimate,
@@ -23,7 +24,7 @@ from .geometry import (
     geometric_median,
     sample_sphere,
 )
-from .kernel import AveragedModel, KernelModel, KernelSpec, load_model, save_model, weak_update
+from .kernel import KernelModel, KernelSpec, load_model, save_model
 from .learner import (
     StepSchedule,
     TrainReport,
@@ -37,15 +38,12 @@ from .surrogate import (
     decode,
     encode,
     infimum_loss_sgd,
-    run_active_classification,
-    run_passive_classification,
     surrogate_target_check,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragedModel",
     "BudgetExhausted",
     "KernelModel",
     "KernelSpec",
@@ -79,11 +77,9 @@ __all__ = [
     "loglog_slope",
     "parse_csv_regression",
     "parse_libsvm",
-    "run_active_classification",
     "run_full_sgd",
     "run_least_squares_sgd",
     "run_median_sgd",
-    "run_passive_classification",
     "run_passive_median",
     "sample_sphere",
     "save_model",
@@ -91,5 +87,5 @@ __all__ = [
     "split",
     "standardize",
     "surrogate_target_check",
-    "weak_update",
+    "train",
 ]

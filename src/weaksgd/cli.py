@@ -175,6 +175,9 @@ def cmd_run(args) -> int:
     paths = [os.path.join(args.outdir, name) for name in ("curve.csv", "curve.svg", "manifest")]
     try:
         curve = run_curve(cfg)
+        if not np.isfinite(curve.mean_risk).all():
+            raise ValueError("the risk curve is not finite; the iterates diverged "
+                             "(try a smaller gamma0)")
         emit_csv(curve, paths[0])
         emit_svg([(cfg.strategy, curve)], paths[1], axes="loglog")
         manifest = (f"# weaksgd {__version__}, numpy {np.__version__}\n"

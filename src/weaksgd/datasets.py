@@ -151,6 +151,8 @@ def parse_libsvm(source) -> LabeledDataset:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(ln_no, f"bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(ln_no, f"non-finite label {tokens[0]!r}")
         entries: dict[int, float] = {}
         prev = 0
         for tok in tokens[1:]:
@@ -162,6 +164,8 @@ def parse_libsvm(source) -> LabeledDataset:
                 val = float(val_s)
             except ValueError:
                 raise ParseError(ln_no, f"bad feature token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(ln_no, f"non-finite feature value {tok!r}")
             if idx < 1:
                 raise ParseError(ln_no, f"feature index {idx} must be >= 1")
             if idx <= prev:
@@ -204,9 +208,9 @@ def serialize_libsvm(dataset: LabeledDataset) -> str:
 def parse_csv_regression(source, target_columns) -> LabeledDataset:
     """Numeric CSV with a header row; named columns become the targets.
 
-    Rows with a missing or non-numeric cell in any used column are dropped
-    and counted in ``extra["dropped_rows"]``. Comma delimiter, ``.`` decimal
-    point, no quoting.
+    Rows with a missing, non-numeric or non-finite cell in any used column
+    are dropped and counted in ``extra["dropped_rows"]``. Comma delimiter,
+    ``.`` decimal point, no quoting.
     """
     lines = [ln for ln in _iter_lines(source)]
     if not lines or not lines[0].strip():
@@ -230,7 +234,7 @@ def parse_csv_regression(source, target_columns) -> LabeledDataset:
         except ValueError:
             dropped += 1
             continue
-        if any(math.isnan(values[j]) for j in t_idx + f_idx):
+        if not all(math.isfinite(values[j]) for j in t_idx + f_idx):
             dropped += 1
             continue
         feat_rows.append([values[j] for j in f_idx])

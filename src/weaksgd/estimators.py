@@ -13,10 +13,9 @@ import inspect
 
 import numpy as np
 
-from . import learner, surrogate
+from . import experiments, surrogate
 from .kernel import KernelModel, KernelSpec, nystrom_representers
 from .learner import StepSchedule
-from .oracle import QueryOracle
 
 
 class NotFittedError(RuntimeError):
@@ -65,24 +64,28 @@ class _ParamsMixin:
 
 
 class _BaseWeakSGD(_ParamsMixin):
-    def _setup(self, X, n_train: int):
+    _ALIASES: dict = {}  # short name -> the run name it stands for
+
+    def _fit(self, X, labels, n_classes=None, bound: float = 1.0):
+        """Train through :func:`experiments.train`, which rejects a strategy
+        name that is not its task kind's (after alias resolution)."""
+        strategy = self._ALIASES.get(self.strategy, self.strategy)
+        n_train = X.shape[0]
         budget = self.budget if self.budget is not None else n_train
         if budget < 0:
             raise ValueError("budget must be >= 0")
+        schedule = StepSchedule.named(self.schedule, self.gamma0, max(budget, 1))
         rng = check_random_state(self.seed)
         reps = nystrom_representers(X, min(self.rank, n_train), rng)
-        spec = KernelSpec(self.bandwidth)
-        if self.schedule == "decaying":
-            sched = StepSchedule.decaying(self.gamma0)
-        elif self.schedule == "constant":
-            sched = StepSchedule.constant(self.gamma0, max(budget, 1))
-        else:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if budget <= n_train:
-            mode, indices = "streaming", None
-        else:
-            mode, indices = "resampling", np.arange(budget) % n_train
-        return budget, rng, reps, spec, sched, mode, indices
+        output_dim = labels.shape[1] if n_classes is None else n_classes
+        model = KernelModel.zeros(reps, output_dim, KernelSpec(self.bandwidth), self.ridge)
+        report = experiments.train(strategy, X, labels, model, schedule, rng, budget,
+                                   n_classes, bound)
+        self.model_ = report.averaged_model
+        self.final_model_ = report.final_model
+        self.n_queries_ = report.queries_used
+        self.n_features_in_ = X.shape[1]
+        return self
 
     def _check_fitted(self):
         if getattr(self, "model_", None) is None:
@@ -92,12 +95,22 @@ class _BaseWeakSGD(_ParamsMixin):
 class WeakSGDRegressor(_BaseWeakSGD):
     """Kernel regressor trained from one label bit per gradient step.
 
-    Strategies: ``"median"`` (half-space signs at the current prediction),
-    ``"least-squares"`` (random-threshold bits; needs the range bound),
-    ``"passive"`` (blind N(0,1) thresholds, scalar targets only) and
-    ``"full"`` (plain subgradient descent on the labels, no query budget).
-    A budget larger than n re-queries the data cyclically.
+    Strategies, with their short aliases:
+
+    * ``"active-median"`` (alias ``"median"``): half-space signs at the
+      current prediction;
+    * ``"active-least-squares"`` (alias ``"least-squares"``): random-threshold
+      bits; needs the range bound;
+    * ``"passive"``: blind N(0,1) thresholds, scalar targets only;
+    * ``"full-sgd"`` (alias ``"full"``): plain subgradient descent on the
+      labels, no query bits spent.
+
+    Every strategy takes ``budget`` steps; a budget larger than n re-queries
+    the data cyclically.
     """
+
+    _ALIASES = {"median": "active-median", "least-squares": "active-least-squares",
+                "full": "full-sgd"}
 
     def __init__(self, strategy: str = "median", bandwidth: float = 1.0,
                  gamma0: float = 1.0, schedule: str = "decaying",
@@ -120,28 +133,9 @@ class WeakSGDRegressor(_BaseWeakSGD):
         Y = y[:, None] if y.ndim == 1 else y
         if Y.shape[0] != X.shape[0]:
             raise ValueError("X and y disagree on the number of samples")
-        budget, rng, reps, spec, sched, mode, indices = self._setup(X, X.shape[0])
-        model = KernelModel.zeros(reps, Y.shape[1], spec, self.ridge)
-        if self.strategy == "full":
-            report = learner.run_full_sgd(X, Y, sched, model, indices=indices)
-        else:
-            oracle = QueryOracle.for_regression(Y, budget, mode)
-            if self.strategy == "median":
-                report = learner.run_median_sgd(X, oracle, sched, model, rng,
-                                                indices=indices)
-            elif self.strategy == "least-squares":
-                report = learner.run_least_squares_sgd(X, oracle, sched, model, rng,
-                                                       self.bound, indices=indices)
-            elif self.strategy == "passive":
-                report = learner.run_passive_median(X, oracle, sched, model, rng,
-                                                    indices=indices)
-            else:
-                raise ValueError(f"unknown strategy {self.strategy!r}")
-        self.model_ = report.averaged_model
-        self.final_model_ = report.final_model
-        self.n_queries_ = report.queries_used
-        self.n_features_in_ = X.shape[1]
-        return self
+        if not np.isfinite(Y).all():
+            raise ValueError("y contains non-finite values")
+        return self._fit(X, Y, bound=self.bound)
 
     def predict(self, X):
         self._check_fitted()
@@ -152,11 +146,17 @@ class WeakSGDRegressor(_BaseWeakSGD):
 class WeakSGDClassifier(_BaseWeakSGD):
     """Classifier trained through the simplex-embedding regression surrogate.
 
-    Strategies: ``"active"`` (sphere-uniform half-space queries),
-    ``"coordinate-passive"`` (basis-vector queries, one class per bit) and
-    ``"infimum-loss"`` (random-set membership bits with best-case gradients).
+    Strategies, with their short aliases:
+
+    * ``"active-median"`` (alias ``"active"``): sphere-uniform half-space
+      queries;
+    * ``"coordinate-passive"``: basis-vector queries, one class per bit;
+    * ``"infimum-loss"``: random-set membership bits with best-case gradients.
+
     Labels may be arbitrary hashables; they are mapped onto classes 1..m.
     """
+
+    _ALIASES = {"active": "active-median"}
 
     def __init__(self, strategy: str = "active", bandwidth: float = 1.0,
                  gamma0: float = 1.0, schedule: str = "decaying",
@@ -179,26 +179,7 @@ class WeakSGDClassifier(_BaseWeakSGD):
         self.classes_ = np.unique(y)
         index = {label: k + 1 for k, label in enumerate(self.classes_)}
         codes = np.array([index[label] for label in y], dtype=int)
-        m = len(self.classes_)
-        budget, rng, reps, spec, sched, mode, indices = self._setup(X, X.shape[0])
-        model = KernelModel.zeros(reps, m, spec, self.ridge)
-        oracle = QueryOracle.for_classification(codes, m, budget, mode)
-        if self.strategy == "active":
-            report = surrogate.run_active_classification(X, oracle, sched, model, rng,
-                                                         indices=indices)
-        elif self.strategy == "coordinate-passive":
-            report = surrogate.run_passive_classification(X, oracle, sched, model, rng,
-                                                          indices=indices)
-        elif self.strategy == "infimum-loss":
-            report = surrogate.infimum_loss_sgd(X, oracle, sched, model, rng,
-                                                indices=indices)
-        else:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        self.model_ = report.averaged_model
-        self.final_model_ = report.final_model
-        self.n_queries_ = report.queries_used
-        self.n_features_in_ = X.shape[1]
-        return self
+        return self._fit(X, codes, n_classes=len(self.classes_))
 
     def decision_function(self, X):
         self._check_fitted()

@@ -10,7 +10,6 @@ orders by trial index, which keeps outputs byte-identical for any job count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -41,12 +40,14 @@ from .oracle import QueryOracle
 
 TASKS = ("sin-regression", "anchor-classification", "libsvm", "csv-regression")
 
-# which query strategies make sense for which task
+# the run vocabulary: which query strategies make sense for which task kind
+REGRESSION_STRATEGIES = ("active-median", "active-least-squares", "passive", "full-sgd")
+CLASSIFICATION_STRATEGIES = ("active-median", "coordinate-passive", "infimum-loss")
 TASK_STRATEGIES = {
-    "sin-regression": ("active-median", "active-least-squares", "passive", "full-sgd"),
-    "csv-regression": ("active-median", "active-least-squares", "passive", "full-sgd"),
-    "anchor-classification": ("active-median", "coordinate-passive", "infimum-loss"),
-    "libsvm": ("active-median", "coordinate-passive", "infimum-loss"),
+    "sin-regression": REGRESSION_STRATEGIES,
+    "csv-regression": REGRESSION_STRATEGIES,
+    "anchor-classification": CLASSIFICATION_STRATEGIES,
+    "libsvm": CLASSIFICATION_STRATEGIES,
 }
 
 SCHEDULES = ("decaying", "constant")
@@ -162,69 +163,61 @@ def config_to_mapping(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _schedule_for(cfg: ExperimentConfig, horizon: int) -> StepSchedule:
-    if cfg.schedule == "decaying":
-        return StepSchedule.decaying(cfg.gamma0)
-    return StepSchedule.constant(cfg.gamma0, horizon)
+def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bound=1.0,
+          grid=None, evaluate=None):
+    """Train ``model`` with one strategy for ``budget`` steps over the rows of ``X``.
 
-
-def _run_strategy(cfg, X, oracle, model, rng, grid, evaluate, indices=None, labels=None):
-    schedule = _schedule_for(cfg, cfg.budget)
-    if cfg.strategy == "active-median":
-        return learner.run_median_sgd(X, oracle, schedule, model, rng, grid,
-                                      evaluate, indices)
-    if cfg.strategy == "active-least-squares":
-        return learner.run_least_squares_sgd(X, oracle, schedule, model, rng,
-                                             cfg.bound, grid, evaluate, indices)
-    if cfg.strategy == "passive":
-        return learner.run_passive_median(X, oracle, schedule, model, rng, grid,
-                                          evaluate, indices)
-    if cfg.strategy == "full-sgd":
+    ``labels`` are real targets, or classes 1..n_classes when ``n_classes`` is
+    given; ``strategy`` is one of that task kind's strategies. A budget up to
+    n streams the first ``budget`` rows once; a larger one walks the rows
+    cyclically under the resampling protocol. ``full-sgd`` reads the labels
+    directly; every other strategy asks a budgeted oracle one bit per step.
+    """
+    allowed = REGRESSION_STRATEGIES if n_classes is None else CLASSIFICATION_STRATEGIES
+    if strategy not in allowed:
+        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {allowed}")
+    n = len(labels)
+    indices = np.arange(budget) % n
+    if strategy == "full-sgd":
         return learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)
-    if cfg.strategy == "coordinate-passive":
-        return surrogate.run_passive_classification(X, oracle, schedule, model, rng,
-                                                    grid, evaluate, indices)
-    if cfg.strategy == "infimum-loss":
-        return surrogate.infimum_loss_sgd(X, oracle, schedule, model, rng, grid,
-                                          evaluate, indices)
-    raise ConfigError(f"unknown strategy {cfg.strategy!r}")
-
-
-def _sin_trial(cfg: ExperimentConfig, trial_seed: int):
-    rng = np.random.default_rng(trial_seed)
-    data = gen_sin_regression(cfg.budget, rng)
-    spec = KernelSpec(cfg.sigma)
-    reps = nystrom_representers(data.features, min(cfg.rank, data.n), rng)
-    model = KernelModel.zeros(reps, 1, spec, cfg.ridge)
-    grid = default_checkpoints(cfg.budget)
-
-    def evaluate(m):
-        return excess_risk_noiseless(m, sin_target, cfg.grid_size)
-
-    if cfg.strategy == "full-sgd":
-        report = _run_strategy(cfg, data.features, None, model, rng, grid, evaluate,
-                               labels=data.targets)
+    mode = "streaming" if budget <= n else "resampling"
+    if n_classes is None:
+        oracle = QueryOracle.for_regression(labels, budget, mode)
     else:
-        oracle = QueryOracle.for_regression(data.targets, cfg.budget, "streaming")
-        report = _run_strategy(cfg, data.features, oracle, model, rng, grid, evaluate)
-    return report.checkpoints
+        oracle = QueryOracle.for_classification(labels, n_classes, budget, mode)
+    # each driver is looked up on its module at call time, so a wrapper installed
+    # there (perfbench/layers.py) sees every call; a table built at import would not
+    if strategy == "active-median":
+        return learner.run_median_sgd(X, oracle, schedule, model, rng, grid, evaluate,
+                                      indices)
+    if strategy == "coordinate-passive":
+        return learner.run_median_sgd(X, oracle, schedule, model, rng, grid, evaluate,
+                                      indices, direction="coordinate")
+    if strategy == "active-least-squares":
+        return learner.run_least_squares_sgd(X, oracle, schedule, model, rng, bound, grid,
+                                             evaluate, indices)
+    if strategy == "passive":
+        return learner.run_passive_median(X, oracle, schedule, model, rng, grid, evaluate,
+                                          indices)
+    return surrogate.infimum_loss_sgd(X, oracle, schedule, model, rng, grid, evaluate,
+                                      indices)
 
 
-def _anchor_trial(cfg: ExperimentConfig, trial_seed: int):
-    rng = np.random.default_rng(trial_seed)
-    data = gen_anchor_classification(cfg.budget, cfg.classes, cfg.epsilon, rng)
-    spec = KernelSpec(cfg.sigma)
+def _model(cfg: ExperimentConfig, data: LabeledDataset, sigma: float, rng) -> KernelModel:
     reps = nystrom_representers(data.features, min(cfg.rank, data.n), rng)
-    model = KernelModel.zeros(reps, cfg.classes, spec, cfg.ridge)
-    grid = default_checkpoints(cfg.budget)
-    oracle = QueryOracle.for_classification(data.targets, cfg.classes, cfg.budget,
-                                            "streaming")
+    return KernelModel.zeros(reps, data.output_dim, KernelSpec(sigma), cfg.ridge)
 
-    def evaluate(m):
-        return excess_zero_one_anchor(m, cfg.classes, cfg.epsilon, cfg.grid_size)
 
-    report = _run_strategy(cfg, data.features, oracle, model, rng, grid, evaluate)
-    return report.checkpoints
+def _sin_trial(cfg: ExperimentConfig, seed: int, rng, full):
+    data = gen_sin_regression(cfg.budget, rng)
+    return data, _model(cfg, data, cfg.sigma, rng), (
+        lambda m: excess_risk_noiseless(m, sin_target, cfg.grid_size))
+
+
+def _anchor_trial(cfg: ExperimentConfig, seed: int, rng, full):
+    data = gen_anchor_classification(cfg.budget, cfg.classes, cfg.epsilon, rng)
+    return data, _model(cfg, data, cfg.sigma, rng), (
+        lambda m: excess_zero_one_anchor(m, cfg.classes, cfg.epsilon, cfg.grid_size))
 
 
 def _load_input(cfg: ExperimentConfig) -> LabeledDataset:
@@ -234,43 +227,15 @@ def _load_input(cfg: ExperimentConfig) -> LabeledDataset:
         return parse_csv_regression(fh, [c.strip() for c in cfg.target.split(",") if c.strip()])
 
 
-def _file_trial(cfg: ExperimentConfig, trial_seed: int, full: LabeledDataset):
-    train, test = split(full, SplitSpec(cfg.train_fraction, trial_seed))
-    train, info = standardize(train)
+def _file_trial(cfg: ExperimentConfig, seed: int, rng, full: LabeledDataset):
+    # fixture-scale files can be smaller than the budget: train then cycles
+    # through the training rows and re-queries under the resampling protocol
+    rows, test = split(full, SplitSpec(cfg.train_fraction, seed))
+    rows, info = standardize(rows)
     test = apply_standardize(test, info)
-    sigma = cfg.sigma if cfg.sigma is not None else train.d / 5.0
-    spec = KernelSpec(sigma)
-    rng = np.random.default_rng(trial_seed)
-    reps = nystrom_representers(train.features, min(cfg.rank, train.n), rng)
-    grid = default_checkpoints(cfg.budget)
-    if cfg.budget <= train.n:
-        mode, indices = "streaming", np.arange(cfg.budget)
-    else:
-        # fixture-scale files can be smaller than the budget: cycle through
-        # the training rows and re-query under the resampling protocol
-        mode, indices = "resampling", np.arange(cfg.budget) % train.n
-    if cfg.task == "libsvm":
-        model = KernelModel.zeros(reps, train.n_classes, spec, cfg.ridge)
-        oracle = QueryOracle.for_classification(train.targets, train.n_classes,
-                                                cfg.budget, mode)
-
-        def evaluate(m):
-            return empirical_risk(m, test, "zero-one")
-
-        report = _run_strategy(cfg, train.features, oracle, model, rng, grid,
-                               evaluate, indices=indices)
-    else:
-        model = KernelModel.zeros(reps, train.output_dim, spec, cfg.ridge)
-        if cfg.strategy == "full-sgd":
-            report = _run_strategy(cfg, train.features, None, model, rng, grid,
-                                   lambda m: empirical_risk(m, test, "absolute-deviation"),
-                                   indices=indices, labels=train.targets)
-        else:
-            oracle = QueryOracle.for_regression(train.targets, cfg.budget, mode)
-            report = _run_strategy(cfg, train.features, oracle, model, rng, grid,
-                                   lambda m: empirical_risk(m, test, "absolute-deviation"),
-                                   indices=indices)
-    return report.checkpoints
+    sigma = cfg.sigma if cfg.sigma is not None else rows.d / 5.0
+    loss = "zero-one" if cfg.task == "libsvm" else "absolute-deviation"
+    return rows, _model(cfg, rows, sigma, rng), lambda m: empirical_risk(m, test, loss)
 
 
 _TRIAL_FUNCTIONS = {
@@ -282,10 +247,14 @@ _TRIAL_FUNCTIONS = {
 
 
 def _one_trial(args):
-    cfg, trial_index, data = args
-    fn = _TRIAL_FUNCTIONS[cfg.task]
+    cfg, trial_index, full = args
     seed = cfg.seed + trial_index
-    return fn(cfg, seed) if data is None else fn(cfg, seed, data)
+    rng = np.random.default_rng(seed)
+    data, model, evaluate = _TRIAL_FUNCTIONS[cfg.task](cfg, seed, rng, full)
+    report = train(cfg.strategy, data.features, data.targets, model,
+                   StepSchedule.named(cfg.schedule, cfg.gamma0, cfg.budget), rng, cfg.budget,
+                   data.n_classes, cfg.bound, default_checkpoints(cfg.budget), evaluate)
+    return report.checkpoints
 
 
 def run_curve(cfg: ExperimentConfig) -> RiskCurve:
@@ -297,6 +266,9 @@ def run_curve(cfg: ExperimentConfig) -> RiskCurve:
     data = _load_input(cfg) if cfg.task in ("libsvm", "csv-regression") else None
     jobs = [(cfg, i, data) for i in range(cfg.trials)]
     if cfg.jobs > 1:
+        # imported here: loading the pool machinery would slow every ``import weaksgd``
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_one_trial, jobs))
     else:

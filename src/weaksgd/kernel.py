@@ -148,69 +148,6 @@ def nystrom_representers(X, rank: int, rng: np.random.Generator) -> np.ndarray:
     return X[np.sort(idx)].copy()
 
 
-def apply_weak_step(model: KernelModel, kcol: np.ndarray, u: np.ndarray,
-                    eps: float, gamma: float, ridge: float) -> KernelModel:
-    """In-place coefficient step a_ij <- (1 - gamma*ridge) a_ij + gamma*eps*u_j*kcol_i.
-
-    Shrinkage first, then the rank-one increment; no input validation (hot path).
-    """
-    a = model.coefficients
-    if ridge != 0.0:
-        a *= 1.0 - gamma * ridge
-    a += (gamma * eps) * np.outer(kcol, u)
-    return model
-
-
-def weak_update(model: KernelModel, x, u, eps: int, gamma: float,
-                ridge: float | None = None) -> KernelModel:
-    """Single-bit gradient step at input ``x`` along measurement direction ``u``.
-
-    ``eps`` is the queried sign in {-1, +1}; with ridge 0 this is exactly the
-    ascent step on <f(x), u> scaled by ``gamma``.
-    """
-    if eps not in (-1, 1):
-        raise ValueError(f"eps must be -1 or +1, got {eps}")
-    if not gamma > 0:
-        raise ValueError(f"step size must be > 0, got {gamma}")
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != model.output_dim:
-        raise ValueError(f"direction dimension {u.size} != output dim {model.output_dim}")
-    if abs(float(u @ u) - 1.0) > 1e-9:
-        raise ValueError("direction u must be a unit vector")
-    lam = model.ridge if ridge is None else float(ridge)
-    return apply_weak_step(model, model.kernel_column(x), u, float(eps), float(gamma), lam)
-
-
-@dataclass
-class AveragedModel:
-    """Running arithmetic mean of coefficient matrices (Welford increments)."""
-
-    running_mean: np.ndarray
-    count: int = 0
-
-    @classmethod
-    def zeros(cls, rank: int, output_dim: int):
-        return cls(np.zeros((rank, output_dim)), 0)
-
-    def accumulate(self, coefficients: np.ndarray) -> "AveragedModel":
-        if coefficients.shape != self.running_mean.shape:
-            raise ValueError(
-                f"shape mismatch: {coefficients.shape} vs {self.running_mean.shape}"
-            )
-        self.count += 1
-        self.running_mean += (coefficients - self.running_mean) / self.count
-        return self
-
-    def snapshot(self, template: KernelModel) -> KernelModel:
-        """Model carrying the current mean coefficients (zeros before any step)."""
-        return template.with_coefficients(self.running_mean.copy())
-
-
-def accumulate_average(avg: AveragedModel, model: KernelModel) -> AveragedModel:
-    """Fold one more iterate into the running coefficient mean."""
-    return avg.accumulate(model.coefficients)
-
-
 _CHECKPOINT_HEADER = "weaksgd-kernel-model 1"
 
 

@@ -61,6 +61,16 @@ class StepSchedule:
             raise ValueError("gamma must be > 0")
         return cls.constant_for_horizon(gamma * np.sqrt(horizon), 1.0, horizon)
 
+    @classmethod
+    def named(cls, kind: str, gamma0: float, horizon: int) -> "StepSchedule":
+        """The schedule a run names: ``decaying`` (gamma0 / sqrt(t)) or
+        ``constant`` (gamma0 at every step of ``horizon``)."""
+        if kind == "decaying":
+            return cls.decaying(gamma0)
+        if kind == "constant":
+            return cls.constant(gamma0, horizon)
+        raise ValueError(f"unknown schedule {kind!r}")
+
     def gamma(self, t: int) -> float:
         if t < 1:
             raise ValueError("steps are 1-based")

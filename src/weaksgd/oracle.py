@@ -79,20 +79,12 @@ class QueryOracle:
         return oracle
 
     @property
-    def n_samples(self) -> int:
-        return self._n
-
-    @property
     def label_dim(self) -> int:
         return self._m
 
     @property
     def budget_remaining(self) -> int:
         return self.budget_total - self.budget_used
-
-    @property
-    def is_classification(self) -> bool:
-        return self._classes is not None
 
     def _precheck(self, i: int) -> int:
         """Raise if query ``i`` may not be asked now; return the ledger count."""

@@ -15,7 +15,8 @@ import numpy as np
 
 from .geometry import geometric_median
 from .kernel import KernelModel
-from .learner import StepSchedule, TrainReport, _descend, _prepare, run_median_sgd
+from .learner import StepSchedule, TrainReport, _descend, _prepare
+from .learner import run_median_sgd  # noqa: F401  kept: perfbench/layers.py wraps this site
 from .oracle import QueryOracle
 
 
@@ -50,46 +51,6 @@ def decode_batch(G) -> np.ndarray:
     if G.ndim != 2 or G.shape[1] < 1:
         raise ValueError("expected an (n, m) score array")
     return np.argmax(G, axis=1) + 1
-
-
-def run_active_classification(
-    X,
-    oracle: QueryOracle,
-    schedule: StepSchedule,
-    model: KernelModel,
-    rng: np.random.Generator,
-    checkpoint_grid=None,
-    evaluate=None,
-    indices=None,
-) -> TrainReport:
-    """Median-surrogate classification with sphere-uniform query directions.
-
-    Exactly the median-regression driver run against the embedded labels:
-    each step queries sign(<e_Y - g(x), U>) for U uniform on S^{m-1}.
-    """
-    return run_median_sgd(X, oracle, schedule, model, rng,
-                          checkpoint_grid=checkpoint_grid, evaluate=evaluate,
-                          indices=indices, direction="sphere")
-
-
-def run_passive_classification(
-    X,
-    oracle: QueryOracle,
-    schedule: StepSchedule,
-    model: KernelModel,
-    rng: np.random.Generator,
-    checkpoint_grid=None,
-    evaluate=None,
-    indices=None,
-) -> TrainReport:
-    """Coordinate-sampling baseline: U uniform on the canonical basis.
-
-    With U = e_y the query carries the same bit as asking 1{Y = y}; budgets
-    match the active strategy query for query.
-    """
-    return run_median_sgd(X, oracle, schedule, model, rng,
-                          checkpoint_grid=checkpoint_grid, evaluate=evaluate,
-                          indices=indices, direction="coordinate")
 
 
 def random_proper_subset(rng: np.random.Generator, n_classes: int) -> frozenset:

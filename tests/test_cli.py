@@ -161,6 +161,39 @@ class TestRunCommand:
         curve = read_csv(tmp_path / "curve.csv")
         assert curve.mean_risk[-1] < 2.0 / 3.0
 
+    def test_non_finite_curve_is_runtime_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--task", "sin-regression", "--budget", "64",
+                               "--trials", "2", "--gamma0", "1e200",
+                               "--outdir", str(tmp_path))
+        assert code == 2
+        assert "not finite" in err
+        assert not any((tmp_path / name).exists()
+                       for name in ("curve.csv", "curve.svg", "manifest"))
+
+    def test_non_finite_libsvm_value_is_runtime_error(self, capsys, tmp_path, fixtures_dir):
+        lines = (fixtures_dir / "blobs3.libsvm").read_text().splitlines()
+        label, _, rest = lines[4].partition(" ")
+        lines[4] = f"{label} 1:inf {rest.split()[1]}"
+        path = tmp_path / "bad.libsvm"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "run", "--task", "libsvm", "--input", str(path),
+                               "--budget", "64", "--trials", "1",
+                               "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert "line 5" in err
+        assert not (tmp_path / "out" / "curve.csv").exists()
+
+    def test_non_finite_csv_row_is_dropped(self, capsys, tmp_path, fixtures_dir):
+        lines = (fixtures_dir / "weather.csv").read_text().splitlines()
+        lines[1] = "inf," + lines[1].partition(",")[2]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, _ = run_cli(capsys, "run", "--task", "csv-regression", "--input", str(path),
+                             "--target", "apparent", "--bound", "30", "--budget", "16",
+                             "--trials", "2", "--outdir", str(tmp_path))
+        assert code == 0
+        assert np.isfinite(read_csv(tmp_path / "curve.csv").mean_risk).all()
+
     def test_jobs_parallelism_matches_serial(self, capsys, tmp_path):
         run_cli(capsys, *self.BASE, "--outdir", str(tmp_path / "serial"))
         run_cli(capsys, *self.BASE, "--jobs", "2", "--outdir", str(tmp_path / "par"))

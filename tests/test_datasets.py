@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaksgd.datasets import (
     LabeledDataset,
@@ -68,6 +70,32 @@ class TestParseLibsvm:
         back = parse_libsvm(serialize_libsvm(ds))
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.targets.tolist() == ds.targets.tolist()
+
+    @pytest.mark.parametrize("line", ["1 1:inf", "1 1:0.5 2:-inf", "1 1:nan",
+                                      "inf 1:0.5", "nan 1:0.5"])
+    def test_non_finite_value_rejected_with_line(self, line):
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_libsvm(f"1 1:0.5\n{line}\n")
+        assert err.value.line == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_labels=st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+           d=st.integers(1, 4), data=st.data())
+    def test_serialize_then_parse_is_identity(self, raw_labels, d, data):
+        cell = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+        X = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                                        min_size=len(raw_labels), max_size=len(raw_labels))))
+        if not X[:, -1].any():
+            X[0, -1] = 1.0  # the parser reads d off the largest index present
+        values = sorted(set(raw_labels))
+        y = [values.index(v) + 1 for v in raw_labels]
+        ds = LabeledDataset(X, y, "classification", n_classes=len(values),
+                            extra={"label_values": [float(v) for v in values]})
+        back = parse_libsvm(serialize_libsvm(ds))
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.targets.tolist() == ds.targets.tolist()
+        assert back.n_classes == ds.n_classes
+        assert back.extra["label_values"] == ds.extra["label_values"]
 
     def test_fixture_parses(self, fixtures_dir):
         with open(fixtures_dir / "blobs3.libsvm") as fh:
@@ -237,6 +265,13 @@ class TestCsvParser:
         ds = parse_csv_regression("a,b\nx,2.0\n5.0,6.0\n", ["b"])
         assert ds.n == 1
         assert ds.extra["dropped_rows"] == 1
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_dropped(self, cell):
+        ds = parse_csv_regression(f"a,b\n1.0,2.0\n{cell},4.0\n5.0,{cell}\n7.0,8.0\n", ["b"])
+        assert ds.n == 2
+        assert ds.extra["dropped_rows"] == 2
+        assert np.isfinite(ds.features).all() and np.isfinite(ds.targets).all()
 
     def test_unknown_target_named_in_error(self):
         with pytest.raises(ValueError, match="humidity"):

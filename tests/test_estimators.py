@@ -77,11 +77,39 @@ class TestRegressor:
         with pytest.raises(ValueError):
             WeakSGDRegressor(strategy="passive").fit(X, Y)
 
-    def test_deterministic_given_seed(self):
+    @pytest.mark.parametrize("first,second", [
+        ("median", "median"),
+        ("median", "active-median"),
+        ("least-squares", "active-least-squares"),
+        ("full", "full-sgd"),
+    ])
+    def test_deterministic_given_seed(self, first, second):
+        # a short alias trains exactly like its canonical name
         X, y = sin_data()
-        a = WeakSGDRegressor(bandwidth=0.2, gamma0=0.3, seed=11).fit(X, y).predict(X)
-        b = WeakSGDRegressor(bandwidth=0.2, gamma0=0.3, seed=11).fit(X, y).predict(X)
+        a = WeakSGDRegressor(first, bandwidth=0.2, gamma0=0.3, seed=11).fit(X, y).predict(X)
+        b = WeakSGDRegressor(second, bandwidth=0.2, gamma0=0.3, seed=11).fit(X, y).predict(X)
         assert a.tobytes() == b.tobytes()
+
+    def test_full_strategy_takes_budget_steps(self):
+        # rows past the budget never reach the model; without a budget every row does
+        X, y = sin_data(n=64)
+        shifted = y.copy()
+        shifted[16:] += 5.0
+
+        def fit(target, budget):
+            reg = WeakSGDRegressor(strategy="full", bandwidth=0.2, gamma0=0.3,
+                                   budget=budget, seed=0)
+            return reg.fit(X, target).predict(X).tobytes()
+
+        assert fit(y, 16) == fit(shifted, 16)
+        assert fit(y, None) != fit(shifted, None)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_targets(self, bad):
+        X, y = sin_data(n=16)
+        y[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            WeakSGDRegressor().fit(X, y)
 
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):
@@ -114,6 +142,18 @@ class TestClassifier:
         clf = WeakSGDClassifier(strategy=strategy, gamma0=1.0, seed=3).fit(X, y)
         assert clf.predict(X).shape == (90,)
         assert clf.n_queries_ == 90
+
+    def test_active_alias_matches_active_median(self):
+        X, y = blob_data()
+        a = WeakSGDClassifier("active", gamma0=2.0, seed=2).fit(X, y)
+        b = WeakSGDClassifier("active-median", gamma0=2.0, seed=2).fit(X, y)
+        assert a.decision_function(X).tobytes() == b.decision_function(X).tobytes()
+
+    def test_unknown_strategy(self):
+        X, y = blob_data(n=16)
+        for name in ("bandit", "passive", "full-sgd"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                WeakSGDClassifier(strategy=name).fit(X, y)
 
     def test_integer_labels_preserved(self):
         rng = np.random.default_rng(9)

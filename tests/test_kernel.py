@@ -3,17 +3,16 @@ import pytest
 
 from weaksgd.geometry import c2_constant, sample_sphere_batch
 from weaksgd.kernel import (
-    AveragedModel,
     KernelModel,
     KernelSpec,
-    accumulate_average,
     kernel_eval,
     kernel_matrix,
     load_model,
     nystrom_representers,
     save_model,
-    weak_update,
 )
+from weaksgd.learner import StepSchedule, _descend, run_median_sgd
+from weaksgd.oracle import QueryOracle
 
 
 @pytest.fixture
@@ -114,29 +113,48 @@ class TestPredict:
             model.predict([1.0])
 
 
+def one_step(model, x, y, gamma, direction="coordinate", seed=0):
+    """One median-SGD step at ``x`` against label ``y``; returns the drawn direction.
+
+    At t = 1 the decaying schedule steps by exactly ``gamma``.
+    """
+    oracle = QueryOracle.for_regression(np.atleast_2d(y), budget=1)
+    run_median_sgd(np.atleast_2d(x), oracle, StepSchedule.decaying(gamma), model,
+                   np.random.default_rng(seed), direction=direction)
+    assert oracle.budget_used == 1
+    m = model.output_dim
+    return np.eye(m)[np.random.default_rng(seed).integers(0, m, 1)[0]]
+
+
 class TestWeakUpdate:
+    """The single-bit step a <- (1 - gamma ridge) a + gamma eps outer(k(x, .), u)."""
+
     def test_step_at_representer(self, spec):
+        # zero model, label (1, 1): eps = +1 whichever basis direction is drawn
         reps = np.array([[0.0], [0.4]])
         model = KernelModel.zeros(reps, 2, spec)
-        weak_update(model, [0.0], [1.0, 0.0], +1, gamma=0.1)
+        u = one_step(model, [0.0], [1.0, 1.0], gamma=0.1)
+        j = int(np.argmax(u))
         k01 = kernel_eval(spec, [0.0], [0.4])
-        assert model.coefficients[0, 0] == pytest.approx(0.1, abs=1e-15)
-        assert model.coefficients[1, 0] == pytest.approx(0.1 * k01, abs=1e-15)
-        assert np.all(model.coefficients[:, 1] == 0.0)
+        assert model.coefficients[0, j] == pytest.approx(0.1, abs=1e-15)
+        assert model.coefficients[1, j] == pytest.approx(0.1 * k01, abs=1e-15)
+        assert np.all(model.coefficients[:, 1 - j] == 0.0)
 
     def test_negative_sign_flips(self, spec):
+        # m = 1: eps * U = sign(y - f(x)) whatever U the sphere gives
         reps = np.array([[0.0]])
         up = KernelModel.zeros(reps, 1, spec)
         down = KernelModel.zeros(reps, 1, spec)
-        weak_update(up, [0.0], [1.0], +1, gamma=0.2)
-        weak_update(down, [0.0], [1.0], -1, gamma=0.2)
+        one_step(up, [0.0], [1.0], gamma=0.2, direction="sphere")
+        one_step(down, [0.0], [-1.0], gamma=0.2, direction="sphere")
+        assert up.coefficients[0, 0] == 0.2
         assert np.allclose(up.coefficients, -down.coefficients, atol=0)
 
     def test_far_input_is_pure_shrinkage(self):
         # k < 1e-12 whenever the input sits more than 7.5 bandwidths away
         spec = KernelSpec(bandwidth=0.1)
         model = KernelModel(np.array([[0.0]]), np.array([[2.0]]), spec, ridge=0.5)
-        weak_update(model, [0.8], [1.0], +1, gamma=0.1)
+        one_step(model, [0.8], [5.0], gamma=0.1)
         assert model.coefficients[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), abs=1e-12)
 
     def test_update_is_exact_gradient_of_projection(self, spec):
@@ -171,56 +189,66 @@ class TestWeakUpdate:
         se = (U * eps[:, None]).std(axis=0) / np.sqrt(n)
         target = c2_constant(3) * direction
         assert (np.abs(mean_dir - target) <= 4 * se + 1e-12).all()
-        # and the coefficient update is that direction through the kernel column
+        # and the driver's step is eps(U) U through the kernel column, for each U
         kcol = model.kernel_column(x)
-        update = np.outer(kcol, mean_dir)
-        assert np.allclose(update, np.outer(kcol, target), atol=float(4 * se.max() + 1e-12))
+        for seed in range(5):
+            stepped = model.copy()
+            one_step(stepped, x, y, gamma=1.0, direction="sphere", seed=seed)
+            u = sample_sphere_batch(np.random.default_rng(seed), 3, 1)[0]
+            e = 1.0 if float(u @ resid) >= 0.0 else -1.0
+            assert np.allclose(stepped.coefficients - model.coefficients,
+                               np.outer(kcol, e * u), atol=1e-14)
 
     def test_validation(self, spec):
         model = KernelModel.zeros(np.array([[0.0]]), 2, spec)
-        with pytest.raises(ValueError):
-            weak_update(model, [0.0], [1.0, 0.0], 0, gamma=0.1)
-        with pytest.raises(ValueError):
-            weak_update(model, [0.0], [1.0, 0.0], +1, gamma=0.0)
-        with pytest.raises(ValueError):
-            weak_update(model, [0.0], [2.0, 0.0], +1, gamma=0.1)
+        with pytest.raises(ValueError):  # step size must be > 0
+            one_step(model, [0.0], [1.0, 0.0], gamma=0.0)
+        with pytest.raises(ValueError):  # unknown direction scheme
+            one_step(model, [0.0], [1.0, 0.0], gamma=0.1, direction="diagonal")
+        with pytest.raises(ValueError):  # direction and label dimensions disagree
+            one_step(model, [0.0], [1.0], gamma=0.1)
+        assert np.all(model.coefficients == 0.0)
+
+
+def averaged(iterates, grid=()):
+    """Run the shared step loop with a rule that sets the t-th iterate to
+    ``iterates[t - 1]``; returns the loop's report."""
+    p, m = iterates[0].shape
+    model = KernelModel.zeros(np.zeros((p, 1)), m, KernelSpec(0.5))
+
+    def rule(s, kcol, gamma):
+        model.coefficients[:] = iterates[s]
+        return None
+
+    K = np.ones((len(iterates), p))
+    return _descend(model, K, StepSchedule.decaying(1.0), list(grid), None, rule, 0)
 
 
 class TestAveragedModel:
+    """The running mean the step loop keeps is the plain mean of the iterates."""
+
     def test_same_matrix_twice(self):
-        avg = AveragedModel.zeros(2, 2)
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        avg.accumulate(a)
-        avg.accumulate(a)
-        assert np.allclose(avg.running_mean, a, atol=0)
+        report = averaged([a, a])
+        assert np.allclose(report.averaged_model.coefficients, a, atol=0)
 
     def test_two_matrices(self):
-        avg = AveragedModel.zeros(1, 2)
-        avg.accumulate(np.array([[2.0, 0.0]]))
-        avg.accumulate(np.array([[0.0, 4.0]]))
-        assert np.allclose(avg.running_mean, [[1.0, 2.0]], atol=1e-15)
+        report = averaged([np.array([[2.0, 0.0]]), np.array([[0.0, 4.0]])])
+        assert np.allclose(report.averaged_model.coefficients, [[1.0, 2.0]], atol=1e-15)
 
     def test_zeros_then_one(self):
-        avg = AveragedModel.zeros(1, 1)
-        for _ in range(4):
-            avg.accumulate(np.zeros((1, 1)))
-        avg.accumulate(np.array([[10.0]]))
-        assert avg.running_mean[0, 0] == pytest.approx(2.0, rel=1e-14)
-        assert avg.count == 5
-
-    def test_accumulate_average_shape_check(self, spec):
-        avg = AveragedModel.zeros(2, 1)
-        model = KernelModel.zeros(np.zeros((3, 1)), 1, spec)
-        with pytest.raises(ValueError):
-            accumulate_average(avg, model)
+        report = averaged([np.zeros((1, 1))] * 4 + [np.array([[10.0]])], grid=[4, 5])
+        assert report.averaged_model.coefficients[0, 0] == pytest.approx(2.0, rel=1e-14)
+        assert [t for t, _ in report.checkpoints] == [4, 5]
+        assert report.checkpoints[0][1][0, 0] == 0.0
 
     def test_matches_plain_mean(self):
         rng = np.random.default_rng(4)
         mats = [rng.standard_normal((3, 2)) for _ in range(50)]
-        avg = AveragedModel.zeros(3, 2)
-        for a in mats:
-            avg.accumulate(a)
-        assert np.allclose(avg.running_mean, np.mean(mats, axis=0), atol=1e-12)
+        report = averaged(mats)
+        assert np.allclose(report.averaged_model.coefficients, np.mean(mats, axis=0),
+                           atol=1e-12)
+        assert np.array_equal(report.final_model.coefficients, mats[-1])
 
 
 class TestCheckpointSerialization:

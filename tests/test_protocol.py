@@ -15,11 +15,7 @@ from weaksgd.learner import (
     run_passive_median,
 )
 from weaksgd.oracle import BudgetExhausted, QueryOracle, StreamingViolation, TrivialSetError
-from weaksgd.surrogate import (
-    infimum_loss_sgd,
-    run_active_classification,
-    run_passive_classification,
-)
+from weaksgd.surrogate import infimum_loss_sgd
 
 CLASSES = 4
 
@@ -31,10 +27,10 @@ DRIVERS = {
         X, o, s, mdl, rng, 1.0, indices=idx)),
     "passive": (False, lambda X, o, s, mdl, rng, idx: run_passive_median(
         X, o, s, mdl, rng, indices=idx)),
-    "active-classification": (True, lambda X, o, s, mdl, rng, idx: run_active_classification(
-        X, o, s, mdl, rng, indices=idx)),
-    "coordinate-passive": (True, lambda X, o, s, mdl, rng, idx: run_passive_classification(
-        X, o, s, mdl, rng, indices=idx)),
+    "active-classification": (True, lambda X, o, s, mdl, rng, idx: run_median_sgd(
+        X, o, s, mdl, rng, indices=idx, direction="sphere")),
+    "coordinate-passive": (True, lambda X, o, s, mdl, rng, idx: run_median_sgd(
+        X, o, s, mdl, rng, indices=idx, direction="coordinate")),
     "infimum-loss": (True, lambda X, o, s, mdl, rng, idx: infimum_loss_sgd(
         X, o, s, mdl, rng, indices=idx)),
 }

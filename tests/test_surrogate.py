@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from weaksgd.experiments import train
 from weaksgd.kernel import KernelModel, KernelSpec
-from weaksgd.learner import StepSchedule
+from weaksgd.learner import StepSchedule, run_median_sgd
 from weaksgd.oracle import QueryOracle
 from weaksgd.surrogate import (
     decode,
@@ -11,8 +12,6 @@ from weaksgd.surrogate import (
     encode_batch,
     infimum_loss_sgd,
     random_proper_subset,
-    run_active_classification,
-    run_passive_classification,
     surrogate_target_check,
 )
 
@@ -63,17 +62,17 @@ def classification_setup(classes, m, budget, bandwidth=0.5):
 class TestActiveAndCoordinate:
     def test_zero_budget_decodes_class_one_everywhere(self):
         X, oracle, model = classification_setup([2, 3], 3, budget=0)
-        report = run_active_classification(X, oracle, StepSchedule.decaying(1.0), model,
-                                           np.random.default_rng(0))
+        report = run_median_sgd(X, oracle, StepSchedule.decaying(1.0), model,
+                                np.random.default_rng(0), direction="sphere")
         preds = decode_batch(report.averaged_model.predict_batch(X))
         assert preds.tolist() == [1, 1]
 
     def test_budgets_match_between_strategies(self):
-        for runner in (run_active_classification, run_passive_classification):
-            X, oracle, model = classification_setup([1, 2, 3, 1, 2], 3, budget=5)
-            report = runner(X, oracle, StepSchedule.decaying(0.5), model,
-                            np.random.default_rng(1))
-            assert report.queries_used == 5 == oracle.budget_used
+        for strategy in ("active-median", "coordinate-passive"):
+            X, _, model = classification_setup([1, 2, 3, 1, 2], 3, budget=5)
+            report = train(strategy, X, [1, 2, 3, 1, 2], model, StepSchedule.decaying(0.5),
+                           np.random.default_rng(1), 5, n_classes=3)
+            assert report.queries_used == 5
 
     def test_coordinate_direction_expectation(self):
         # under coordinate-uniform U the reconstruction mean is sign(z)/m
@@ -94,8 +93,8 @@ class TestActiveAndCoordinate:
         X, oracle, model = classification_setup([2], 3, budget=1)
         model.coefficients[:] = 0.2  # g(x) = 0.2 per class at the training point
         rng = np.random.default_rng(5)
-        report = run_passive_classification(X, oracle, StepSchedule.decaying(0.1),
-                                            model, rng)
+        report = run_median_sgd(X, oracle, StepSchedule.decaying(0.1), model, rng,
+                                direction="coordinate")
         # replicate the coordinate draw
         pick = int(np.random.default_rng(5).integers(0, 3, 1)[0])
         moved = report.final_model.coefficients[0] - 0.2 * np.ones(3) * (1 - 0.1 * 0.0)
@@ -119,9 +118,8 @@ class TestExponentialRegime:
             data = gen_anchor_classification(T, m, 0.05, rng)
             reps = nystrom_representers(data.features, 64, rng)
             model = KernelModel.zeros(reps, m, KernelSpec(0.05))
-            oracle = QueryOracle.for_classification(data.targets, m, T, "streaming")
-            report = run_active_classification(data.features, oracle,
-                                               StepSchedule.decaying(2.0), model, rng)
+            report = train("active-median", data.features, data.targets, model,
+                           StepSchedule.decaying(2.0), rng, T, n_classes=m)
             perfect += excess_zero_one_anchor(report.averaged_model, m, 0.05, 512) == 0.0
         assert perfect >= 3
 
