@@ -172,24 +172,30 @@ def cmd_run(args) -> int:
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(args.outdir, exist_ok=True)
-    paths = [os.path.join(args.outdir, name) for name in ("curve.csv", "curve.svg", "manifest")]
+    names = ("curve.csv", "curve.svg", "manifest")
+    paths = [os.path.join(args.outdir, name) for name in names]
+    # written under temporary names and moved into place only once all three
+    # exist, so a failed run leaves an earlier run's artifacts as they were
+    temps = [os.path.join(args.outdir, f".{name}.{os.getpid()}.tmp") for name in names]
     try:
         curve = run_curve(cfg)
         if not np.isfinite(curve.mean_risk).all():
             raise ValueError("the risk curve is not finite; the iterates diverged "
                              "(try a smaller gamma0)")
-        emit_csv(curve, paths[0])
-        emit_svg([(cfg.strategy, curve)], paths[1], axes="loglog")
+        emit_csv(curve, temps[0])
+        emit_svg([(cfg.strategy, curve)], temps[1], axes="loglog")
         manifest = (f"# weaksgd {__version__}, numpy {np.__version__}\n"
                     + serialize_config(config_to_mapping(cfg)))
-        with open(paths[2], "w", encoding="utf-8") as fh:
+        with open(temps[2], "w", encoding="utf-8") as fh:
             fh.write(manifest)
-    except Exception as exc:  # partial artifacts must not survive a failed run
-        for p in paths:
+    except Exception as exc:
+        for p in temps:
             if os.path.exists(p):
                 os.unlink(p)
         print(f"run: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    for temp, path in zip(temps, paths):
+        os.replace(temp, path)
     print(f"wrote {paths[0]}, {paths[1]}, {paths[2]}")
     return EXIT_OK
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 class GameSolveError(RuntimeError):
@@ -80,6 +79,8 @@ def build_game(p, family) -> MatrixGame:
 
 def _strategy_lp(A: np.ndarray, maxiter: int):
     """min_v max-row payoff as an LP over (v, t): min t s.t. Av <= t, sum v = 1."""
+    from scipy.optimize import linprog  # on first solve: only the game needs scipy (0.5 s import)
+
     k, m = A.shape
     c = np.zeros(m + 1)
     c[-1] = 1.0

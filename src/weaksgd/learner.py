@@ -100,7 +100,14 @@ class TrainReport:
     queries_used: int
 
 
-def _prepare(X, model: KernelModel, budget: int, checkpoint_grid, indices):
+# Gram rows built per block of the step loop: 2048 x rank floats (1.6 MB at
+# rank 100), so training memory does not grow with the budget
+CHUNK_ROWS = 2048
+
+
+def _prepare(X, budget: int, checkpoint_grid, indices):
+    """Inputs as an (n, d) array, the indices of the steps to take, and the
+    validated checkpoint grid."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -120,9 +127,12 @@ def _prepare(X, model: KernelModel, budget: int, checkpoint_grid, indices):
                 f"checkpoint {grid[-1]} exceeds the {steps} steps this run can take"
             )
     used = indices[:steps]
-    if not steps:
-        return used, steps, grid, np.empty((0, model.rank))
-    return used, steps, grid, kernel_matrix(model.spec, X[used], model.representers)
+    n = X.shape[0]
+    if steps and not -n <= used.min() <= used.max() < n:
+        # checked up front: the loop gathers rows a block at a time, and a bad
+        # index must fail before any query is spent
+        raise IndexError(f"step indices must lie in [{-n}, {n})")
+    return X, used, grid
 
 
 def default_checkpoints(budget: int) -> list[int]:
@@ -138,41 +148,47 @@ def default_checkpoints(budget: int) -> list[int]:
     return grid
 
 
-def _descend(model: KernelModel, K, schedule: StepSchedule, grid, evaluate, rule,
+def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate, rule,
              queries: int) -> TrainReport:
     """The step loop shared by every driver.
 
-    Step t (1-based) calls ``rule(t - 1, kcol, gamma)``, which reads the current
-    coefficients and returns ``(c, direction)`` or None for no move. The loop
-    then shrinks by ``1 - gamma * ridge``, adds ``c * outer(kcol, direction)``
-    and folds the iterate into the running mean, ``mean += (a - mean) / t``.
+    Step t (1-based) reads row ``X[used[t - 1]]`` through its kernel column
+    ``kcol``, built with the rest of its block of ``CHUNK_ROWS`` rows. It calls
+    ``rule(t - 1, kcol, gamma)``, which reads the current coefficients and
+    returns ``(c, direction)`` or None for no move. The loop then shrinks by
+    ``1 - gamma * ridge``, adds ``c * outer(kcol, direction)`` and folds the
+    iterate into the running mean, ``mean += (a - mean) / t``.
     """
     a = model.coefficients
     mean = np.zeros_like(a)
     buf = np.empty_like(a)
-    gammas = schedule.gammas(len(K))
+    steps = len(used)
+    gammas = schedule.gammas(steps)
     shrink = 1.0 - gammas * model.ridge if model.ridge != 0.0 else None
     records = []
     pending = iter(grid)
     due = next(pending, 0)
     multiply, subtract = np.multiply, np.subtract
-    # rows of K also as (rank, 1) columns: column * direction is outer(kcol, direction)
-    for s, kcol, column, gamma in zip(range(len(K)), K, K[:, :, None], gammas):
-        move = rule(s, kcol, gamma)
-        if shrink is not None:
-            a *= shrink[s]
-        if move is not None:
-            multiply(column, move[1], out=buf)
-            buf *= move[0]
-            a += buf
-        t = s + 1
-        subtract(a, mean, out=buf)
-        buf /= t
-        mean += buf
-        if t == due:
-            snap = model.with_coefficients(mean)
-            records.append((t, evaluate(snap) if evaluate is not None else snap.coefficients))
-            due = next(pending, 0)
+    for lo in range(0, steps, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, steps)
+        K = kernel_matrix(model.spec, X[used[lo:hi]], model.representers)
+        # rows of K also as (rank, 1) columns: column * direction is outer(kcol, direction)
+        for s, kcol, column, gamma in zip(range(lo, hi), K, K[:, :, None], gammas[lo:hi]):
+            move = rule(s, kcol, gamma)
+            if shrink is not None:
+                a *= shrink[s]
+            if move is not None:
+                multiply(column, move[1], out=buf)
+                buf *= move[0]
+                a += buf
+            t = s + 1
+            subtract(a, mean, out=buf)
+            buf /= t
+            mean += buf
+            if t == due:
+                snap = model.with_coefficients(mean)
+                records.append((t, evaluate(snap) if evaluate is not None else snap.coefficients))
+                due = next(pending, 0)
     return TrainReport(model, model.with_coefficients(mean), records, queries)
 
 
@@ -195,7 +211,8 @@ def run_median_sgd(
     uniformly from the canonical basis instead of the sphere (the passive
     coordinate strategy for classification).
     """
-    used, steps, grid, K = _prepare(X, model, oracle.budget_remaining, checkpoint_grid, indices)
+    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
+    steps = len(used)
     m = model.output_dim
     if steps:
         if direction == "sphere":
@@ -211,7 +228,7 @@ def run_median_sgd(
         u = U[s]
         return gamma * query(int(used[s]), kcol.dot(a), u), u
 
-    return _descend(model, K, schedule, grid, evaluate, rule, steps)
+    return _descend(model, X, used, schedule, grid, evaluate, rule, steps)
 
 
 def run_least_squares_sgd(
@@ -233,7 +250,8 @@ def run_least_squares_sgd(
     """
     if not bound > 0:
         raise ValueError("bound must be > 0")
-    used, steps, grid, K = _prepare(X, model, oracle.budget_remaining, checkpoint_grid, indices)
+    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
+    steps = len(used)
     if steps:
         U = sample_sphere_batch(rng, model.output_dim, steps)
         V = rng.uniform(0.0, 2.0 * bound, steps)
@@ -246,7 +264,7 @@ def run_least_squares_sgd(
             return -gamma, u
         return None
 
-    return _descend(model, K, schedule, grid, evaluate, rule, steps)
+    return _descend(model, X, used, schedule, grid, evaluate, rule, steps)
 
 
 def run_full_sgd(
@@ -266,8 +284,8 @@ def run_full_sgd(
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    used, steps, grid, K = _prepare(X, model, len(Y) if indices is None else len(indices),
-                                    checkpoint_grid, indices)
+    X, used, grid = _prepare(X, len(Y) if indices is None else len(indices),
+                             checkpoint_grid, indices)
     a = model.coefficients
 
     def rule(s, kcol, gamma):
@@ -275,7 +293,7 @@ def run_full_sgd(
         nr = float(np.sqrt(r.dot(r)))
         return (-(gamma / nr), r) if nr > 0.0 else None
 
-    return _descend(model, K, schedule, grid, evaluate, rule, 0)  # no oracle bits spent
+    return _descend(model, X, used, schedule, grid, evaluate, rule, 0)  # no oracle bits spent
 
 
 def run_passive_median(
@@ -297,7 +315,8 @@ def run_passive_median(
     """
     if model.output_dim != 1:
         raise ValueError("the passive threshold strategy is defined for scalar outputs")
-    used, steps, grid, K = _prepare(X, model, oracle.budget_remaining, checkpoint_grid, indices)
+    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
+    steps = len(used)
     if steps:
         V = rng.standard_normal(steps)
     a = model.coefficients
@@ -314,4 +333,4 @@ def run_passive_median(
             return -gamma, one
         return None
 
-    return _descend(model, K, schedule, grid, evaluate, rule, steps)
+    return _descend(model, X, used, schedule, grid, evaluate, rule, steps)

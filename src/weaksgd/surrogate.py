@@ -83,7 +83,7 @@ def infimum_loss_sgd(
     (g(x) - e_{y*}) / ||g(x) - e_{y*}|| (no-op at the kink g(x) = e_{y*}).
     """
     make_set = set_generator if set_generator is not None else random_proper_subset
-    used, steps, grid, K = _prepare(X, model, oracle.budget_remaining, checkpoint_grid, indices)
+    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     m = model.output_dim
     a = model.coefficients
     query = oracle.membership_query
@@ -98,7 +98,7 @@ def infimum_loss_sgd(
         nr = float(np.sqrt(r.dot(r)))
         return (-gamma, r / nr) if nr > 0.0 else None
 
-    return _descend(model, K, schedule, grid, evaluate, rule, steps)
+    return _descend(model, X, used, schedule, grid, evaluate, rule, len(used))
 
 
 @dataclass(frozen=True)

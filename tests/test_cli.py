@@ -170,6 +170,20 @@ class TestRunCommand:
         assert not any((tmp_path / name).exists()
                        for name in ("curve.csv", "curve.svg", "manifest"))
 
+    def test_failed_run_keeps_the_previous_artifacts(self, capsys, tmp_path):
+        names = ("curve.csv", "curve.svg", "manifest")
+        code, _, _ = run_cli(capsys, "run", "--task", "sin-regression", "--budget", "16",
+                             "--trials", "1", "--outdir", str(tmp_path))
+        assert code == 0
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        code, _, err = run_cli(capsys, "run", "--task", "sin-regression", "--budget", "16",
+                               "--trials", "1", "--gamma0", "1e200",
+                               "--outdir", str(tmp_path))
+        assert code == 2
+        assert "not finite" in err
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
     def test_non_finite_libsvm_value_is_runtime_error(self, capsys, tmp_path, fixtures_dir):
         lines = (fixtures_dir / "blobs3.libsvm").read_text().splitlines()
         label, _, rest = lines[4].partition(" ")

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaksgd.geometry import c2_constant, sample_sphere_batch
 from weaksgd.kernel import (
@@ -220,8 +225,9 @@ def averaged(iterates, grid=()):
         model.coefficients[:] = iterates[s]
         return None
 
-    K = np.ones((len(iterates), p))
-    return _descend(model, K, StepSchedule.decaying(1.0), list(grid), None, rule, 0)
+    X = np.zeros((len(iterates), 1))  # every kernel column is all ones
+    return _descend(model, X, np.arange(len(iterates)), StepSchedule.decaying(1.0), list(grid),
+                    None, rule, 0)
 
 
 class TestAveragedModel:
@@ -267,6 +273,33 @@ class TestCheckpointSerialization:
         path2 = tmp_path / "model2.txt"
         save_model(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rank=st.integers(1, 6), output_dim=st.integers(1, 4),
+           feature_dim=st.integers(1, 5),
+           bandwidth=st.floats(min_value=5e-324, max_value=1e300),
+           ridge=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300)))
+    def test_round_trip_property(self, data, rank, output_dim, feature_dim, bandwidth, ridge):
+        # any finite value, with subnormals and negative zero drawn on purpose
+        value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072e-309]))
+
+        def matrix(rows, cols):
+            return np.array(data.draw(st.lists(value, min_size=rows * cols,
+                                               max_size=rows * cols))).reshape(rows, cols)
+
+        model = KernelModel(matrix(rank, feature_dim), matrix(rank, output_dim),
+                            KernelSpec(bandwidth), ridge)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            save_model(model, path)
+            back = load_model(path)
+        assert back.representers.tobytes() == model.representers.tobytes()
+        assert back.coefficients.tobytes() == model.coefficients.tobytes()
+        assert back.representers.shape == model.representers.shape
+        assert back.coefficients.shape == model.coefficients.shape
+        assert repr(back.spec.bandwidth) == repr(bandwidth)
+        assert repr(back.ridge) == repr(ridge)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

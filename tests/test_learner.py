@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from weaksgd.datasets import gen_sin_regression, sin_target
+from weaksgd import learner
+from weaksgd.datasets import gen_sin_regression, parse_csv_regression, parse_libsvm, sin_target
 from weaksgd.evaluation import excess_risk_noiseless
 from weaksgd.geometry import c1_constant, sample_sphere_batch
-from weaksgd.kernel import KernelModel, KernelSpec, nystrom_representers
+from weaksgd.kernel import KernelModel, KernelSpec, kernel_matrix, nystrom_representers
 from weaksgd.learner import (
     StepSchedule,
     default_checkpoints,
@@ -14,6 +17,7 @@ from weaksgd.learner import (
     run_passive_median,
 )
 from weaksgd.oracle import QueryOracle, StreamingViolation
+from weaksgd.surrogate import infimum_loss_sgd
 
 
 def zero_model(reps, m=1, bandwidth=0.2, ridge=0.0):
@@ -348,3 +352,111 @@ class TestBudgetExactness:
             report = driver(data.features, oracle, StepSchedule.decaying(0.3), model, rng)
             assert report.queries_used == min(budget, n) == oracle.budget_used, name
             assert report.queries_used == expected
+
+
+CHUNK = learner.CHUNK_ROWS
+CHUNKED_STEPS = 3 * CHUNK + 517  # three whole blocks and a partial tail
+
+
+def chunked_run(name, chunk_rows, monkeypatch):
+    """One seeded run of driver ``name`` over ``CHUNKED_STEPS`` resampled steps
+    (1000 distinct rows) with ``chunk_rows`` Gram rows per block; returns the
+    report and the row count of every block the loop built."""
+    rng = np.random.default_rng(21)
+    n, m = 1000, {"median": 2, "coordinate": 3, "infimum-loss": 3}.get(name, 1)
+    X = rng.standard_normal((n, 3))
+    if m == 3:
+        classes = rng.integers(1, 4, n)
+        oracle = QueryOracle.for_classification(classes, 3, CHUNKED_STEPS, "resampling")
+    else:
+        Y = np.sin(X[:, :m]) + 0.1 * rng.standard_normal((n, m))
+        oracle = QueryOracle.for_regression(Y, CHUNKED_STEPS, "resampling")
+    model = KernelModel.zeros(nystrom_representers(X, 40, rng), m, KernelSpec(1.5),
+                              ridge=1e-3)
+    kw = dict(checkpoint_grid=[CHUNK, CHUNK + 1, CHUNKED_STEPS],
+              indices=np.arange(CHUNKED_STEPS) % n)
+    sched = StepSchedule.decaying(0.4)
+    blocks = []
+
+    def counted(spec, rows, reps):
+        blocks.append(len(rows))
+        return kernel_matrix(spec, rows, reps)
+
+    monkeypatch.setattr(learner, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(learner, "kernel_matrix", counted)
+    if name == "median":
+        report = run_median_sgd(X, oracle, sched, model, rng, **kw)
+    elif name == "coordinate":
+        report = run_median_sgd(X, oracle, sched, model, rng, direction="coordinate", **kw)
+    elif name == "least-squares":
+        report = run_least_squares_sgd(X, oracle, sched, model, rng, 2.0, **kw)
+    elif name == "passive":
+        report = run_passive_median(X, oracle, sched, model, rng, **kw)
+    elif name == "full":
+        report = run_full_sgd(X, Y, sched, model, **kw)
+    else:
+        report = infimum_loss_sgd(X, oracle, sched, model, rng, **kw)
+    return report, blocks
+
+
+class TestChunkedGram:
+    """The step loop builds Gram rows a block at a time; nothing it computes
+    depends on where the blocks are cut."""
+
+    @pytest.mark.parametrize("d", ["1", "blobs3.libsvm", "weather.csv", "20"])
+    def test_block_rows_equal_the_whole_block(self, d, fixtures_dir):
+        if d == "blobs3.libsvm":
+            d = parse_libsvm((fixtures_dir / d).read_text()).features.shape[1]
+        elif d == "weather.csv":
+            weather = parse_csv_regression((fixtures_dir / d).read_text(), ["apparent"])
+            d = weather.features.shape[1]
+        rng = np.random.default_rng(int(d))
+        X, Z = rng.standard_normal((CHUNKED_STEPS, int(d))), rng.standard_normal((100, int(d)))
+        spec = KernelSpec(0.8)
+        whole = kernel_matrix(spec, X, Z)
+        for lo in range(0, CHUNKED_STEPS, CHUNK):
+            block = kernel_matrix(spec, X[lo:lo + CHUNK], Z)
+            assert block.tobytes() == whole[lo:lo + CHUNK].tobytes()
+
+    @pytest.mark.parametrize("name", ["median", "coordinate", "least-squares", "passive",
+                                      "full", "infimum-loss"])
+    def test_run_equals_one_whole_block(self, name, monkeypatch):
+        chunked, blocks = chunked_run(name, CHUNK, monkeypatch)
+        whole, whole_blocks = chunked_run(name, CHUNKED_STEPS, monkeypatch)
+        assert blocks == [CHUNK, CHUNK, CHUNK, 517]
+        assert whole_blocks == [CHUNKED_STEPS]
+        assert [t for t, _ in chunked.checkpoints] == [CHUNK, CHUNK + 1, CHUNKED_STEPS]
+        for (t, got), (_, want) in zip(chunked.checkpoints, whole.checkpoints):
+            assert got.tobytes() == want.tobytes(), t
+        for attr in ("final_model", "averaged_model"):
+            got = getattr(chunked, attr).coefficients
+            assert got.tobytes() == getattr(whole, attr).coefficients.tobytes(), attr
+        assert np.abs(chunked.final_model.coefficients).max() > 0
+
+    def test_bad_index_in_a_later_block_fails_before_any_query(self):
+        rng = np.random.default_rng(23)
+        X = rng.random((CHUNK + 10, 1))
+        oracle = QueryOracle.for_regression(np.sin(X[:, 0]), CHUNK + 10, "resampling")
+        indices = np.arange(CHUNK + 10)
+        indices[-1] = CHUNK + 10  # one past the last row, in the second block
+        with pytest.raises(IndexError):
+            run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X[:4]), rng,
+                           indices=indices)
+        assert oracle.budget_used == 0
+
+    def test_memory_does_not_grow_with_the_budget(self):
+        # the whole 2^16 x 256 Gram block alone would be 134 MB
+        budget, rank = 2**16, 256
+        rng = np.random.default_rng(22)
+        data = gen_sin_regression(budget, rng)
+        model = zero_model(nystrom_representers(data.features, rank, rng))
+        oracle = QueryOracle.for_regression(data.targets, budget=budget)
+        tracemalloc.start()
+        try:
+            report = run_median_sgd(data.features, oracle, StepSchedule.decaying(0.3), model,
+                                    rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.queries_used == budget
+        assert peak < 24e6
