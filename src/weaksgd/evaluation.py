@@ -55,9 +55,26 @@ def midpoint_grid(size: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
     return low + (high - low) * (np.arange(size) + 0.5) / size
 
 
+def heldout_points(test: LabeledDataset) -> np.ndarray:
+    """The points :func:`empirical_risk` predicts at: the held-out inputs."""
+    return test.features
+
+
+def noiseless_points(grid_size: int = 512, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    """The points :func:`excess_risk_noiseless` predicts at: the midpoint grid."""
+    return midpoint_grid(grid_size, low, high)
+
+
+def anchor_points(band_halfwidth: float, grid_size: int = 512) -> np.ndarray:
+    """The points :func:`excess_zero_one_anchor` predicts at: the midpoint
+    grid restricted to the anchored task's support."""
+    xs = midpoint_grid(grid_size)
+    return xs[anchor_support_mask(xs, band_halfwidth)]
+
+
 def empirical_risk(model: KernelModel, test: LabeledDataset, loss: str) -> float:
     """Mean test loss: rowwise ||f(x) - y|| or decoded zero-one error."""
-    preds = model.predict_batch(test.features)
+    preds = model.predict_batch(heldout_points(test))
     if loss == "absolute-deviation":
         if test.kind == "regression":
             resid = preds - test.targets
@@ -74,7 +91,7 @@ def empirical_risk(model: KernelModel, test: LabeledDataset, loss: str) -> float
 def excess_risk_noiseless(model: KernelModel, target_fn, grid_size: int = 512,
                           low: float = 0.0, high: float = 1.0) -> float:
     """Mean ||f(x) - f*(x)|| over the deterministic grid; zero at f = f*."""
-    xs = midpoint_grid(grid_size, low, high)
+    xs = noiseless_points(grid_size, low, high)
     preds = model.predict_batch(xs[:, None])
     truth = np.asarray(target_fn(xs), dtype=float)
     if truth.ndim == 1:
@@ -89,8 +106,7 @@ def excess_zero_one_anchor(model: KernelModel, n_classes: int, band_halfwidth: f
     Averages P(best class | x) - P(decoded class | x) over a deterministic
     grid restricted to the task's support.
     """
-    xs = midpoint_grid(grid_size)
-    xs = xs[anchor_support_mask(xs, band_halfwidth)]
+    xs = anchor_points(band_halfwidth, grid_size)
     probs = anchor_conditional(xs, n_classes)
     decoded = decode_batch(model.predict_batch(xs[:, None]))
     picked = probs[np.arange(len(xs)), decoded - 1]

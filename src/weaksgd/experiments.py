@@ -30,9 +30,12 @@ from .datasets import (
 from .evaluation import (
     RiskCurve,
     aggregate_trials,
+    anchor_points,
     empirical_risk,
     excess_risk_noiseless,
     excess_zero_one_anchor,
+    heldout_points,
+    noiseless_points,
 )
 from .kernel import KernelModel, KernelSpec, nystrom_representers
 from .learner import StepSchedule, default_checkpoints
@@ -203,20 +206,26 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
                                       indices)
 
 
-def _model(cfg: ExperimentConfig, data: LabeledDataset, sigma: float, rng) -> KernelModel:
+def _model(cfg: ExperimentConfig, data: LabeledDataset, sigma: float, rng,
+           points) -> KernelModel:
+    """A zero model on representers drawn from ``data``, with the kernel block
+    of the trial's evaluation ``points`` pinned for every checkpoint."""
     reps = nystrom_representers(data.features, min(cfg.rank, data.n), rng)
-    return KernelModel.zeros(reps, data.output_dim, KernelSpec(sigma), cfg.ridge)
+    model = KernelModel.zeros(reps, data.output_dim, KernelSpec(sigma), cfg.ridge)
+    model.pin_points(points)
+    return model
 
 
 def _sin_trial(cfg: ExperimentConfig, seed: int, rng, full):
     data = gen_sin_regression(cfg.budget, rng)
-    return data, _model(cfg, data, cfg.sigma, rng), (
-        lambda m: excess_risk_noiseless(m, sin_target, cfg.grid_size))
+    model = _model(cfg, data, cfg.sigma, rng, noiseless_points(cfg.grid_size))
+    return data, model, lambda m: excess_risk_noiseless(m, sin_target, cfg.grid_size)
 
 
 def _anchor_trial(cfg: ExperimentConfig, seed: int, rng, full):
     data = gen_anchor_classification(cfg.budget, cfg.classes, cfg.epsilon, rng)
-    return data, _model(cfg, data, cfg.sigma, rng), (
+    model = _model(cfg, data, cfg.sigma, rng, anchor_points(cfg.epsilon, cfg.grid_size))
+    return data, model, (
         lambda m: excess_zero_one_anchor(m, cfg.classes, cfg.epsilon, cfg.grid_size))
 
 
@@ -235,7 +244,8 @@ def _file_trial(cfg: ExperimentConfig, seed: int, rng, full: LabeledDataset):
     test = apply_standardize(test, info)
     sigma = cfg.sigma if cfg.sigma is not None else rows.d / 5.0
     loss = "zero-one" if cfg.task == "libsvm" else "absolute-deviation"
-    return rows, _model(cfg, rows, sigma, rng), lambda m: empirical_risk(m, test, loss)
+    model = _model(cfg, rows, sigma, rng, heldout_points(test))
+    return rows, model, lambda m: empirical_risk(m, test, loss)
 
 
 _TRIAL_FUNCTIONS = {

@@ -10,7 +10,7 @@ which is what makes the single-bit gradient updates exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,18 +68,41 @@ def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+@dataclass(frozen=True)
+class PinnedBlock:
+    """Kernel block of a fixed point set against fixed representers, kept
+    with read-only copies of both and the spec it was built with."""
+
+    points: np.ndarray
+    representers: np.ndarray
+    spec: KernelSpec
+    block: np.ndarray
+
+    def matches(self, points: np.ndarray, representers: np.ndarray, spec: KernelSpec) -> bool:
+        """True when all three inputs equal the block's own, bit for bit."""
+        return (spec == self.spec and _same_bits(points, self.points)
+                and _same_bits(representers, self.representers))
+
+
 @dataclass
 class KernelModel:
     """Low-rank kernel predictor with coefficients of shape (rank, output_dim).
 
     Instances are mutated in place by the gradient steps; one model per
-    training run.
+    training run. ``pinned`` holds the kernel block of the run's evaluation
+    points (see :meth:`pin_points`); coefficient snapshots share it.
     """
 
     representers: np.ndarray
     coefficients: np.ndarray
     spec: KernelSpec
     ridge: float = 0.0
+    pinned: PinnedBlock | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.representers = _as_points(self.representers)
@@ -125,7 +148,26 @@ class KernelModel:
         return self.kernel_column(x) @ self.coefficients
 
     def predict_batch(self, X) -> np.ndarray:
+        X = _as_points(X)
+        pin = self.pinned
+        if pin is not None and pin.matches(X, self.representers, self.spec):
+            return pin.block @ self.coefficients
         return kernel_matrix(self.spec, X, self.representers) @ self.coefficients
+
+    def pin_points(self, X) -> None:
+        """Build the kernel block of the points ``X`` once, for every later
+        :meth:`predict_batch` of the same points.
+
+        The block is used only while the points, the representers and the spec
+        all equal those it was built from; otherwise a fresh block is built, so
+        predictions are the same bits either way.
+        """
+        X = _as_points(X).copy()
+        reps = self.representers.copy()
+        block = kernel_matrix(self.spec, X, reps)
+        for arr in (X, reps, block):
+            arr.flags.writeable = False
+        self.pinned = PinnedBlock(X, reps, self.spec, block)
 
     def copy(self) -> "KernelModel":
         return KernelModel(
@@ -133,7 +175,11 @@ class KernelModel:
         )
 
     def with_coefficients(self, coefficients: np.ndarray) -> "KernelModel":
-        return KernelModel(self.representers, np.array(coefficients, dtype=float), self.spec, self.ridge)
+        """A model with these coefficients, sharing representers and pinned block."""
+        snap = KernelModel(self.representers, np.array(coefficients, dtype=float), self.spec,
+                           self.ridge)
+        snap.pinned = self.pinned
+        return snap
 
 
 def nystrom_representers(X, rank: int, rng: np.random.Generator) -> np.ndarray:

@@ -171,6 +171,9 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     multiply, subtract = np.multiply, np.subtract
     for lo in range(0, steps, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, steps)
+        # drop the previous block, and the row views that keep it alive, before
+        # building the next, so only one block is held at a time
+        K = kcol = column = None
         K = kernel_matrix(model.spec, X[used[lo:hi]], model.representers)
         # rows of K also as (rank, 1) columns: column * direction is outer(kcol, direction)
         for s, kcol, column, gamma in zip(range(lo, hi), K, K[:, :, None], gammas[lo:hi]):

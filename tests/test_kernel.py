@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaksgd import kernel
+from weaksgd.datasets import (
+    SplitSpec,
+    apply_standardize,
+    parse_libsvm,
+    sin_target,
+    split,
+    standardize,
+)
+from weaksgd.estimators import WeakSGDClassifier, WeakSGDRegressor
+from weaksgd.evaluation import (
+    anchor_points,
+    empirical_risk,
+    excess_risk_noiseless,
+    excess_zero_one_anchor,
+    heldout_points,
+    noiseless_points,
+)
 from weaksgd.geometry import c2_constant, sample_sphere_batch
 from weaksgd.kernel import (
     KernelModel,
@@ -327,3 +346,139 @@ class TestNystromRepresenters:
         a = nystrom_representers(X, 10, np.random.default_rng(2))
         b = nystrom_representers(X, 10, np.random.default_rng(2))
         assert a.tobytes() == b.tobytes()
+
+
+BLOBS = Path(__file__).parent / "fixtures" / "blobs3.libsvm"
+
+
+def heldout_set():
+    """The held-out rows of a file task, split and standardized as a trial does."""
+    rows, test = split(parse_libsvm(BLOBS.read_text()), SplitSpec(2.0 / 3.0, 0))
+    rows, info = standardize(rows)
+    return rows, apply_standardize(test, info)
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """Counts the kernel blocks built from now on."""
+    calls = []
+    build = kernel.kernel_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "kernel_matrix", counted)
+    return calls
+
+
+def pinned_pair(reps, output_dim, spec, points, seed=0):
+    """The same random model twice: unpinned, and pinned at ``points``."""
+    rng = np.random.default_rng(seed)
+    plain = KernelModel(reps, rng.standard_normal((len(reps), output_dim)), spec)
+    pinned = plain.copy()
+    pinned.pin_points(points)
+    return plain, pinned
+
+
+class TestPinnedPoints:
+    def test_bits_match_unpinned_on_every_evaluators_points(self, matrix_calls):
+        rows, test = heldout_set()
+        xs = noiseless_points(512)
+        support = anchor_points(0.05, 512)
+        cases = [
+            (rows.features[:30], 3, KernelSpec(rows.d / 5.0), heldout_points(test)),
+            (np.random.default_rng(1).random((24, 1)), 1, KernelSpec(0.2), xs),
+            (np.random.default_rng(2).random((24, 1)), 3, KernelSpec(0.05), support),
+        ]
+        for seed, (reps, m, spec, points) in enumerate(cases):
+            plain, pinned = pinned_pair(reps, m, spec, points, seed)
+            built = len(matrix_calls)
+            for _ in range(3):
+                pinned.coefficients += 0.5  # training moves the coefficients, not the block
+                plain.coefficients += 0.5
+                assert pinned.predict_batch(points).tobytes() == \
+                    plain.predict_batch(points).tobytes()
+            assert len(matrix_calls) == built + 3  # the unpinned model's blocks only
+        plain, pinned = pinned_pair(*cases[0])
+        assert empirical_risk(pinned, test, "zero-one") == empirical_risk(plain, test, "zero-one")
+        assert (empirical_risk(pinned, test, "absolute-deviation")
+                == empirical_risk(plain, test, "absolute-deviation"))
+        plain, pinned = pinned_pair(*cases[1])
+        assert (excess_risk_noiseless(pinned, sin_target, 512)
+                == excess_risk_noiseless(plain, sin_target, 512))
+        plain, pinned = pinned_pair(*cases[2])
+        assert (excess_zero_one_anchor(pinned, 3, 0.05, 512)
+                == excess_zero_one_anchor(plain, 3, 0.05, 512))
+
+    def test_a_mismatch_builds_a_fresh_block(self, matrix_calls):
+        rng = np.random.default_rng(3)
+        reps, points = rng.standard_normal((6, 2)), rng.standard_normal((40, 2))
+        spec = KernelSpec(0.7)
+        one_value = points.copy()
+        one_value[17, 1] = np.nextafter(one_value[17, 1], np.inf)
+        mutated, reassigned, respec = [pinned_pair(reps, 2, spec, points)[1]
+                                       for _ in range(3)]
+        mutated.representers[2, 0] += 1e-3
+        reassigned.representers = reps + 0.0
+        reassigned.representers[0, 0] = 5.0
+        respec.spec = KernelSpec(0.8)
+        reps32 = pinned_pair(reps, 2, spec, points)[1]
+        reps32.representers = reps.astype(np.float32)
+        cases = [
+            ("one input value", pinned_pair(reps, 2, spec, points)[1], one_value),
+            ("fewer rows", pinned_pair(reps, 2, spec, points)[1], points[:-1]),
+            ("one more row", pinned_pair(reps, 2, spec, points)[1],
+             np.vstack([points, points[:1]])),
+            ("representers mutated in place", mutated, points),
+            ("representers reassigned", reassigned, points),
+            ("representers in single precision", reps32, points),
+            ("spec", respec, points),
+        ]
+        for label, model, X in cases:
+            built = len(matrix_calls)
+            fresh = KernelModel(model.representers.copy(), model.coefficients, model.spec)
+            assert model.predict_batch(X).tobytes() == fresh.predict_batch(X).tobytes(), label
+            assert len(matrix_calls) == built + 2, label  # one for each model
+        # the same bytes in another shape are not the pinned points
+        _, model = pinned_pair(reps, 2, spec, points)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            model.predict_batch(points.reshape(20, 4))
+
+    def test_equal_content_uses_the_block(self, matrix_calls):
+        rng = np.random.default_rng(4)
+        reps, points = rng.standard_normal((6, 3)), rng.standard_normal((40, 3))
+        _, model = pinned_pair(reps, 2, KernelSpec(1.5), points)
+        built = len(matrix_calls)
+        model.predict_batch(points.copy())  # another array with the same bits
+        model.representers = reps.copy()
+        model.spec = replace(model.spec)
+        model.predict_batch(points)
+        assert len(matrix_calls) == built
+        points[0, 0] += 1.0  # the caller's array changes; the pin kept its own copy
+        model.predict_batch(points)
+        assert len(matrix_calls) == built + 1
+
+    def test_snapshots_share_the_pin_copies_and_checkpoints_do_not(self, tmp_path):
+        rng = np.random.default_rng(5)
+        _, model = pinned_pair(rng.standard_normal((4, 1)), 2, KernelSpec(0.4),
+                               noiseless_points(64))
+        snap = model.with_coefficients(np.ones((4, 2)))
+        assert snap.pinned is model.pinned
+        assert model.copy().pinned is None
+        save_model(model, tmp_path / "model.txt")
+        assert load_model(tmp_path / "model.txt").pinned is None
+        assert not model.pinned.block.flags.writeable
+        assert "pinned" not in repr(model)
+
+    def test_estimator_models_hold_no_block(self):
+        rng = np.random.default_rng(6)
+        X = rng.random((30, 2))
+        reg = WeakSGDRegressor(bandwidth=0.3, budget=40, rank=8).fit(X, np.sin(4 * X[:, 0]))
+        clf = WeakSGDClassifier(bandwidth=0.3, budget=40, rank=8).fit(
+            X, (X[:, 0] > X[:, 1]).astype(int))
+        reg.predict(X)
+        clf.predict(X)
+        for est in (reg, clf):
+            assert est.model_.pinned is None
+            assert est.final_model_.pinned is None

@@ -6,9 +6,11 @@ was deleted makes ``install`` raise ``LookupError``; a dispatch table that
 captured driver objects at import would bypass the wrappers, and a traced
 benchmark run would see no steps for that strategy. These tests run a tiny
 curve for every task and strategy, and every estimator strategy, under the
-wrappers and check the steps each strategy is charged.
+wrappers and check the steps each strategy is charged, and the exact number
+of checkpoint evaluations, predictions and kernel blocks each curve makes.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -20,8 +22,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
 import spans  # noqa: E402
 
+from weaksgd import learner  # noqa: E402
 from weaksgd.estimators import WeakSGDClassifier, WeakSGDRegressor  # noqa: E402
 from weaksgd.experiments import TASK_STRATEGIES, ExperimentConfig, run_curve  # noqa: E402
+from weaksgd.learner import default_checkpoints  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FILE_INPUTS = {
@@ -53,6 +57,23 @@ def test_run_curve_charges_each_strategy_its_steps(tracer, task, strategy):
     run_curve(ExperimentConfig(task=task, strategy=strategy, budget=16, trials=2, rank=8,
                                **FILE_INPUTS.get(task, {})))
     assert charged_steps(tracer, mark) == {strategy: 2 * 16}
+
+
+@pytest.mark.parametrize("chunk_rows", [learner.CHUNK_ROWS, 6])
+@pytest.mark.parametrize("task,strategy", PAIRS)
+def test_run_curve_call_counts(tracer, monkeypatch, task, strategy, chunk_rows):
+    # each checkpoint evaluates through one prediction against the trial's pinned
+    # block; kernel_matrix builds the training blocks plus that one pinned block
+    monkeypatch.setattr(learner, "CHUNK_ROWS", chunk_rows)
+    trials, budget = 2, 16
+    mark = tracer.mark()
+    run_curve(ExperimentConfig(task=task, strategy=strategy, budget=budget, trials=trials,
+                               rank=8, **FILE_INPUTS.get(task, {})))
+    view = tracer.view(mark)
+    checkpoints = trials * len(default_checkpoints(budget))
+    assert len(view.of("evaluation.checkpoint")) == checkpoints
+    assert len(view.of("kernel.predict")) == checkpoints
+    assert len(view.of("kernel.matrix")) == trials * (math.ceil(budget / chunk_rows) + 1)
 
 
 @pytest.mark.parametrize("estimator,name,strategy", [
