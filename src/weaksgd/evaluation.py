@@ -99,15 +99,22 @@ def excess_risk_noiseless(model: KernelModel, target_fn, grid_size: int = 512,
     return float(np.linalg.norm(preds - truth, axis=1).mean())
 
 
+def anchor_law(n_classes: int, band_halfwidth: float, grid_size: int = 512) -> np.ndarray:
+    """The exact class law at :func:`anchor_points`, one row per point."""
+    return anchor_conditional(anchor_points(band_halfwidth, grid_size), n_classes)
+
+
 def excess_zero_one_anchor(model: KernelModel, n_classes: int, band_halfwidth: float,
-                           grid_size: int = 512) -> float:
+                           grid_size: int = 512, law: np.ndarray | None = None) -> float:
     """Zero-one excess risk on the anchored task, against the exact class law.
 
     Averages P(best class | x) - P(decoded class | x) over a deterministic
-    grid restricted to the task's support.
+    grid restricted to the task's support. ``law`` is :func:`anchor_law` of
+    the same arguments, for a caller that scores many models; it is built
+    here when not given.
     """
     xs = anchor_points(band_halfwidth, grid_size)
-    probs = anchor_conditional(xs, n_classes)
+    probs = anchor_law(n_classes, band_halfwidth, grid_size) if law is None else law
     decoded = decode_batch(model.predict_batch(xs[:, None]))
     picked = probs[np.arange(len(xs)), decoded - 1]
     return float((probs.max(axis=1) - picked).mean())

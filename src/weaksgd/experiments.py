@@ -30,6 +30,7 @@ from .datasets import (
 from .evaluation import (
     RiskCurve,
     aggregate_trials,
+    anchor_law,
     anchor_points,
     empirical_risk,
     excess_risk_noiseless,
@@ -225,8 +226,9 @@ def _sin_trial(cfg: ExperimentConfig, seed: int, rng, full):
 def _anchor_trial(cfg: ExperimentConfig, seed: int, rng, full):
     data = gen_anchor_classification(cfg.budget, cfg.classes, cfg.epsilon, rng)
     model = _model(cfg, data, cfg.sigma, rng, anchor_points(cfg.epsilon, cfg.grid_size))
+    law = anchor_law(cfg.classes, cfg.epsilon, cfg.grid_size)
     return data, model, (
-        lambda m: excess_zero_one_anchor(m, cfg.classes, cfg.epsilon, cfg.grid_size))
+        lambda m: excess_zero_one_anchor(m, cfg.classes, cfg.epsilon, cfg.grid_size, law))
 
 
 def _load_input(cfg: ExperimentConfig) -> LabeledDataset:

@@ -57,8 +57,12 @@ def sample_sphere(rng: np.random.Generator, m: int) -> np.ndarray:
     return sample_sphere_batch(rng, m, 1)[0]
 
 
-def sample_sphere_batch(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """Draw ``n`` independent uniform sphere points as an (n, m) array."""
+def _normals(rng: np.random.Generator, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` standard normal rows of length ``m`` and their norms, none zero.
+
+    Dividing a row by its norm gives a uniform sphere point; a caller that
+    needs only some coordinates divides only those, with the same bits.
+    """
     m = _check_dim(m)
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
@@ -69,6 +73,12 @@ def sample_sphere_batch(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
         g[bad] = rng.standard_normal((int(bad.sum()), m))
         norms[bad] = np.linalg.norm(g[bad], axis=1)
         bad = norms == 0.0
+    return g, norms
+
+
+def sample_sphere_batch(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """Draw ``n`` independent uniform sphere points as an (n, m) array."""
+    g, norms = _normals(rng, m, n)
     return g / norms[:, None]
 
 
@@ -148,7 +158,8 @@ def estimate_constant_mc(
     total = 0.0
     total_sq = 0.0
     for take in _iter_chunks(n_samples, m):
-        u1 = sample_sphere_batch(rng, m, take)[:, 0]
+        g, norms = _normals(rng, m, take)
+        u1 = g[:, 0] / norms  # the first coordinate of the sphere points
         if kind == "median":
             vals = np.abs(u1)
         else:

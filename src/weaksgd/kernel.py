@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Rows of a kernel block built at a time: 2048 x rank floats (1.6 MB at rank
+# 100), so neither training nor prediction memory grows with the row count
+CHUNK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -49,15 +53,16 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
 
 
-def kernel_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
-    """Gram block k(X_i, Z_j) as an (n, p) array."""
+def kernel_matrix(spec: KernelSpec, X, Z, out: np.ndarray | None = None) -> np.ndarray:
+    """Gram block k(X_i, Z_j) as an (n, p) array, written into ``out`` when
+    given, so that a caller building block after block can reuse one buffer."""
     X = _as_points(X)
     Z = _as_points(Z)
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
     # built in place, one extra block at a time, with the rounding of
     # exp(-max(xx + zz - 2 X Z^T, 0) / (2 sigma^2))
-    d2 = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :]
+    d2 = np.add((X * X).sum(axis=1)[:, None], (Z * Z).sum(axis=1)[None, :], out=out)
     xz = X @ Z.T
     xz *= 2.0
     d2 -= xz
@@ -148,23 +153,38 @@ class KernelModel:
         return self.kernel_column(x) @ self.coefficients
 
     def predict_batch(self, X) -> np.ndarray:
+        """Predictions at the rows of ``X``, built and multiplied in blocks of
+        ``CHUNK_ROWS`` rows, so at most one block of kernel values is held."""
         X = _as_points(X)
+        n = X.shape[0]
         pin = self.pinned
-        if pin is not None and pin.matches(X, self.representers, self.spec):
-            return pin.block @ self.coefficients
-        return kernel_matrix(self.spec, X, self.representers) @ self.coefficients
+        pinned = pin is not None and pin.matches(X, self.representers, self.spec)
+        # every block is built into one buffer, whose pages are reused rather
+        # than faulted in afresh for each block
+        buf = None if pinned else np.empty((min(n, CHUNK_ROWS), self.rank))
+        out = np.empty((n, self.output_dim))
+        for lo in range(0, n, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, n)
+            K = (pin.block[lo:hi] if pinned else
+                 kernel_matrix(self.spec, X[lo:hi], self.representers, out=buf[:hi - lo]))
+            out[lo:hi] = K @ self.coefficients
+        return out
 
     def pin_points(self, X) -> None:
         """Build the kernel block of the points ``X`` once, for every later
         :meth:`predict_batch` of the same points.
 
-        The block is used only while the points, the representers and the spec
-        all equal those it was built from; otherwise a fresh block is built, so
-        predictions are the same bits either way.
+        The block is built in the same blocks of ``CHUNK_ROWS`` rows that
+        :meth:`predict_batch` multiplies. It is used only while the points, the
+        representers and the spec all equal those it was built from; otherwise
+        a fresh block is built, so predictions are the same bits either way.
         """
         X = _as_points(X).copy()
         reps = self.representers.copy()
-        block = kernel_matrix(self.spec, X, reps)
+        block = np.empty((X.shape[0], reps.shape[0]))
+        for lo in range(0, X.shape[0], CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            kernel_matrix(self.spec, X[rows], reps, out=block[rows])
         for arr in (X, reps, block):
             arr.flags.writeable = False
         self.pinned = PinnedBlock(X, reps, self.spec, block)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import sample_sphere_batch
-from .kernel import KernelModel, kernel_matrix
+from .kernel import CHUNK_ROWS, KernelModel, kernel_matrix
 from .oracle import QueryOracle
 
 
@@ -100,11 +100,6 @@ class TrainReport:
     queries_used: int
 
 
-# Gram rows built per block of the step loop: 2048 x rank floats (1.6 MB at
-# rank 100), so training memory does not grow with the budget
-CHUNK_ROWS = 2048
-
-
 def _prepare(X, budget: int, checkpoint_grid, indices):
     """Inputs as an (n, d) array, the indices of the steps to take, and the
     validated checkpoint grid."""
@@ -169,12 +164,12 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     pending = iter(grid)
     due = next(pending, 0)
     multiply, subtract = np.multiply, np.subtract
+    # every block is built into one buffer, so only one is held at a time and
+    # its pages are reused rather than faulted in afresh for each block
+    gram = np.empty((min(steps, CHUNK_ROWS), model.rank))
     for lo in range(0, steps, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, steps)
-        # drop the previous block, and the row views that keep it alive, before
-        # building the next, so only one block is held at a time
-        K = kcol = column = None
-        K = kernel_matrix(model.spec, X[used[lo:hi]], model.representers)
+        K = kernel_matrix(model.spec, X[used[lo:hi]], model.representers, out=gram[:hi - lo])
         # rows of K also as (rank, 1) columns: column * direction is outer(kcol, direction)
         for s, kcol, column, gamma in zip(range(lo, hi), K, K[:, :, None], gammas[lo:hi]):
             move = rule(s, kcol, gamma)

@@ -115,6 +115,34 @@ class TestMonteCarloConstants:
         with pytest.raises(ValueError):
             estimate_constant_mc(np.random.default_rng(0), 3, "huber", 2000)
 
+    @pytest.mark.parametrize("kind,M", [("median", None), ("least-squares", 1.0)])
+    def test_same_draws_as_the_sphere_sampler(self, kind, M):
+        # the estimate reads the first coordinate of sample_sphere_batch's points,
+        # bit for bit, also when a zero-norm row must be redrawn
+        class ZeroFirstRow:
+            def __init__(self, seed):
+                self.rng, self.first = np.random.default_rng(seed), True
+
+            def standard_normal(self, size):
+                g = self.rng.standard_normal(size)
+                if self.first:
+                    g[0] = 0.0
+                    self.first = False
+                return g
+
+            def uniform(self, *args):
+                return self.rng.uniform(*args)
+
+        n = 5000
+        est = estimate_constant_mc(ZeroFirstRow(3), 4, kind, n, M=M)
+        rng = ZeroFirstRow(3)
+        u1 = sample_sphere_batch(rng, 4, n)[:, 0]
+        vals = np.abs(u1) if kind == "median" else np.where(u1 >= rng.uniform(0.0, 2.0, n),
+                                                              u1, 0.0)
+        assert est.mean == float(vals.sum()) / n
+        mean_sq = float((vals * vals).sum()) / n
+        assert est.std_error == math.sqrt(max(mean_sq - est.mean**2, 0.0) / n)
+
     def test_agreement_helper(self):
         est = MonteCarloEstimate(0.5, 0.01, 1000)
         assert est.agrees_with(0.52)

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,6 +88,12 @@ class TestKernelEval:
                   - 2.0 * (X @ Z.T))
             expected = np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.bandwidth**2))
             assert kernel_matrix(spec, X, Z).tobytes() == expected.tobytes()
+            # the same bits when built into the leading rows of a used buffer
+            buf = np.full((n + 2, p), np.nan)
+            rows = buf[:n]
+            assert kernel_matrix(spec, X, Z, out=rows) is rows
+            assert rows.tobytes() == expected.tobytes()
+            assert np.isnan(buf[n:]).all()
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
@@ -482,3 +489,71 @@ class TestPinnedPoints:
         for est in (reg, clf):
             assert est.model_.pinned is None
             assert est.final_model_.pinned is None
+
+
+def whole_block_product(model, X):
+    """Predictions from one kernel block of all rows, as built before blocking."""
+    return kernel_matrix(model.spec, X, model.representers) @ model.coefficients
+
+
+def per_block_product(model, X, rows=kernel.CHUNK_ROWS):
+    """Predictions from one kernel block per ``rows`` rows, stacked."""
+    out = np.empty((len(X), model.output_dim))
+    for lo in range(0, len(X), rows):
+        out[lo:lo + rows] = whole_block_product(model, X[lo:lo + rows])
+    return out
+
+
+def random_model(rank, d, m, seed, bandwidth=1.0):
+    rng = np.random.default_rng(seed)
+    return KernelModel(rng.standard_normal((rank, d)), rng.standard_normal((rank, m)),
+                       KernelSpec(bandwidth))
+
+
+class TestBlockedPredict:
+    CHUNK = kernel.CHUNK_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 517])
+    def test_bits_match_a_per_block_product(self, matrix_calls, n):
+        model = random_model(37, 3, 2, seed=n)
+        X = np.random.default_rng(n + 1).standard_normal((n, 3))
+        built = len(matrix_calls)
+        pred = model.predict_batch(X)
+        assert len(matrix_calls) == built + -(-n // self.CHUNK)
+        assert pred.shape == (n, 2)
+        assert pred.tobytes() == per_block_product(model, X).tobytes()
+
+    @pytest.mark.parametrize("n,d,m", [(1, 1, 1), (400, 2, 3), (2000, 15, 1),
+                                       (CHUNK, 4, 10)])
+    def test_up_to_one_block_matches_the_whole_block_product(self, n, d, m):
+        model = random_model(100, d, m, seed=d)
+        X = np.random.default_rng(m).standard_normal((n, d))
+        assert model.predict_batch(X).tobytes() == whole_block_product(model, X).tobytes()
+
+    @pytest.mark.parametrize("d,rank", [(4, 100), (15, 237)])
+    def test_pinned_and_unpinned_agree_past_one_block(self, matrix_calls, d, rank):
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((5000, d))
+        plain, pinned = pinned_pair(rng.standard_normal((rank, d)), 3, KernelSpec(d / 5.0),
+                                    points)
+        built = len(matrix_calls)
+        for _ in range(2):
+            pinned.coefficients += 0.5
+            plain.coefficients += 0.5
+            assert pinned.predict_batch(points).tobytes() == \
+                plain.predict_batch(points).tobytes()
+        assert len(matrix_calls) == built + 2 * 3  # the unpinned model's three blocks each
+
+    def test_memory_does_not_grow_with_the_row_count(self):
+        # one whole 50000 x 256 block would be 102 MB, and kernel_matrix holds
+        # a temporary of the same size while building it
+        model = random_model(256, 4, 1, seed=0)
+        X = np.random.default_rng(1).standard_normal((50_000, 4))
+        tracemalloc.start()
+        try:
+            pred = model.predict_batch(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pred.shape == (50_000, 1)
+        assert peak < 24e6

@@ -378,9 +378,9 @@ def chunked_run(name, chunk_rows, monkeypatch):
     sched = StepSchedule.decaying(0.4)
     blocks = []
 
-    def counted(spec, rows, reps):
+    def counted(spec, rows, reps, out=None):
         blocks.append(len(rows))
-        return kernel_matrix(spec, rows, reps)
+        return kernel_matrix(spec, rows, reps, out=out)
 
     monkeypatch.setattr(learner, "CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(learner, "kernel_matrix", counted)

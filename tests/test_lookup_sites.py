@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
 import spans  # noqa: E402
 
-from weaksgd import learner  # noqa: E402
+from weaksgd import kernel, learner  # noqa: E402
 from weaksgd.estimators import WeakSGDClassifier, WeakSGDRegressor  # noqa: E402
 from weaksgd.experiments import TASK_STRATEGIES, ExperimentConfig, run_curve  # noqa: E402
 from weaksgd.learner import default_checkpoints  # noqa: E402
@@ -76,6 +76,15 @@ def test_run_curve_call_counts(tracer, monkeypatch, task, strategy, chunk_rows):
     assert len(view.of("kernel.matrix")) == trials * (math.ceil(budget / chunk_rows) + 1)
 
 
+@pytest.mark.parametrize("strategy", TASK_STRATEGIES["anchor-classification"])
+def test_anchored_trial_builds_its_class_law_once(tracer, strategy):
+    # one law for the trial's samples and one for all its checkpoints
+    trials = 3
+    run_curve(ExperimentConfig(task="anchor-classification", strategy=strategy, budget=16,
+                               trials=trials, rank=8))
+    assert tracer.counts["datasets.anchor_law"] == 2 * trials
+
+
 @pytest.mark.parametrize("estimator,name,strategy", [
     (WeakSGDRegressor, "median", "active-median"),
     (WeakSGDRegressor, "least-squares", "active-least-squares"),
@@ -93,3 +102,21 @@ def test_estimator_charges_its_strategy_its_steps(tracer, estimator, name, strat
     mark = tracer.mark()
     estimator(name, bandwidth=0.3, budget=30, rank=8).fit(X, y)
     assert charged_steps(tracer, mark) == {strategy: 30}
+
+
+@pytest.mark.parametrize("chunk_rows", [kernel.CHUNK_ROWS, 7])
+@pytest.mark.parametrize("estimator", [WeakSGDRegressor, WeakSGDClassifier])
+def test_estimator_predict_call_counts(tracer, monkeypatch, estimator, chunk_rows):
+    # a prediction builds its kernel block one CHUNK_ROWS-row block at a time
+    monkeypatch.setattr(kernel, "CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(1)
+    X = rng.random((20, 2))
+    y = (np.sin(4 * X[:, 0]) if estimator is WeakSGDRegressor
+         else (X[:, 0] > X[:, 1]).astype(int))
+    model = estimator(bandwidth=0.3, budget=30, rank=8).fit(X, y)
+    n = 4099  # two full blocks of 2048 rows and three rows more
+    mark = tracer.mark()
+    model.predict(rng.random((n, 2)))
+    view = tracer.view(mark)
+    assert len(view.of("kernel.predict")) == 1
+    assert len(view.of("kernel.matrix")) == math.ceil(n / chunk_rows)
