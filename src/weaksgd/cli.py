@@ -55,8 +55,16 @@ def serialize_config(mapping: dict) -> str:
     return "".join(f"{k} = {mapping[k]}\n" for k in sorted(mapping))
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a malformed command line; here 2 is a runtime failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="weaksgd")
+    parser = _Parser(prog="weaksgd")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -71,31 +79,29 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run a configured experiment")
     r.add_argument("--config", default=None, help="key = value configuration file")
     r.add_argument("--outdir", default=".", help="where curve.csv/curve.svg/manifest go")
+    # each flag is a config key, kept as a string: config_from_mapping parses it
     run_flags = [
-        ("task", str, "sin-regression | anchor-classification | libsvm | csv-regression"),
-        ("strategy", str, "query strategy; the valid set depends on the task"),
-        ("schedule", str, "decaying (gamma0/sqrt(t)) or constant"),
-        ("input", str, "input file for libsvm / csv-regression tasks"),
-        ("target", str, "CSV target column names, comma-separated"),
-        ("budget", int, "total number of label bits per trial"),
-        ("trials", int, "number of seeded trials to aggregate"),
-        ("seed", int, "base seed; trial i runs at seed+i"),
-        ("classes", int, "class count for anchor-classification"),
-        ("rank", int, "number of kernel representers"),
-        ("grid-size", int, "evaluation grid size for synthetic risks"),
-        ("jobs", int, "worker processes for trials"),
-        ("sigma", float, "kernel bandwidth (default: task-specific)"),
-        ("gamma0", float, "step-size scale"),
-        ("ridge", float, "coefficient shrinkage strength"),
-        ("bound", float, "range bound M for least-squares thresholds"),
-        ("epsilon", float, "excluded band half-width for anchor-classification"),
-        ("train-fraction", float, "train share for file-backed tasks"),
+        ("task", "sin-regression | anchor-classification | libsvm | csv-regression"),
+        ("strategy", "query strategy; the valid set depends on the task"),
+        ("schedule", "decaying (gamma0/sqrt(t)) or constant (gamma0 at every step)"),
+        ("input", "input file for libsvm / csv-regression tasks"),
+        ("target", "CSV target column names, comma-separated"),
+        ("budget", "total number of label bits per trial"),
+        ("trials", "number of seeded trials to aggregate"),
+        ("seed", "base seed; trial i runs at seed+i"),
+        ("classes", "class count for anchor-classification"),
+        ("rank", "number of kernel representers"),
+        ("grid-size", "evaluation grid size for synthetic risks"),
+        ("jobs", "worker processes for trials"),
+        ("sigma", "kernel bandwidth (default: task-specific)"),
+        ("gamma0", "step-size scale"),
+        ("ridge", "coefficient shrinkage strength"),
+        ("bound", "range bound M for least-squares thresholds"),
+        ("epsilon", "excluded band half-width for anchor-classification"),
+        ("train-fraction", "train share for file-backed tasks"),
     ]
-    for key, kind, text in run_flags:
-        if kind is str:
-            r.add_argument(f"--{key}", default=None, help=text)
-        else:
-            r.add_argument(f"--{key}", type=kind, default=None, help=text)
+    for key, text in run_flags:
+        r.add_argument(f"--{key}", default=None, help=text)
 
     g = sub.add_parser("game", help="solve the set-query matrix game")
     g.add_argument("--p", default=None, help="comma-separated class distribution")
@@ -148,11 +154,6 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-_RUN_FLAGS = ("task", "strategy", "schedule", "input", "target", "budget", "trials",
-              "seed", "classes", "rank", "grid_size", "jobs", "sigma", "gamma0",
-              "ridge", "bound", "epsilon", "train_fraction")
-
-
 def cmd_run(args) -> int:
     mapping = {}
     if args.config:
@@ -162,10 +163,9 @@ def cmd_run(args) -> int:
         except OSError as exc:
             print(f"run: cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    for key in _RUN_FLAGS:
-        value = getattr(args, key)
-        if value is not None:
-            mapping[key] = str(value)
+    for key, value in vars(args).items():
+        if key not in ("command", "config", "outdir") and value is not None:
+            mapping[key] = value
     try:
         cfg = config_from_mapping(mapping).resolved()
     except ConfigError as exc:

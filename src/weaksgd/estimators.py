@@ -74,7 +74,7 @@ class _BaseWeakSGD(_ParamsMixin):
         budget = self.budget if self.budget is not None else n_train
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        schedule = StepSchedule.named(self.schedule, self.gamma0, max(budget, 1))
+        schedule = StepSchedule(self.schedule, self.gamma0)
         rng = check_random_state(self.seed)
         reps = nystrom_representers(X, min(self.rank, n_train), rng)
         output_dim = labels.shape[1] if n_classes is None else n_classes

@@ -48,21 +48,11 @@ class RiskCurve:
         return float(self.mean_risk[hits[0]])
 
 
-def midpoint_grid(size: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-    """Deterministic uniform grid of cell midpoints on [low, high]."""
+def midpoint_grid(size: int) -> np.ndarray:
+    """Deterministic uniform grid of cell midpoints on [0, 1]."""
     if size < 1:
         raise ValueError("grid size must be >= 1")
-    return low + (high - low) * (np.arange(size) + 0.5) / size
-
-
-def heldout_points(test: LabeledDataset) -> np.ndarray:
-    """The points :func:`empirical_risk` predicts at: the held-out inputs."""
-    return test.features
-
-
-def noiseless_points(grid_size: int = 512, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-    """The points :func:`excess_risk_noiseless` predicts at: the midpoint grid."""
-    return midpoint_grid(grid_size, low, high)
+    return (np.arange(size) + 0.5) / size
 
 
 def anchor_points(band_halfwidth: float, grid_size: int = 512) -> np.ndarray:
@@ -74,7 +64,7 @@ def anchor_points(band_halfwidth: float, grid_size: int = 512) -> np.ndarray:
 
 def empirical_risk(model: KernelModel, test: LabeledDataset, loss: str) -> float:
     """Mean test loss: rowwise ||f(x) - y|| or decoded zero-one error."""
-    preds = model.predict_batch(heldout_points(test))
+    preds = model.predict_batch(test.features)
     if loss == "absolute-deviation":
         if test.kind == "regression":
             resid = preds - test.targets
@@ -88,10 +78,9 @@ def empirical_risk(model: KernelModel, test: LabeledDataset, loss: str) -> float
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def excess_risk_noiseless(model: KernelModel, target_fn, grid_size: int = 512,
-                          low: float = 0.0, high: float = 1.0) -> float:
-    """Mean ||f(x) - f*(x)|| over the deterministic grid; zero at f = f*."""
-    xs = noiseless_points(grid_size, low, high)
+def excess_risk_noiseless(model: KernelModel, target_fn, grid_size: int = 512) -> float:
+    """Mean ||f(x) - f*(x)|| over the midpoint grid on [0, 1]; zero at f = f*."""
+    xs = midpoint_grid(grid_size)
     preds = model.predict_batch(xs[:, None])
     truth = np.asarray(target_fn(xs), dtype=float)
     if truth.ndim == 1:

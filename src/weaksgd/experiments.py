@@ -35,8 +35,7 @@ from .evaluation import (
     empirical_risk,
     excess_risk_noiseless,
     excess_zero_one_anchor,
-    heldout_points,
-    noiseless_points,
+    midpoint_grid,
 )
 from .kernel import KernelModel, KernelSpec, nystrom_representers
 from .learner import StepSchedule, default_checkpoints
@@ -53,8 +52,6 @@ TASK_STRATEGIES = {
     "anchor-classification": CLASSIFICATION_STRATEGIES,
     "libsvm": CLASSIFICATION_STRATEGIES,
 }
-
-SCHEDULES = ("decaying", "constant")
 
 
 class ConfigError(ValueError):
@@ -113,7 +110,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"strategy {cfg.strategy!r} is not valid for task {cfg.task!r}; "
             f"allowed: {TASK_STRATEGIES[cfg.task]}"
         )
-    if cfg.schedule not in SCHEDULES:
+    if cfg.schedule not in StepSchedule.KINDS:
         raise ConfigError(f"unknown schedule {cfg.schedule!r}")
     for name in ("budget", "trials", "rank", "grid_size", "jobs"):
         if getattr(cfg, name) < 1:
@@ -219,7 +216,7 @@ def _model(cfg: ExperimentConfig, data: LabeledDataset, sigma: float, rng,
 
 def _sin_trial(cfg: ExperimentConfig, seed: int, rng, full):
     data = gen_sin_regression(cfg.budget, rng)
-    model = _model(cfg, data, cfg.sigma, rng, noiseless_points(cfg.grid_size))
+    model = _model(cfg, data, cfg.sigma, rng, midpoint_grid(cfg.grid_size))
     return data, model, lambda m: excess_risk_noiseless(m, sin_target, cfg.grid_size)
 
 
@@ -246,7 +243,7 @@ def _file_trial(cfg: ExperimentConfig, seed: int, rng, full: LabeledDataset):
     test = apply_standardize(test, info)
     sigma = cfg.sigma if cfg.sigma is not None else rows.d / 5.0
     loss = "zero-one" if cfg.task == "libsvm" else "absolute-deviation"
-    model = _model(cfg, rows, sigma, rng, heldout_points(test))
+    model = _model(cfg, rows, sigma, rng, test.features)
     return rows, model, lambda m: empirical_risk(m, test, loss)
 
 
@@ -264,7 +261,7 @@ def _one_trial(args):
     rng = np.random.default_rng(seed)
     data, model, evaluate = _TRIAL_FUNCTIONS[cfg.task](cfg, seed, rng, full)
     report = train(cfg.strategy, data.features, data.targets, model,
-                   StepSchedule.named(cfg.schedule, cfg.gamma0, cfg.budget), rng, cfg.budget,
+                   StepSchedule(cfg.schedule, cfg.gamma0), rng, cfg.budget,
                    data.n_classes, cfg.bound, default_checkpoints(cfg.budget), evaluate)
     return report.checkpoints
 

@@ -21,15 +21,12 @@ CHUNK_ROWS = 2048
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family and bandwidth. Only the Gaussian kernel is supported,
-    for which k(x, x) = 1 (so the feature-map norm bound is exactly 1)."""
+    """Bandwidth of the Gaussian kernel, the only kernel supported, for which
+    k(x, x) = 1 (so the feature-map norm bound is exactly 1)."""
 
     bandwidth: float
-    kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValueError(f"unsupported kernel kind {self.kind!r}")
         if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
 

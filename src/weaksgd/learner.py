@@ -21,67 +21,28 @@ from .oracle import QueryOracle
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step-size rule gamma(t).
+    """Step-size rule: ``decaying`` steps by gamma0 / sqrt(t) at step t
+    (1-based), ``constant`` by gamma0 at every step."""
 
-    ``constant`` keeps gamma(t) = bound / (kappa * sqrt(horizon)) for every t,
-    the horizon-tuned rate; ``decaying`` uses gamma0 / sqrt(t), which needs no
-    horizon known in advance.
-    """
+    KINDS = ("decaying", "constant")
 
     kind: str
-    gamma0: float | None = None
-    horizon: int | None = None
-    bound: float | None = None
-    kappa: float = 1.0
+    gamma0: float
 
     def __post_init__(self):
-        if self.kind == "decaying":
-            if self.gamma0 is None or not self.gamma0 > 0:
-                raise ValueError("decaying schedule needs gamma0 > 0")
-        elif self.kind == "constant":
-            if self.horizon is None or self.horizon < 1:
-                raise ValueError("constant schedule needs a horizon >= 1")
-            if self.bound is None or not self.bound > 0 or not self.kappa > 0:
-                raise ValueError("constant schedule needs bound > 0 and kappa > 0")
-        else:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if not self.gamma0 > 0:
+            raise ValueError(f"{self.kind} schedule needs gamma0 > 0")
 
     @classmethod
     def decaying(cls, gamma0: float) -> "StepSchedule":
-        return cls(kind="decaying", gamma0=float(gamma0))
-
-    @classmethod
-    def constant_for_horizon(cls, bound: float, kappa: float, horizon: int) -> "StepSchedule":
-        return cls(kind="constant", horizon=int(horizon), bound=float(bound), kappa=float(kappa))
-
-    @classmethod
-    def constant(cls, gamma: float, horizon: int) -> "StepSchedule":
-        """Constant schedule pinned directly at step size ``gamma``."""
-        if not gamma > 0:
-            raise ValueError("gamma must be > 0")
-        return cls.constant_for_horizon(gamma * np.sqrt(horizon), 1.0, horizon)
-
-    @classmethod
-    def named(cls, kind: str, gamma0: float, horizon: int) -> "StepSchedule":
-        """The schedule a run names: ``decaying`` (gamma0 / sqrt(t)) or
-        ``constant`` (gamma0 at every step of ``horizon``)."""
-        if kind == "decaying":
-            return cls.decaying(gamma0)
-        if kind == "constant":
-            return cls.constant(gamma0, horizon)
-        raise ValueError(f"unknown schedule {kind!r}")
-
-    def gamma(self, t: int) -> float:
-        if t < 1:
-            raise ValueError("steps are 1-based")
-        if self.kind == "constant":
-            return self.bound / (self.kappa * np.sqrt(self.horizon))
-        return self.gamma0 / np.sqrt(t)
+        return cls("decaying", float(gamma0))
 
     def gammas(self, steps: int) -> np.ndarray:
-        """Vector (gamma(1), ..., gamma(steps)), bit for bit what :meth:`gamma` returns."""
+        """Step sizes (gamma(1), ..., gamma(steps))."""
         if self.kind == "constant":
-            return np.full(steps, self.bound / (self.kappa * np.sqrt(self.horizon)))
+            return np.full(steps, self.gamma0, dtype=float)
         return self.gamma0 / np.sqrt(np.arange(1, steps + 1))
 
 

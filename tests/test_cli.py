@@ -12,6 +12,40 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def exit_code(*argv):
+    """The status the console script exits with: main's return or argparse's exit."""
+    try:
+        return cli.main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--samples", "x"),
+        ("game", "--tol", "x"),
+        ("verify", "--seed", "x"),
+        (),
+    ], ids=["constants", "game", "verify", "no-command"])
+    def test_malformed_command_line_is_config_error(self, capsys, argv):
+        assert exit_code(*argv) == 1
+        assert "error" in capsys.readouterr().err
+
+    def test_malformed_run_flag_fails_like_the_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("budget = x\n")
+        assert exit_code("run", "--budget", "x", "--outdir", str(tmp_path / "a")) == 1
+        from_flag = capsys.readouterr().err
+        assert exit_code("run", "--config", str(cfg), "--outdir", str(tmp_path / "b")) == 1
+        assert capsys.readouterr().err == from_flag == "run: budget must be an integer, got 'x'\n"
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("run", "--help")])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        assert exit_code(*argv) == 0
+        assert capsys.readouterr().out
+
+
 class TestConfigFormat:
     def test_parse_basics(self):
         mapping = cli.parse_config("a = 1\n# comment\nb= x  # trailing\n\nc =3\n")

@@ -11,6 +11,7 @@ from weaksgd.experiments import (
     run_curve,
     validate_config,
 )
+from weaksgd.learner import StepSchedule
 
 
 class TestConfigResolution:
@@ -50,6 +51,16 @@ class TestConfigResolution:
             ExperimentConfig(task="anchor-classification", epsilon=0.3).resolved()
         with pytest.raises(ConfigError):
             validate_config(replace(ExperimentConfig().resolved(), sigma=-1.0))
+
+    def test_schedule_names_are_the_step_schedule_kinds(self):
+        accepted = []
+        for name in ("decaying", "constant", "cyclic", "horizon", "Decaying", ""):
+            try:
+                ExperimentConfig(schedule=name).resolved()
+                accepted.append(name)
+            except ConfigError:
+                pass
+        assert tuple(accepted) == StepSchedule.KINDS
 
     def test_file_task_needs_input(self):
         with pytest.raises(ConfigError):

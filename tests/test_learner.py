@@ -26,36 +26,32 @@ def zero_model(reps, m=1, bandwidth=0.2, ridge=0.0):
 
 class TestStepSchedule:
     def test_constant_rate(self):
-        sched = StepSchedule.constant_for_horizon(bound=2.0, kappa=1.0, horizon=100)
-        assert all(sched.gamma(t) == pytest.approx(0.2, rel=1e-15) for t in (1, 7, 100))
+        assert (StepSchedule("constant", 0.2).gammas(100) == 0.2).all()
 
     def test_constant_from_gamma(self):
-        sched = StepSchedule.constant(0.3, horizon=30)
-        assert sched.gamma(1) == pytest.approx(0.3, rel=1e-12)
-        assert sched.gamma(30) == pytest.approx(0.3, rel=1e-12)
+        # exactly gamma0: no horizon is multiplied in and divided back out
+        gammas = StepSchedule("constant", 0.1).gammas(9)
+        assert gammas.tolist() == [0.1] * 9
 
     def test_decaying(self):
-        sched = StepSchedule.decaying(1.5)
-        assert sched.gamma(1) == 1.5
-        assert sched.gamma(9) == pytest.approx(0.5, rel=1e-15)
+        gammas = StepSchedule.decaying(1.5).gammas(9)
+        assert gammas[0] == 1.5
+        assert gammas[8] == 0.5
 
     def test_step_vector_matches_gamma_bit_for_bit(self):
-        for sched in (StepSchedule.decaying(0.3), StepSchedule.decaying(7.0),
-                      StepSchedule.constant(0.3, horizon=50),
-                      StepSchedule.constant_for_horizon(2.0, 1.5, 17)):
-            expected = np.array([sched.gamma(t) for t in range(1, 1001)])
-            assert sched.gammas(1000).tobytes() == expected.tobytes()
-        assert StepSchedule.decaying(1.0).gammas(0).shape == (0,)
+        for gamma0 in (0.3, 7.0):
+            expected = np.array([gamma0 / np.sqrt(t) for t in range(1, 1001)])
+            assert StepSchedule.decaying(gamma0).gammas(1000).tobytes() == expected.tobytes()
+        assert StepSchedule("decaying", 1.0).gammas(0).shape == (0,)
+        assert StepSchedule("constant", 1.0).gammas(0).shape == (0,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             StepSchedule.decaying(0.0)
         with pytest.raises(ValueError):
-            StepSchedule.constant_for_horizon(1.0, 1.0, 0)
+            StepSchedule("constant", -0.5)
         with pytest.raises(ValueError):
             StepSchedule(kind="cyclic", gamma0=1.0)
-        with pytest.raises(ValueError):
-            StepSchedule.decaying(1.0).gamma(0)
 
 
 class TestMedianSGD:
@@ -271,7 +267,7 @@ class TestFullSGD:
         for t, (x, y) in enumerate(zip(X, Y), start=1):
             kcol = mirror.kernel_column(x)
             f = float(kcol @ expect[:, 0])
-            expect[:, 0] -= sched.gamma(t) * np.sign(f - y[0]) * kcol
+            expect[:, 0] -= sched.gamma0 / np.sqrt(t) * np.sign(f - y[0]) * kcol
         assert np.allclose(report.final_model.coefficients, expect, atol=1e-15)
 
     def test_matches_weak_median_in_one_dimension(self):
@@ -315,9 +311,9 @@ class TestPassiveMedian:
             f = float(kcol @ a[:, 0])
             b = int(y[0] > v)
             if b == 1 and f < v:
-                a[:, 0] += sched.gamma(t) * kcol
+                a[:, 0] += sched.gamma0 / np.sqrt(t) * kcol
             elif b == 0 and f > v:
-                a[:, 0] -= sched.gamma(t) * kcol
+                a[:, 0] -= sched.gamma0 / np.sqrt(t) * kcol
         assert np.allclose(report.final_model.coefficients, a, atol=1e-15)
         assert report.queries_used == len(X)
 
