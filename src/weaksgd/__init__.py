@@ -35,8 +35,6 @@ from .learner import (
 )
 from .oracle import BudgetExhausted, QueryOracle, StreamingViolation, TrivialSetError
 from .surrogate import (
-    decode,
-    encode,
     infimum_loss_sgd,
     surrogate_target_check,
 )
@@ -63,10 +61,8 @@ __all__ = [
     "build_game",
     "c1_constant",
     "c2_constant",
-    "decode",
     "emit_csv",
     "emit_svg",
-    "encode",
     "estimate_constant_mc",
     "gen_anchor_classification",
     "gen_harmonic_regression",

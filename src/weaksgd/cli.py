@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -121,12 +122,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_constants(args) -> int:
     try:
         ms = [int(tok) for tok in args.m.split(",") if tok.strip()]
-        if not ms or args.samples < 1000 or not args.scale > 0:
-            raise ValueError
     except ValueError:
-        print("constants: --m needs integers, --samples >= 1000, --scale > 0",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        ms = []
+    if not ms or min(ms) < 1:
+        raise ConfigError(f"--m needs comma-separated integers >= 1, got {args.m!r}")
+    if args.samples < 1000:
+        raise ConfigError(f"--samples must be >= 1000, got {args.samples}")
+    if not 0 < args.scale < math.inf:
+        raise ConfigError(f"--scale must be finite and > 0, got {args.scale!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     header = "m,c2_closed,c2_mc,c2_se,c1_closed,c1_mc,c1_se,verdict"
     rows = []
@@ -161,16 +166,11 @@ def cmd_run(args) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 mapping.update(parse_config(fh.read()))
         except OSError as exc:
-            print(f"run: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"cannot read config: {exc}") from None
     for key, value in vars(args).items():
         if key not in ("command", "config", "outdir") and value is not None:
             mapping[key] = value
-    try:
-        cfg = config_from_mapping(mapping).resolved()
-    except ConfigError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = config_from_mapping(mapping).resolved()
     os.makedirs(args.outdir, exist_ok=True)
     names = ("curve.csv", "curve.svg", "manifest")
     paths = [os.path.join(args.outdir, name) for name in names]
@@ -183,17 +183,16 @@ def cmd_run(args) -> int:
             raise ValueError("the risk curve is not finite; the iterates diverged "
                              "(try a smaller gamma0)")
         emit_csv(curve, temps[0])
-        emit_svg([(cfg.strategy, curve)], temps[1], axes="loglog")
+        emit_svg([(cfg.strategy, curve)], temps[1])
         manifest = (f"# weaksgd {__version__}, numpy {np.__version__}\n"
                     + serialize_config(config_to_mapping(cfg)))
         with open(temps[2], "w", encoding="utf-8") as fh:
             fh.write(manifest)
-    except Exception as exc:
+    except Exception:
         for p in temps:
             if os.path.exists(p):
                 os.unlink(p)
-        print(f"run: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise
     for temp, path in zip(temps, paths):
         os.replace(temp, path)
     print(f"wrote {paths[0]}, {paths[1]}, {paths[2]}")
@@ -201,6 +200,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_game(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
     try:
         if args.counterexample:
             p = np.array([0.4, 0.3, 0.3])
@@ -215,14 +216,9 @@ def cmd_game(args) -> int:
             else:
                 family = game.singleton_family(len(p))
         matrix = game.build_game(p, family)
-    except (ConfigError, ValueError) as exc:
-        print(f"game: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        sol = game.solve_game(matrix, tol=args.tol)
-    except game.GameSolveError as exc:
-        print(f"game: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    sol = game.solve_game(matrix, tol=args.tol)
     print(f"value,{sol.value!r}")
     print("query_strategy," + ",".join(repr(float(x)) for x in sol.row_strategy))
     print("prediction_strategy," + ",".join(repr(float(x)) for x in sol.col_strategy))
@@ -297,6 +293,8 @@ def _verify_checks(seed: int):
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     failures = 0
     for name, check in _verify_checks(args.seed):
         try:
@@ -315,22 +313,16 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = {"constants": cmd_constants, "run": cmd_run, "game": cmd_game,
+               "verify": cmd_verify}[args.command]
     try:
-        if args.command == "constants":
-            return cmd_constants(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "game":
-            return cmd_game(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return command(args)
     except ConfigError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -112,10 +112,8 @@ def standardize(dataset: LabeledDataset) -> tuple[LabeledDataset, StandardizeInf
     mean = dataset.features.mean(axis=0)
     std = dataset.features.std(axis=0)
     constant = std == 0.0
-    scale = np.where(constant, 1.0, std)
-    out = dataset.take(slice(None))
-    out.features = (dataset.features - np.where(constant, 0.0, mean)) / scale
-    return out, StandardizeInfo(mean, scale, constant)
+    info = StandardizeInfo(mean, np.where(constant, 1.0, std), constant)
+    return apply_standardize(dataset, info), info
 
 
 def apply_standardize(dataset: LabeledDataset, info: StandardizeInfo) -> LabeledDataset:

@@ -93,20 +93,16 @@ def anchor_law(n_classes: int, band_halfwidth: float, grid_size: int = 512) -> n
     return anchor_conditional(anchor_points(band_halfwidth, grid_size), n_classes)
 
 
-def excess_zero_one_anchor(model: KernelModel, n_classes: int, band_halfwidth: float,
-                           grid_size: int = 512, law: np.ndarray | None = None) -> float:
+def excess_zero_one_anchor(model: KernelModel, points: np.ndarray, law: np.ndarray) -> float:
     """Zero-one excess risk on the anchored task, against the exact class law.
 
-    Averages P(best class | x) - P(decoded class | x) over a deterministic
-    grid restricted to the task's support. ``law`` is :func:`anchor_law` of
-    the same arguments, for a caller that scores many models; it is built
-    here when not given.
+    Averages P(best class | x) - P(decoded class | x) over the support
+    ``points`` (:func:`anchor_points`), whose class law ``law``
+    (:func:`anchor_law`) has one row per point.
     """
-    xs = anchor_points(band_halfwidth, grid_size)
-    probs = anchor_law(n_classes, band_halfwidth, grid_size) if law is None else law
-    decoded = decode_batch(model.predict_batch(xs[:, None]))
-    picked = probs[np.arange(len(xs)), decoded - 1]
-    return float((probs.max(axis=1) - picked).mean())
+    decoded = decode_batch(model.predict_batch(points))
+    picked = law[np.arange(len(points)), decoded - 1]
+    return float((law.max(axis=1) - picked).mean())
 
 
 def aggregate_trials(trial_checkpoints) -> RiskCurve:
@@ -149,25 +145,6 @@ def emit_csv(curve: RiskCurve, path) -> None:
             fh.write(f"{int(t)},{float(mr)!r},{float(sr)!r},{curve.n_trials}\n")
 
 
-def read_csv(path) -> RiskCurve:
-    """Read a curve written by :func:`emit_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "T,mean_risk,std_risk,n_trials":
-        raise ValueError(f"{path}: not a risk-curve CSV")
-    budgets, means, stds, trials = [], [], [], []
-    for ln in lines[1:]:
-        t, mr, sr, nt = ln.split(",")
-        budgets.append(int(t))
-        means.append(float(mr))
-        stds.append(float(sr))
-        trials.append(int(nt))
-    if len(set(trials)) > 1:
-        raise ValueError(f"{path}: n_trials varies across rows")
-    return RiskCurve(np.array(budgets), np.array(means), np.array(stds),
-                     trials[0] if trials else 0)
-
-
 _PALETTE = ("#1f6fb4", "#e6662e", "#2e9950", "#8b36a0", "#a05c2a", "#444444")
 _WIDTH, _HEIGHT = 640.0, 480.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72.0, 24.0, 24.0, 48.0
@@ -179,31 +156,23 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def emit_svg(curves, path, axes: str = "loglog") -> None:
-    """Render labelled curves as an SVG line chart (polyline/line/text only).
+def emit_svg(curves, path) -> None:
+    """Render labelled curves as a log-log SVG line chart (polyline/line/text
+    only).
 
-    ``curves`` is a sequence of (label, RiskCurve); ``axes`` picks log-log or
-    linear scaling. Output bytes are a deterministic function of the inputs.
+    ``curves`` is a sequence of (label, RiskCurve). Output bytes are a
+    deterministic function of the inputs.
     """
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve to plot")
-    if axes not in ("loglog", "linear"):
-        raise ValueError(f"unknown axes mode {axes!r}")
-
-    def tx(t):
-        return math.log10(t) if axes == "loglog" else float(t)
-
-    def ty(r):
-        return math.log10(r) if axes == "loglog" else float(r)
-
     xs_all, ys_all = [], []
     for _, curve in curves:
         for t, r in zip(curve.budgets, curve.mean_risk):
-            if axes == "loglog" and (t <= 0 or r <= 0):
+            if t <= 0 or r <= 0:
                 raise ValueError("log-log axes need positive budgets and risks")
-            xs_all.append(tx(t))
-            ys_all.append(ty(r))
+            xs_all.append(math.log10(t))
+            ys_all.append(math.log10(r))
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
@@ -228,7 +197,7 @@ def emit_svg(curves, path, axes: str = "loglog") -> None:
         f'x2="{_MARGIN_L:.1f}" y2="{_HEIGHT - _MARGIN_B:.1f}" stroke="#000"/>',
     ]
     for v in _ticks(x_lo, x_hi):
-        label = 10.0**v if axes == "loglog" else v
+        label = 10.0**v
         parts.append(
             f'<line x1="{px(v):.2f}" y1="{_HEIGHT - _MARGIN_B:.1f}" '
             f'x2="{px(v):.2f}" y2="{_HEIGHT - _MARGIN_B + 5:.1f}" stroke="#000"/>'
@@ -238,7 +207,7 @@ def emit_svg(curves, path, axes: str = "loglog") -> None:
             f'font-size="11" text-anchor="middle">{label:.3g}</text>'
         )
     for v in _ticks(y_lo, y_hi):
-        label = 10.0**v if axes == "loglog" else v
+        label = 10.0**v
         parts.append(
             f'<line x1="{_MARGIN_L - 5:.1f}" y1="{py(v):.2f}" '
             f'x2="{_MARGIN_L:.1f}" y2="{py(v):.2f}" stroke="#000"/>'
@@ -250,7 +219,7 @@ def emit_svg(curves, path, axes: str = "loglog") -> None:
     for k, (label, curve) in enumerate(curves):
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(
-            f"{px(tx(t)):.2f},{py(ty(r)):.2f}"
+            f"{px(math.log10(t)):.2f},{py(math.log10(r)):.2f}"
             for t, r in zip(curve.budgets, curve.mean_risk)
         )
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')

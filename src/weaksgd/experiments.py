@@ -10,6 +10,7 @@ orders by trial index, which keeps outputs byte-identical for any job count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -112,6 +113,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         )
     if cfg.schedule not in StepSchedule.KINDS:
         raise ConfigError(f"unknown schedule {cfg.schedule!r}")
+    for name in sorted(_FLOAT_FIELDS):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     for name in ("budget", "trials", "rank", "grid_size", "jobs"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
@@ -222,10 +229,10 @@ def _sin_trial(cfg: ExperimentConfig, seed: int, rng, full):
 
 def _anchor_trial(cfg: ExperimentConfig, seed: int, rng, full):
     data = gen_anchor_classification(cfg.budget, cfg.classes, cfg.epsilon, rng)
-    model = _model(cfg, data, cfg.sigma, rng, anchor_points(cfg.epsilon, cfg.grid_size))
+    points = anchor_points(cfg.epsilon, cfg.grid_size)
+    model = _model(cfg, data, cfg.sigma, rng, points)
     law = anchor_law(cfg.classes, cfg.epsilon, cfg.grid_size)
-    return data, model, (
-        lambda m: excess_zero_one_anchor(m, cfg.classes, cfg.epsilon, cfg.grid_size, law))
+    return data, model, lambda m: excess_zero_one_anchor(m, points, law)
 
 
 def _load_input(cfg: ExperimentConfig) -> LabeledDataset:

@@ -138,17 +138,6 @@ class KernelModel:
     def feature_dim(self) -> int:
         return self.representers.shape[1]
 
-    def kernel_column(self, x) -> np.ndarray:
-        """Vector (k(x, x_i))_i used by prediction and by the gradient steps."""
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.feature_dim:
-            raise ValueError(f"expected input of dimension {self.feature_dim}, got {x.size}")
-        d2 = ((self.representers - x) ** 2).sum(axis=1)
-        return np.exp(-d2 / (2.0 * self.spec.bandwidth**2))
-
-    def predict(self, x) -> np.ndarray:
-        return self.kernel_column(x) @ self.coefficients
-
     def predict_batch(self, X) -> np.ndarray:
         """Predictions at the rows of ``X``, built and multiplied in blocks of
         ``CHUNK_ROWS`` rows, so at most one block of kernel values is held."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import sample_sphere_batch
-from .kernel import CHUNK_ROWS, KernelModel, kernel_matrix
+from .kernel import CHUNK_ROWS, KernelModel, _as_points, kernel_matrix
 from .oracle import QueryOracle
 
 
@@ -64,9 +64,7 @@ class TrainReport:
 def _prepare(X, budget: int, checkpoint_grid, indices):
     """Inputs as an (n, d) array, the indices of the steps to take, and the
     validated checkpoint grid."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_points(X)
     if indices is None:
         indices = np.arange(X.shape[0])
     else:

@@ -79,10 +79,6 @@ class QueryOracle:
         return oracle
 
     @property
-    def label_dim(self) -> int:
-        return self._m
-
-    @property
     def budget_remaining(self) -> int:
         return self.budget_total - self.budget_used
 

@@ -20,16 +20,8 @@ from .learner import run_median_sgd  # noqa: F401  kept: perfbench/layers.py wra
 from .oracle import QueryOracle
 
 
-def encode(y: int, n_classes: int) -> np.ndarray:
-    """Basis-vector embedding of class y in {1, ..., n_classes}."""
-    if not 1 <= y <= n_classes:
-        raise ValueError(f"class {y} outside 1..{n_classes}")
-    e = np.zeros(n_classes)
-    e[y - 1] = 1.0
-    return e
-
-
 def encode_batch(classes, n_classes: int) -> np.ndarray:
+    """Basis-vector embedding of classes in {1, ..., n_classes}, one row each."""
     c = np.asarray(classes, dtype=int)
     if ((c < 1) | (c > n_classes)).any():
         raise ValueError(f"class indices must lie in 1..{n_classes}")
@@ -38,15 +30,8 @@ def encode_batch(classes, n_classes: int) -> np.ndarray:
     return out
 
 
-def decode(g) -> int:
-    """Class decoded from a score vector: smallest index attaining the max (1-based)."""
-    g = np.asarray(g, dtype=float).ravel()
-    if g.size < 1:
-        raise ValueError("cannot decode an empty score vector")
-    return int(np.argmax(g)) + 1
-
-
 def decode_batch(G) -> np.ndarray:
+    """Class of each score row: the smallest index attaining its max (1-based)."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[1] < 1:
         raise ValueError("expected an (n, m) score array")
@@ -73,7 +58,6 @@ def infimum_loss_sgd(
     checkpoint_grid=None,
     evaluate=None,
     indices=None,
-    set_generator=None,
 ) -> TrainReport:
     """Best-case-loss SGD from one membership bit per step.
 
@@ -82,7 +66,6 @@ def infimum_loss_sgd(
     y* = argmax_{y in set} g(x)_y, and descend along
     (g(x) - e_{y*}) / ||g(x) - e_{y*}|| (no-op at the kink g(x) = e_{y*}).
     """
-    make_set = set_generator if set_generator is not None else random_proper_subset
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     m = model.output_dim
     a = model.coefficients
@@ -90,7 +73,7 @@ def infimum_loss_sgd(
     classes = frozenset(range(1, m + 1))
 
     def rule(s, kcol, gamma):
-        S = frozenset(make_set(rng, m))
+        S = random_proper_subset(rng, m)
         inside = query(int(used[s]), S)
         order = np.array(sorted(S if inside else classes - S)) - 1  # 0-based candidates
         r = kcol.dot(a)
@@ -131,7 +114,7 @@ def surrogate_target_check(p, tol: float = 1e-8) -> OrderingReport:
         for z in range(m):
             if p[y] > p[z] + tol and theta[y] < theta[z] - tol:
                 violations.append((y + 1, z + 1))
-    decoded = decode(theta)
+    decoded = int(decode_batch(theta[None])[0])
     top = tuple(int(j) + 1 for j in np.flatnonzero(p >= p.max() - tol))
     ok = not violations and decoded in top
     return OrderingReport(theta, decoded, top, tuple(violations), ok)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from weaksgd import cli, geometry
-from weaksgd.evaluation import read_csv
 from weaksgd.experiments import ConfigError, config_from_mapping
 
 
@@ -10,6 +9,11 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_curve(path):
+    """The columns T, mean_risk, std_risk and n_trials of a curve.csv."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
 
 
 def exit_code(*argv):
@@ -39,6 +43,24 @@ class TestExitCodes:
         assert exit_code("run", "--config", str(cfg), "--outdir", str(tmp_path / "b")) == 1
         assert capsys.readouterr().err == from_flag == "run: budget must be an integer, got 'x'\n"
         assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (("run", "--gamma0", "inf"), "gamma0"),
+        (("run", "--ridge", "nan"), "ridge"),
+        (("run", "--bound", "inf", "--strategy", "active-least-squares"), "bound"),
+        (("run", "--sigma", "inf"), "sigma"),
+        (("run", "--seed", "-1"), "seed"),
+        (("verify", "--seed", "-1"), "--seed"),
+        (("constants", "--m", "0"), "--m"),
+        (("game", "--counterexample", "--tol", "0"), "--tol"),
+    ], ids=["run-gamma0", "run-ridge", "run-bound", "run-sigma", "run-seed", "verify-seed",
+            "constants-m", "game-tol"])
+    def test_invalid_value_is_config_error(self, capsys, tmp_path, argv, key):
+        if argv[0] == "run":
+            argv += ("--budget", "16", "--trials", "1", "--outdir", str(tmp_path))
+        assert exit_code(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"{argv[0]}: {key} ")
+        assert not (tmp_path / "curve.csv").exists()
 
     @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("run", "--help")])
     def test_help_and_version_exit_zero(self, capsys, argv):
@@ -140,9 +162,9 @@ class TestRunCommand:
     def test_writes_artifacts(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, *self.BASE, "--outdir", str(tmp_path))
         assert code == 0
-        curve = read_csv(tmp_path / "curve.csv")
-        assert curve.budgets.tolist() == [1, 2, 4, 8, 16, 32]
-        assert curve.n_trials == 3
+        budgets, _, _, n_trials = read_curve(tmp_path / "curve.csv")
+        assert budgets.tolist() == [1, 2, 4, 8, 16, 32]
+        assert (n_trials == 3).all()
         assert (tmp_path / "curve.svg").exists()
         manifest = (tmp_path / "manifest").read_text()
         assert manifest.startswith("# weaksgd")
@@ -168,7 +190,7 @@ class TestRunCommand:
         code, _, _ = run_cli(capsys, "run", "--config", str(cfg), "--trials", "4",
                              "--outdir", str(tmp_path / "out"))
         assert code == 0
-        assert read_csv(tmp_path / "out/curve.csv").n_trials == 4
+        assert (read_curve(tmp_path / "out/curve.csv")[3] == 4).all()
 
     def test_disallowed_strategy_for_task(self, capsys, tmp_path, fixtures_dir):
         code, _, err = run_cli(capsys, "run", "--task", "libsvm", "--strategy",
@@ -192,8 +214,7 @@ class TestRunCommand:
                              "--budget", "256", "--trials", "2", "--seed", "1",
                              "--gamma0", "7.5", "--outdir", str(tmp_path))
         assert code == 0
-        curve = read_csv(tmp_path / "curve.csv")
-        assert curve.mean_risk[-1] < 2.0 / 3.0
+        assert read_curve(tmp_path / "curve.csv")[1][-1] < 2.0 / 3.0
 
     def test_non_finite_curve_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--task", "sin-regression", "--budget", "64",
@@ -240,7 +261,7 @@ class TestRunCommand:
                              "--target", "apparent", "--bound", "30", "--budget", "16",
                              "--trials", "2", "--outdir", str(tmp_path))
         assert code == 0
-        assert np.isfinite(read_csv(tmp_path / "curve.csv").mean_risk).all()
+        assert np.isfinite(read_curve(tmp_path / "curve.csv")[1]).all()
 
     def test_jobs_parallelism_matches_serial(self, capsys, tmp_path):
         run_cli(capsys, *self.BASE, "--outdir", str(tmp_path / "serial"))

@@ -25,3 +25,9 @@ def test_import_loads_no_scipy_or_process_pool():
     assert out[0] == "-", f"loaded at import: {out[0]}"
     # the game still solves, loading scipy on first use
     assert abs(float(out[1]) + 0.1) < 1e-9
+
+
+def test_every_exported_name_resolves():
+    import weaksgd
+
+    assert [name for name in weaksgd.__all__ if not hasattr(weaksgd, name)] == []

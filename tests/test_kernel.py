@@ -19,6 +19,7 @@ from weaksgd.datasets import (
 )
 from weaksgd.estimators import WeakSGDClassifier, WeakSGDRegressor
 from weaksgd.evaluation import (
+    anchor_law,
     anchor_points,
     empirical_risk,
     excess_risk_noiseless,
@@ -102,18 +103,18 @@ class TestKernelEval:
 class TestPredict:
     def test_zero_coefficients(self, spec):
         model = KernelModel.zeros(np.array([[0.0], [1.0]]), 3, spec)
-        assert np.array_equal(model.predict([0.4]), np.zeros(3))
+        assert np.array_equal(model.predict_batch([0.4])[0], np.zeros(3))
 
     def test_single_representer_at_itself(self, spec):
         model = KernelModel(np.array([[0.25]]), np.array([[1.0, 0.0]]), spec)
-        assert np.allclose(model.predict([0.25]), [1.0, 0.0], atol=0)
+        assert np.allclose(model.predict_batch([0.25])[0], [1.0, 0.0], atol=0)
 
     def test_equidistant_half_kernel(self):
         # representers at -c and +c with c = sigma sqrt(2 ln 2): k(0, +/-c) = 1/2
         spec = KernelSpec(bandwidth=1.0)
         c = np.sqrt(2.0 * np.log(2.0))
         model = KernelModel(np.array([[-c], [c]]), np.eye(2), spec)
-        assert np.allclose(model.predict([0.0]), [0.5, 0.5], atol=1e-12)
+        assert np.allclose(model.predict_batch([0.0])[0], [0.5, 0.5], atol=1e-12)
 
     def test_linearity_in_coefficients(self, spec):
         rng = np.random.default_rng(7)
@@ -121,10 +122,10 @@ class TestPredict:
             p, m = int(rng.integers(1, 21)), int(rng.integers(1, 6))
             reps = rng.standard_normal((p, 2))
             a, b = rng.standard_normal((p, m)), rng.standard_normal((p, m))
-            x = rng.standard_normal(2)
-            fa = KernelModel(reps, a, spec).predict(x)
-            fb = KernelModel(reps, b, spec).predict(x)
-            fab = KernelModel(reps, a + b, spec).predict(x)
+            x = rng.standard_normal((1, 2))
+            fa = KernelModel(reps, a, spec).predict_batch(x)
+            fb = KernelModel(reps, b, spec).predict_batch(x)
+            fab = KernelModel(reps, a + b, spec).predict_batch(x)
             assert np.allclose(fab, fa + fb, atol=1e-12)
 
     def test_batch_matches_single(self, spec):
@@ -133,12 +134,14 @@ class TestPredict:
         X = rng.standard_normal((6, 2))
         batch = model.predict_batch(X)
         for i in range(6):
-            assert np.allclose(batch[i], model.predict(X[i]), atol=1e-12)
+            single = sum(kernel_eval(spec, X[i], rep) * coef
+                         for rep, coef in zip(model.representers, model.coefficients))
+            assert np.allclose(batch[i], single, atol=1e-12)
 
     def test_dimension_mismatch(self, spec):
         model = KernelModel.zeros(np.zeros((2, 2)), 1, spec)
         with pytest.raises(ValueError):
-            model.predict([1.0])
+            model.predict_batch([[1.0]])
 
 
 def one_step(model, x, y, gamma, direction="coordinate", seed=0):
@@ -196,7 +199,7 @@ class TestWeakUpdate:
             for j in range(2):
                 bumped = model.copy()
                 bumped.coefficients[i, j] += h
-                diff = float(bumped.predict(x) @ u - model.predict(x) @ u)
+                diff = float(bumped.predict_batch(x)[0] @ u - model.predict_batch(x)[0] @ u)
                 expected = h * u[j] * kernel_eval(spec, x, reps[i])
                 assert diff == pytest.approx(expected, abs=1e-12)
 
@@ -208,7 +211,7 @@ class TestWeakUpdate:
         model = KernelModel(reps, np.array([[0.2, -0.1, 0.4], [0.0, 0.3, 0.1]]), spec)
         x = np.array([0.1])
         y = np.array([0.5, 0.2, -0.3])
-        resid = y - model.predict(x)
+        resid = y - model.predict_batch(x)[0]
         direction = resid / np.linalg.norm(resid)
         n = 10**6
         U = sample_sphere_batch(rng, 3, n)
@@ -218,7 +221,7 @@ class TestWeakUpdate:
         target = c2_constant(3) * direction
         assert (np.abs(mean_dir - target) <= 4 * se + 1e-12).all()
         # and the driver's step is eps(U) U through the kernel column, for each U
-        kcol = model.kernel_column(x)
+        kcol = kernel_matrix(spec, x, reps)[0]
         for seed in range(5):
             stepped = model.copy()
             one_step(stepped, x, y, gamma=1.0, direction="sphere", seed=seed)
@@ -412,8 +415,9 @@ class TestPinnedPoints:
         assert (excess_risk_noiseless(pinned, sin_target, 512)
                 == excess_risk_noiseless(plain, sin_target, 512))
         plain, pinned = pinned_pair(*cases[2])
-        assert (excess_zero_one_anchor(pinned, 3, 0.05, 512)
-                == excess_zero_one_anchor(plain, 3, 0.05, 512))
+        law = anchor_law(3, 0.05, 512)
+        assert (excess_zero_one_anchor(pinned, support, law)
+                == excess_zero_one_anchor(plain, support, law))
 
     def test_a_mismatch_builds_a_fresh_block(self, matrix_calls):
         rng = np.random.default_rng(3)

@@ -265,7 +265,7 @@ class TestFullSGD:
         expect = np.zeros((2, 1))
         mirror = zero_model(X, bandwidth=0.25)
         for t, (x, y) in enumerate(zip(X, Y), start=1):
-            kcol = mirror.kernel_column(x)
+            kcol = kernel_matrix(mirror.spec, x, mirror.representers)[0]
             f = float(kcol @ expect[:, 0])
             expect[:, 0] -= sched.gamma0 / np.sqrt(t) * np.sign(f - y[0]) * kcol
         assert np.allclose(report.final_model.coefficients, expect, atol=1e-15)
@@ -307,7 +307,7 @@ class TestPassiveMedian:
         mirror = zero_model(X[:3], bandwidth=0.3)
         a = mirror.coefficients
         for t, (x, y, v) in enumerate(zip(X, Y, thresholds), start=1):
-            kcol = mirror.kernel_column(x)
+            kcol = kernel_matrix(mirror.spec, x, mirror.representers)[0]
             f = float(kcol @ a[:, 0])
             b = int(y[0] > v)
             if b == 1 and f < v:

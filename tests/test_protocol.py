@@ -85,6 +85,8 @@ def _classification(budget, mode):
     return QueryOracle.for_classification([2, 1, 3], 3, budget, mode, record_log=True)
 
 
+LABEL_DIM = {_regression: 2, _classification: 3}
+
 # failure -> (oracle factory, mode, the failing call, expected exception)
 FAILURES = {
     "exhausted-budget": (_regression, "resampling",
@@ -123,7 +125,7 @@ def test_failed_query_leaves_the_ledger_unchanged(failure, spent, slack):
     budget = spent if failure == "exhausted-budget" else spent + 1 + slack
     oracle = make(budget, mode)
     for t in range(spent):  # a few good queries first, in streaming order
-        oracle.threshold_query(t, np.eye(oracle.label_dim)[0], 0.5)
+        oracle.threshold_query(t, np.eye(LABEL_DIM[make])[0], 0.5)
     used, log = oracle.budget_used, list(oracle.query_log)
     with pytest.raises(error):
         call(oracle)

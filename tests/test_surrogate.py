@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from weaksgd import surrogate
 from weaksgd.experiments import train
 from weaksgd.kernel import KernelModel, KernelSpec
 from weaksgd.learner import StepSchedule, run_median_sgd
 from weaksgd.oracle import QueryOracle
 from weaksgd.surrogate import (
-    decode,
     decode_batch,
-    encode,
     encode_batch,
     infimum_loss_sgd,
     random_proper_subset,
@@ -18,24 +17,24 @@ from weaksgd.surrogate import (
 
 class TestEncodeDecode:
     def test_decode_middle_class(self):
-        assert decode([0.2, 0.5, 0.3]) == 2
+        assert decode_batch([[0.2, 0.5, 0.3]])[0] == 2
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_decode_inverts_encode(self, m):
         for y in range(1, m + 1):
-            assert decode(encode(y, m)) == y
+            assert decode_batch(encode_batch([y], m))[0] == y
 
     def test_tie_goes_to_lowest_index(self):
-        assert decode([0.5, 0.5]) == 1
-        assert decode([0.1, 0.4, 0.4]) == 2
+        assert decode_batch([[0.5, 0.5]])[0] == 1
+        assert decode_batch([[0.1, 0.4, 0.4]])[0] == 2
 
     def test_two_class_margin_flip(self):
-        assert decode([0.6, 0.4]) == 1
-        assert decode([0.4, 0.6]) == 2
+        assert decode_batch([[0.6, 0.4]])[0] == 1
+        assert decode_batch([[0.4, 0.6]])[0] == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            decode([])
+            decode_batch(np.empty((1, 0)))
 
     def test_encode_is_orthonormal(self):
         E = encode_batch([1, 2, 3], 3)
@@ -43,7 +42,7 @@ class TestEncodeDecode:
 
     def test_encode_range_check(self):
         with pytest.raises(ValueError):
-            encode(0, 3)
+            encode_batch([0], 3)
         with pytest.raises(ValueError):
             encode_batch([1, 4], 3)
 
@@ -108,7 +107,7 @@ class TestExponentialRegime:
         # with a margin around the band edges the decoded classifier matches
         # the best class on the whole support well within the budget
         from weaksgd.datasets import gen_anchor_classification
-        from weaksgd.evaluation import excess_zero_one_anchor
+        from weaksgd.evaluation import anchor_law, anchor_points, excess_zero_one_anchor
         from weaksgd.kernel import nystrom_representers
 
         perfect = 0
@@ -120,58 +119,62 @@ class TestExponentialRegime:
             model = KernelModel.zeros(reps, m, KernelSpec(0.05))
             report = train("active-median", data.features, data.targets, model,
                            StepSchedule.decaying(2.0), rng, T, n_classes=m)
-            perfect += excess_zero_one_anchor(report.averaged_model, m, 0.05, 512) == 0.0
+            perfect += excess_zero_one_anchor(report.averaged_model, anchor_points(0.05, 512),
+                                              anchor_law(m, 0.05, 512)) == 0.0
         assert perfect >= 3
 
 
+@pytest.fixture
+def set_two_three(monkeypatch):
+    """Every class set the infimum-loss rule draws is {2, 3}."""
+    monkeypatch.setattr(surrogate, "random_proper_subset", lambda rng, m: frozenset({2, 3}))
+
+
 class TestInfimumLoss:
-    def test_worked_example_positive_answer(self):
+    def test_worked_example_positive_answer(self, set_two_three):
         # g = (0.6, 0.3, 0.1), S = {2, 3}, bit 1 -> y* = 2, step along -(g - e2)/||g - e2||
         X = np.array([[0.0]])
         oracle = QueryOracle.for_classification([2], 3, budget=1)
         model = KernelModel.zeros(X.copy(), 3, KernelSpec(0.5))
         model.coefficients[0] = [0.6, 0.3, 0.1]
         sched = StepSchedule.decaying(0.2)
-        report = infimum_loss_sgd(X, oracle, sched, model, np.random.default_rng(0),
-                                  set_generator=lambda rng, m: {2, 3})
+        report = infimum_loss_sgd(X, oracle, sched, model, np.random.default_rng(0))
         g = np.array([0.6, 0.3, 0.1])
         r = g - np.array([0.0, 1.0, 0.0])
         expected = g - 0.2 * r / np.linalg.norm(r)
         assert np.allclose(report.final_model.coefficients[0], expected, atol=1e-14)
 
-    def test_negative_answer_uses_complement(self):
+    def test_negative_answer_uses_complement(self, set_two_three):
         # true class 1, S = {2, 3} -> bit 0 -> candidates {1} -> y* = 1
         X = np.array([[0.0]])
         oracle = QueryOracle.for_classification([1], 3, budget=1)
         model = KernelModel.zeros(X.copy(), 3, KernelSpec(0.5))
         model.coefficients[0] = [0.6, 0.3, 0.1]
         sched = StepSchedule.decaying(0.2)
-        report = infimum_loss_sgd(X, oracle, sched, model, np.random.default_rng(0),
-                                  set_generator=lambda rng, m: {2, 3})
+        report = infimum_loss_sgd(X, oracle, sched, model, np.random.default_rng(0))
         g = np.array([0.6, 0.3, 0.1])
         r = g - np.array([1.0, 0.0, 0.0])
         expected = g - 0.2 * r / np.linalg.norm(r)
         assert np.allclose(report.final_model.coefficients[0], expected, atol=1e-14)
 
-    def test_kink_is_no_op(self):
+    def test_kink_is_no_op(self, set_two_three):
         # g(x) = e_2 and 2 in S: zero gradient, coefficients untouched
         X = np.array([[0.0]])
         oracle = QueryOracle.for_classification([2], 3, budget=1)
         model = KernelModel.zeros(X.copy(), 3, KernelSpec(0.5))
         model.coefficients[0] = [0.0, 1.0, 0.0]
         report = infimum_loss_sgd(X, oracle, StepSchedule.decaying(0.2), model,
-                                  np.random.default_rng(0),
-                                  set_generator=lambda rng, m: {2, 3})
+                                  np.random.default_rng(0))
         assert np.allclose(report.final_model.coefficients[0], [0.0, 1.0, 0.0], atol=0)
 
-    def test_set_generator_never_trivial(self):
+    def test_proper_subset_never_trivial(self):
         rng = np.random.default_rng(3)
         m = 4
         for _ in range(10**5):
             s = random_proper_subset(rng, m)
             assert 0 < len(s) < m
 
-    def test_set_generator_needs_two_classes(self):
+    def test_proper_subset_needs_two_classes(self):
         with pytest.raises(ValueError):
             random_proper_subset(np.random.default_rng(0), 1)
 
