@@ -119,6 +119,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _constants_table(rng, ms, scale: float, samples: int):
+    """CSV rows of closed-form c2 and c1 against Monte Carlo, one per dimension,
+    and whether every row agrees within four standard errors."""
+    rows = []
+    all_ok = True
+    for m in ms:
+        c2 = geometry.c2_constant(m)
+        c1 = geometry.c1_constant(m, scale)
+        e2 = geometry.estimate_constant_mc(rng, m, "median", samples)
+        e1 = geometry.estimate_constant_mc(rng, m, "least-squares", samples, M=scale)
+        ok = e2.agrees_with(c2) and e1.agrees_with(c1)
+        all_ok &= ok
+        rows.append(f"{m},{c2!r},{e2.mean!r},{e2.std_error!r},"
+                    f"{c1!r},{e1.mean!r},{e1.std_error!r},{'ok' if ok else 'FAIL'}")
+    return rows, all_ok
+
+
 def cmd_constants(args) -> int:
     try:
         ms = [int(tok) for tok in args.m.split(",") if tok.strip()]
@@ -132,20 +149,9 @@ def cmd_constants(args) -> int:
         raise ConfigError(f"--scale must be finite and > 0, got {args.scale!r}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
+    rows, all_ok = _constants_table(np.random.default_rng(args.seed), ms, args.scale,
+                                    args.samples)
     header = "m,c2_closed,c2_mc,c2_se,c1_closed,c1_mc,c1_se,verdict"
-    rows = []
-    all_ok = True
-    for m in ms:
-        c2 = geometry.c2_constant(m)
-        c1 = geometry.c1_constant(m, args.scale)
-        e2 = geometry.estimate_constant_mc(rng, m, "median", args.samples)
-        e1 = geometry.estimate_constant_mc(rng, m, "least-squares", args.samples,
-                                           M=args.scale)
-        ok = e2.agrees_with(c2) and e1.agrees_with(c1)
-        all_ok &= ok
-        rows.append(f"{m},{c2!r},{e2.mean!r},{e2.std_error!r},"
-                    f"{c1!r},{e1.mean!r},{e1.std_error!r},{'ok' if ok else 'FAIL'}")
     print(header)
     for row in rows:
         print(row)
@@ -231,16 +237,7 @@ def _verify_checks(seed: int):
     rng = np.random.default_rng(seed)
 
     def constants_agree():
-        for m in (1, 2, 3, 8):
-            if not geometry.estimate_constant_mc(rng, m, "median", 200_000).agrees_with(
-                geometry.c2_constant(m)
-            ):
-                return False
-            if not geometry.estimate_constant_mc(
-                rng, m, "least-squares", 200_000, M=1.0
-            ).agrees_with(geometry.c1_constant(m, 1.0)):
-                return False
-        return True
+        return _constants_table(rng, (1, 2, 3, 8), 1.0, 200_000)[1]
 
     def reconstruction():
         for _ in range(3):

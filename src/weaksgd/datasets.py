@@ -30,8 +30,6 @@ class LabeledDataset:
     targets: np.ndarray
     kind: str
     n_classes: int | None = None
-    source: str = ""
-    feature_names: list | None = None
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -69,8 +67,7 @@ class LabeledDataset:
 
     def take(self, idx) -> "LabeledDataset":
         return LabeledDataset(np.array(self.features[idx]), np.array(self.targets[idx]),
-                              self.kind, self.n_classes, self.source, self.feature_names,
-                              dict(self.extra))
+                              self.kind, self.n_classes, dict(self.extra))
 
 
 @dataclass(frozen=True)
@@ -85,11 +82,15 @@ class SplitSpec:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
 
 
+def _train_size(n: int, train_fraction: float) -> int:
+    return int(n * train_fraction)  # the rows of n that split puts in the training part
+
+
 def split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded shuffle, then prefix/suffix partition. Deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(dataset.n)
-    n_train = int(dataset.n * spec.train_fraction)
+    n_train = _train_size(dataset.n, spec.train_fraction)
     return dataset.take(perm[:n_train]), dataset.take(perm[n_train:])
 
 
@@ -183,7 +184,7 @@ def parse_libsvm(source) -> LabeledDataset:
     mapping = {v: i + 1 for i, v in enumerate(label_values)}
     y = np.array([mapping[v] for v in labels], dtype=int)
     return LabeledDataset(X, y, "classification", n_classes=len(label_values),
-                          source="libsvm", extra={"label_values": label_values})
+                          extra={"label_values": label_values})
 
 
 def serialize_libsvm(dataset: LabeledDataset) -> str:
@@ -210,7 +211,7 @@ def parse_csv_regression(source, target_columns) -> LabeledDataset:
     are dropped and counted in ``extra["dropped_rows"]``. Comma delimiter,
     ``.`` decimal point, no quoting.
     """
-    lines = [ln for ln in _iter_lines(source)]
+    lines = _iter_lines(source)
     if not lines or not lines[0].strip():
         raise ParseError(1, "missing header row")
     header = [h.strip() for h in lines[0].split(",")]
@@ -238,12 +239,9 @@ def parse_csv_regression(source, target_columns) -> LabeledDataset:
         feat_rows.append([values[j] for j in f_idx])
         targ_rows.append([values[j] for j in t_idx])
     if not feat_rows:
-        raise ValueError("no usable rows after dropping incomplete ones")
-    return LabeledDataset(
-        np.array(feat_rows), np.array(targ_rows), "regression",
-        source="csv", feature_names=[header[j] for j in f_idx],
-        extra={"dropped_rows": dropped, "target_names": targets},
-    )
+        raise ParseError(len(lines), "no usable rows after dropping incomplete ones")
+    return LabeledDataset(np.array(feat_rows), np.array(targ_rows), "regression",
+                          extra={"dropped_rows": dropped})
 
 
 def sin_target(x: np.ndarray) -> np.ndarray:
@@ -254,10 +252,8 @@ def sin_target(x: np.ndarray) -> np.ndarray:
 
 def gen_sin_regression(n: int, rng: np.random.Generator) -> LabeledDataset:
     """Noiseless scalar task: X uniform on [0, 1], Y = sin(2 pi X)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     x = rng.random(n)
-    return LabeledDataset(x[:, None], sin_target(x), "regression", source="sin-regression")
+    return LabeledDataset(x[:, None], sin_target(x), "regression")
 
 
 def harmonic_target(x: np.ndarray, output_dim: int) -> np.ndarray:
@@ -272,13 +268,10 @@ def harmonic_target(x: np.ndarray, output_dim: int) -> np.ndarray:
 
 def gen_harmonic_regression(n: int, output_dim: int, rng: np.random.Generator) -> LabeledDataset:
     """Noiseless vector task: X uniform on [0, 1], Y the harmonic stack."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if output_dim < 1:
         raise ValueError("output_dim must be >= 1")
     x = rng.random(n)
-    return LabeledDataset(x[:, None], harmonic_target(x, output_dim), "regression",
-                          source="harmonic-regression")
+    return LabeledDataset(x[:, None], harmonic_target(x, output_dim), "regression")
 
 
 _ANCHOR_POSITIONS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -334,5 +327,4 @@ def gen_anchor_classification(n: int, n_classes: int, band_halfwidth: float,
     cum = np.cumsum(probs, axis=1)
     draws = rng.random(n)
     y = (draws[:, None] >= cum).sum(axis=1) + 1
-    return LabeledDataset(xs[:, None], y, "classification", n_classes=n_classes,
-                          source="anchor-classification")
+    return LabeledDataset(xs[:, None], y, "classification", n_classes=n_classes)

@@ -14,7 +14,7 @@ import inspect
 import numpy as np
 
 from . import experiments, surrogate
-from .kernel import KernelModel, KernelSpec, nystrom_representers
+from .kernel import KernelModel, KernelSpec, _as_points, nystrom_representers
 from .learner import StepSchedule
 
 
@@ -28,14 +28,12 @@ def check_random_state(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def check_array(X, name: str = "X") -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError(f"{name} must be a nonempty 2-D array")
+def check_array(X) -> np.ndarray:
+    X = _as_points(X)
+    if X.shape[0] < 1:
+        raise ValueError("X must be a nonempty 2-D array")
     if not np.isfinite(X).all():
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("X contains non-finite values")
     return X
 
 
@@ -70,13 +68,12 @@ class _BaseWeakSGD(_ParamsMixin):
         """Train through :func:`experiments.train`, which rejects a strategy
         name that is not its task kind's (after alias resolution)."""
         strategy = self._ALIASES.get(self.strategy, self.strategy)
-        n_train = X.shape[0]
-        budget = self.budget if self.budget is not None else n_train
+        budget = self.budget if self.budget is not None else X.shape[0]
         if budget < 0:
             raise ValueError("budget must be >= 0")
         schedule = StepSchedule(self.schedule, self.gamma0)
         rng = check_random_state(self.seed)
-        reps = nystrom_representers(X, min(self.rank, n_train), rng)
+        reps = nystrom_representers(X, self.rank, rng)
         output_dim = labels.shape[1] if n_classes is None else n_classes
         model = KernelModel.zeros(reps, output_dim, KernelSpec(self.bandwidth), self.ridge)
         report = experiments.train(strategy, X, labels, model, schedule, rng, budget,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import LabeledDataset, anchor_conditional, anchor_support_mask
 from .kernel import KernelModel
-from .surrogate import decode_batch, encode_batch
+from .surrogate import decode_batch
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,13 @@ def anchor_points(band_halfwidth: float, grid_size: int = 512) -> np.ndarray:
     return xs[anchor_support_mask(xs, band_halfwidth)]
 
 
-def empirical_risk(model: KernelModel, test: LabeledDataset, loss: str) -> float:
-    """Mean test loss: rowwise ||f(x) - y|| or decoded zero-one error."""
+def empirical_risk(model: KernelModel, test: LabeledDataset) -> float:
+    """Mean test loss: decoded zero-one error on classes, rowwise ||f(x) - y||
+    on real targets."""
     preds = model.predict_batch(test.features)
-    if loss == "absolute-deviation":
-        if test.kind == "regression":
-            resid = preds - test.targets
-        else:
-            resid = preds - encode_batch(test.targets, test.n_classes)
-        return float(np.linalg.norm(resid, axis=1).mean())
-    if loss == "zero-one":
-        if test.kind != "classification":
-            raise ValueError("zero-one risk needs class targets")
+    if test.kind == "classification":
         return float((decode_batch(preds) != test.targets).mean())
-    raise ValueError(f"unknown loss {loss!r}")
+    return float(np.linalg.norm(preds - test.targets, axis=1).mean())
 
 
 def excess_risk_noiseless(model: KernelModel, target_fn, grid_size: int = 512) -> float:
@@ -151,8 +144,6 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72.0, 24.0, 24.0, 48.0
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
@@ -160,21 +151,21 @@ def emit_svg(curves, path) -> None:
     """Render labelled curves as a log-log SVG line chart (polyline/line/text
     only).
 
-    ``curves`` is a sequence of (label, RiskCurve). Output bytes are a
-    deterministic function of the inputs.
+    ``curves`` is a sequence of (label, RiskCurve). Risks that are not positive
+    are left out (one default decade spans the y axis if none is). Output bytes
+    are a deterministic function of the inputs.
     """
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve to plot")
     xs_all, ys_all = [], []
     for _, curve in curves:
-        for t, r in zip(curve.budgets, curve.mean_risk):
-            if t <= 0 or r <= 0:
-                raise ValueError("log-log axes need positive budgets and risks")
-            xs_all.append(math.log10(t))
-            ys_all.append(math.log10(r))
+        if (curve.budgets <= 0).any():
+            raise ValueError("log-log axes need positive budgets")
+        xs_all += [math.log10(t) for t in curve.budgets]
+        ys_all += [math.log10(r) for r in curve.mean_risk if r > 0]
     x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    y_lo, y_hi = (min(ys_all), max(ys_all)) if ys_all else (-1.0, 0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -220,7 +211,7 @@ def emit_svg(curves, path) -> None:
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(
             f"{px(math.log10(t)):.2f},{py(math.log10(r)):.2f}"
-            for t, r in zip(curve.budgets, curve.mean_risk)
+            for t, r in zip(curve.budgets, curve.mean_risk) if r > 0
         )
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 14.0 + 16.0 * k

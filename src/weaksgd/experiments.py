@@ -18,7 +18,9 @@ import numpy as np
 from . import learner, surrogate
 from .datasets import (
     LabeledDataset,
+    ParseError,
     SplitSpec,
+    _train_size,
     apply_standardize,
     gen_anchor_classification,
     gen_sin_regression,
@@ -215,7 +217,7 @@ def _model(cfg: ExperimentConfig, data: LabeledDataset, sigma: float, rng,
            points) -> KernelModel:
     """A zero model on representers drawn from ``data``, with the kernel block
     of the trial's evaluation ``points`` pinned for every checkpoint."""
-    reps = nystrom_representers(data.features, min(cfg.rank, data.n), rng)
+    reps = nystrom_representers(data.features, cfg.rank, rng)
     model = KernelModel.zeros(reps, data.output_dim, KernelSpec(sigma), cfg.ridge)
     model.pin_points(points)
     return model
@@ -236,10 +238,24 @@ def _anchor_trial(cfg: ExperimentConfig, seed: int, rng, full):
 
 
 def _load_input(cfg: ExperimentConfig) -> LabeledDataset:
+    """The input file, read once for every trial; a bad ``target`` or
+    ``train_fraction`` is a configuration error, a malformed file is not."""
     with open(cfg.input, "r", encoding="utf-8") as fh:
         if cfg.task == "libsvm":
-            return parse_libsvm(fh)
-        return parse_csv_regression(fh, [c.strip() for c in cfg.target.split(",") if c.strip()])
+            data = parse_libsvm(fh)
+        else:
+            try:
+                data = parse_csv_regression(
+                    fh, [c.strip() for c in cfg.target.split(",") if c.strip()])
+            except (ParseError, UnicodeError):
+                raise
+            except ValueError as exc:  # the parser's one other error: a target it lacks
+                raise ConfigError(str(exc)) from None
+    n_train = _train_size(data.n, cfg.train_fraction)
+    if n_train < 2:
+        raise ConfigError(f"train_fraction {cfg.train_fraction!r} leaves {n_train} of "
+                          f"{data.n} rows for training; standardization needs two")
+    return data
 
 
 def _file_trial(cfg: ExperimentConfig, seed: int, rng, full: LabeledDataset):
@@ -249,9 +265,8 @@ def _file_trial(cfg: ExperimentConfig, seed: int, rng, full: LabeledDataset):
     rows, info = standardize(rows)
     test = apply_standardize(test, info)
     sigma = cfg.sigma if cfg.sigma is not None else rows.d / 5.0
-    loss = "zero-one" if cfg.task == "libsvm" else "absolute-deviation"
     model = _model(cfg, rows, sigma, rng, test.features)
-    return rows, model, lambda m: empirical_risk(m, test, loss)
+    return rows, model, lambda m: empirical_risk(m, test)
 
 
 _TRIAL_FUNCTIONS = {

@@ -17,18 +17,12 @@ import numpy as np
 class GameSolveError(RuntimeError):
     """Equilibrium solve failed or missed the requested certificate."""
 
-    def __init__(self, message: str, gap: float | None = None):
-        super().__init__(message)
-        self.gap = gap
-
 
 @dataclass(frozen=True)
 class MatrixGame:
     """Payoff matrix with row strategies maximizing, column strategies minimizing."""
 
     payoff: np.ndarray
-    row_labels: tuple
-    col_labels: tuple
 
     def __post_init__(self):
         payoff = np.asarray(self.payoff, dtype=float)
@@ -74,7 +68,7 @@ def build_game(p, family) -> MatrixGame:
         margin = 2.0 * float(p[[s - 1 for s in S]].sum()) - 1.0
         pattern = np.array([1.0 if y in S else -1.0 for y in range(1, m + 1)])
         payoff[r] = -margin * pattern
-    return MatrixGame(payoff, tuple(sets), tuple(range(1, m + 1)))
+    return MatrixGame(payoff)
 
 
 def _strategy_lp(A: np.ndarray, maxiter: int):
@@ -107,7 +101,7 @@ def solve_game(game: MatrixGame, iterations: int = 100_000, tol: float = 1e-6) -
 
     Solves both players' linear programs exactly and checks
     max_row (A v*) - min_col (mu*^T A) <= 2 * tol; a larger gap raises
-    :class:`GameSolveError` carrying the gap.
+    :class:`GameSolveError` naming the gap.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -119,12 +113,9 @@ def solve_game(game: MatrixGame, iterations: int = 100_000, tol: float = 1e-6) -
     gap = float((A @ col_strategy).max() - (row_strategy @ A).min())
     if gap > 2.0 * tol:
         raise GameSolveError(
-            f"duality gap {gap:.3e} exceeds certificate 2*tol = {2.0 * tol:.3e}", gap=gap
-        )
+            f"duality gap {gap:.3e} exceeds certificate 2*tol = {2.0 * tol:.3e}")
     if abs(value + neg_value) > 2.0 * tol:
-        raise GameSolveError(
-            f"player values disagree: {value} vs {-neg_value}", gap=gap
-        )
+        raise GameSolveError(f"player values disagree: {value} vs {-neg_value}")
     return GameSolution(value, row_strategy, col_strategy, gap)
 
 

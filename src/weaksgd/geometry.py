@@ -114,7 +114,6 @@ class MonteCarloEstimate:
 
     mean: float
     std_error: float
-    n_samples: int
 
     def agrees_with(self, value: float, n_sigma: float = 4.0, atol: float = 1e-12) -> bool:
         return abs(self.mean - value) <= n_sigma * self.std_error + atol
@@ -127,6 +126,20 @@ def _iter_chunks(n: int, m: int):
         take = min(chunk, n - done)
         done += take
         yield take
+
+
+def _check_kind(kind: str, M: float | None) -> None:
+    """Reject an unknown kind, and an M that does not fit the kind."""
+    if kind == "median":
+        if M is not None:
+            raise ValueError("median kind takes no scale bound M")
+    elif kind == "least-squares":
+        if M is None:
+            raise ValueError("least-squares kind requires the scale bound M")
+        if not M > 0:
+            raise ValueError(f"scale bound M must be > 0, got {M}")
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
 
 
 def estimate_constant_mc(
@@ -144,17 +157,7 @@ def estimate_constant_mc(
     m = _check_dim(m)
     if n_samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {n_samples}")
-    if kind == "median":
-        if M is not None:
-            raise ValueError("median kind takes no scale bound M")
-    elif kind == "least-squares":
-        if M is None:
-            raise ValueError("least-squares kind requires the scale bound M")
-        if not M > 0:
-            raise ValueError(f"scale bound M must be > 0, got {M}")
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-
+    _check_kind(kind, M)
     total = 0.0
     total_sq = 0.0
     for take in _iter_chunks(n_samples, m):
@@ -169,7 +172,7 @@ def estimate_constant_mc(
         total_sq += float((vals * vals).sum())
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0)
-    return MonteCarloEstimate(mean, math.sqrt(var / n_samples), n_samples)
+    return MonteCarloEstimate(mean, math.sqrt(var / n_samples))
 
 
 def estimate_reconstruction_mc(
@@ -189,13 +192,9 @@ def estimate_reconstruction_mc(
     if z.ndim != 1 or z.size < 1:
         raise ValueError("z must be a nonempty 1-D vector")
     m = z.size
-    if kind == "least-squares":
-        if M is None:
-            raise ValueError("least-squares kind requires the scale bound M")
-        if np.linalg.norm(z) > 2.0 * M + 1e-12:
-            raise ValueError("reconstruction requires ||z|| <= 2M")
-    elif kind != "median":
-        raise ValueError(f"unknown kind {kind!r}")
+    _check_kind(kind, M)
+    if kind == "least-squares" and np.linalg.norm(z) > 2.0 * M + 1e-12:
+        raise ValueError("reconstruction requires ||z|| <= 2M")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 

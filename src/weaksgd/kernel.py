@@ -175,11 +175,6 @@ class KernelModel:
             arr.flags.writeable = False
         self.pinned = PinnedBlock(X, reps, self.spec, block)
 
-    def copy(self) -> "KernelModel":
-        return KernelModel(
-            self.representers.copy(), self.coefficients.copy(), self.spec, self.ridge
-        )
-
     def with_coefficients(self, coefficients: np.ndarray) -> "KernelModel":
         """A model with these coefficients, sharing representers and pinned block."""
         snap = KernelModel(self.representers, np.array(coefficients, dtype=float), self.spec,

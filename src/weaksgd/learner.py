@@ -171,13 +171,12 @@ def run_median_sgd(
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     steps = len(used)
     m = model.output_dim
-    if steps:
-        if direction == "sphere":
-            U = sample_sphere_batch(rng, m, steps)
-        elif direction == "coordinate":
-            U = np.eye(m)[rng.integers(0, m, steps)]
-        else:
-            raise ValueError(f"unknown direction scheme {direction!r}")
+    if direction == "sphere":
+        U = sample_sphere_batch(rng, m, steps)
+    elif direction == "coordinate":
+        U = np.eye(m)[rng.integers(0, m, steps)]
+    else:
+        raise ValueError(f"unknown direction scheme {direction!r}")
     a = model.coefficients
     query = oracle.halfspace_query
 
@@ -209,9 +208,8 @@ def run_least_squares_sgd(
         raise ValueError("bound must be > 0")
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     steps = len(used)
-    if steps:
-        U = sample_sphere_batch(rng, model.output_dim, steps)
-        V = rng.uniform(0.0, 2.0 * bound, steps)
+    U = sample_sphere_batch(rng, model.output_dim, steps)
+    V = rng.uniform(0.0, 2.0 * bound, steps)
     a = model.coefficients
     query = oracle.threshold_query
 
@@ -274,8 +272,7 @@ def run_passive_median(
         raise ValueError("the passive threshold strategy is defined for scalar outputs")
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     steps = len(used)
-    if steps:
-        V = rng.standard_normal(steps)
+    V = rng.standard_normal(steps)
     a = model.coefficients
     query = oracle.threshold_query
     one = np.ones(1)

@@ -20,16 +20,6 @@ from .learner import run_median_sgd  # noqa: F401  kept: perfbench/layers.py wra
 from .oracle import QueryOracle
 
 
-def encode_batch(classes, n_classes: int) -> np.ndarray:
-    """Basis-vector embedding of classes in {1, ..., n_classes}, one row each."""
-    c = np.asarray(classes, dtype=int)
-    if ((c < 1) | (c > n_classes)).any():
-        raise ValueError(f"class indices must lie in 1..{n_classes}")
-    out = np.zeros((c.size, n_classes))
-    out[np.arange(c.size), c - 1] = 1.0
-    return out
-
-
 def decode_batch(G) -> np.ndarray:
     """Class of each score row: the smallest index attaining its max (1-based)."""
     G = np.asarray(G, dtype=float)

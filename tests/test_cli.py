@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from weaksgd import cli, geometry
+from weaksgd import cli, experiments, geometry
 from weaksgd.experiments import ConfigError, config_from_mapping
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -50,12 +55,23 @@ class TestExitCodes:
         (("run", "--bound", "inf", "--strategy", "active-least-squares"), "bound"),
         (("run", "--sigma", "inf"), "sigma"),
         (("run", "--seed", "-1"), "seed"),
+        (("run", "--task", "csv-regression", "--input", str(FIXTURES / "weather.csv"),
+          "--target", "nosuch"), "target"),
+        (("run", "--task", "libsvm", "--input", str(FIXTURES / "blobs3.libsvm"),
+          "--train-fraction", "0.001"), "train_fraction"),
+        (("run", "--task", "libsvm", "--input", str(FIXTURES / "blobs3.libsvm"),
+          "--train-fraction", "0.006"), "train_fraction"),
         (("verify", "--seed", "-1"), "--seed"),
         (("constants", "--m", "0"), "--m"),
         (("game", "--counterexample", "--tol", "0"), "--tol"),
-    ], ids=["run-gamma0", "run-ridge", "run-bound", "run-sigma", "run-seed", "verify-seed",
-            "constants-m", "game-tol"])
-    def test_invalid_value_is_config_error(self, capsys, tmp_path, argv, key):
+    ], ids=["run-gamma0", "run-ridge", "run-bound", "run-sigma", "run-seed", "run-csv-target",
+            "run-no-training-row", "run-one-training-row", "verify-seed", "constants-m",
+            "game-tol"])
+    def test_invalid_value_is_config_error(self, capsys, tmp_path, monkeypatch, argv, key):
+        def no_trial(args):
+            raise AssertionError("a trial ran before the configuration was checked")
+
+        monkeypatch.setattr(experiments, "_one_trial", no_trial)
         if argv[0] == "run":
             argv += ("--budget", "16", "--trials", "1", "--outdir", str(tmp_path))
         assert exit_code(*argv) == 1
@@ -262,6 +278,27 @@ class TestRunCommand:
                              "--trials", "2", "--outdir", str(tmp_path))
         assert code == 0
         assert np.isfinite(read_curve(tmp_path / "curve.csv")[1]).all()
+
+    def test_zero_risk_curve_is_written(self, capsys, tmp_path):
+        # the anchored task learned perfectly: every checkpoint risk is zero
+        code, _, _ = run_cli(capsys, "run", "--task", "anchor-classification",
+                             "--budget", "16", "--trials", "1", "--grid-size", "1",
+                             "--epsilon", "0.2", "--classes", "3", "--outdir", str(tmp_path))
+        assert code == 0
+        assert (read_curve(tmp_path / "curve.csv")[1] == 0.0).all()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "curve.svg",
+                                                             "manifest"]
+
+    @pytest.mark.parametrize("body", ["a,b\n1,2\n3\n", "a,b\n,2\nx,3\n"],
+                             ids=["cell-count", "no-usable-row"])
+    def test_malformed_csv_is_runtime_error(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        code, _, err = run_cli(capsys, "run", "--task", "csv-regression", "--input", str(path),
+                               "--target", "b", "--budget", "16", "--trials", "1",
+                               "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("run: line ")
 
     def test_jobs_parallelism_matches_serial(self, capsys, tmp_path):
         run_cli(capsys, *self.BASE, "--outdir", str(tmp_path / "serial"))

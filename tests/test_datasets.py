@@ -66,7 +66,7 @@ class TestParseLibsvm:
         X[X == 0.0] = 0.25
         X[:, 2] = np.abs(X[:, 2]) + 0.1  # keep the last column nonzero to pin d
         y = rng.integers(1, 4, 10)
-        ds = LabeledDataset(X, y, "classification", n_classes=3, source="synthetic")
+        ds = LabeledDataset(X, y, "classification", n_classes=3)
         back = parse_libsvm(serialize_libsvm(ds))
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.targets.tolist() == ds.targets.tolist()
@@ -284,7 +284,7 @@ class TestCsvParser:
     def test_multi_target(self):
         ds = parse_csv_regression("a,b,c\n1,2,3\n4,5,6\n", ["b", "c"])
         assert ds.output_dim == 2
-        assert ds.feature_names == ["a"]
+        assert ds.features.tolist() == [[1.0], [4.0]]  # column a
 
     def test_fixture_parses(self, fixtures_dir):
         with open(fixtures_dir / "weather.csv") as fh:

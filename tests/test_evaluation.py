@@ -32,13 +32,13 @@ class TestEmpiricalRisk:
         model = KernelModel(rng.random((5, 1)), rng.standard_normal((5, 2)), KernelSpec(0.3))
         X = rng.random((20, 1))
         ds = LabeledDataset(X, model.predict_batch(X), "regression")
-        assert empirical_risk(model, ds, "absolute-deviation") == 0.0
+        assert empirical_risk(model, ds) == 0.0
 
     def test_zero_model_on_sin_grid(self):
         # E|sin(2 pi X)| over the 512-point grid approximates 2/pi
         xs = midpoint_grid(512)
         ds = LabeledDataset(xs[:, None], sin_target(xs), "regression")
-        risk = empirical_risk(scalar_model(0.0), ds, "absolute-deviation")
+        risk = empirical_risk(scalar_model(0.0), ds)
         assert risk == pytest.approx(2.0 / math.pi, abs=1e-3)
 
     def test_constant_class_predictor_on_balanced_data(self):
@@ -47,14 +47,7 @@ class TestEmpiricalRisk:
         X = np.zeros((10, 1))
         y = np.array([1, 2] * 5)
         ds = LabeledDataset(X, y, "classification", n_classes=2)
-        assert empirical_risk(model, ds, "zero-one") == 0.5
-
-    def test_loss_target_compatibility(self):
-        ds = LabeledDataset(np.ones((2, 1)), np.zeros(2), "regression")
-        with pytest.raises(ValueError):
-            empirical_risk(scalar_model(), ds, "zero-one")
-        with pytest.raises(ValueError):
-            empirical_risk(scalar_model(), ds, "hinge")
+        assert empirical_risk(model, ds) == 0.5
 
 
 class TestExcessRisk:
@@ -226,7 +219,32 @@ class TestEmission:
         with pytest.raises(ValueError):
             emit_svg([], tmp_path / "empty.svg")
 
-    def test_svg_loglog_rejects_nonpositive_risk(self, tmp_path):
-        curve = RiskCurve(np.array([1, 2]), np.array([0.0, 0.5]), np.zeros(2), 1)
+    def test_svg_leaves_out_nonpositive_risks(self, tmp_path):
+        # a zero risk has no place on a log axis: the point is left out, the
+        # axes span the budgets and the positive risks, and the file is written
+        curve = RiskCurve(np.array([1, 2, 4]), np.array([0.0, 0.5, 0.05]), np.zeros(3), 1)
+        positive = RiskCurve(np.array([1, 2, 4]), np.array([0.5, 0.5, 0.05]), np.zeros(3), 1)
+        emit_svg([("r", curve)], tmp_path / "zero.svg")
+        emit_svg([("r", positive)], tmp_path / "positive.svg")
+
+        def split_polyline(name):
+            lines = (tmp_path / name).read_text().splitlines()
+            poly = [ln for ln in lines if ln.startswith("<polyline")]
+            return poly[0].split('"')[1].split(), [ln for ln in lines if ln not in poly]
+
+        zero_points, zero_rest = split_polyline("zero.svg")
+        full_points, full_rest = split_polyline("positive.svg")
+        assert zero_points == full_points[1:]  # same axes, so the same pixels
+        assert zero_rest == full_rest
+
+    def test_svg_with_no_positive_risk_plots_a_default_decade(self, tmp_path):
+        curve = RiskCurve(np.array([1, 2]), np.zeros(2), np.zeros(2), 1)
+        emit_svg([("r", curve)], tmp_path / "zeros.svg")
+        text = (tmp_path / "zeros.svg").read_text()
+        assert '<polyline points=""' in text
+        assert ">0.1</text>" in text and ">1</text>" in text
+
+    def test_svg_rejects_nonpositive_budget(self, tmp_path):
+        curve = RiskCurve(np.array([0, 2]), np.array([0.1, 0.5]), np.zeros(2), 1)
         with pytest.raises(ValueError):
             emit_svg([("r", curve)], tmp_path / "bad.svg")

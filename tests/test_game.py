@@ -99,14 +99,14 @@ class TestBuildGame:
 
 class TestSolveGame:
     def test_matching_pennies(self):
-        game = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]), ("h", "t"), (1, 2))
+        game = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         sol = solve_game(game, tol=1e-9)
         assert sol.value == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(sol.row_strategy, [0.5, 0.5], atol=1e-8)
         assert np.allclose(sol.col_strategy, [0.5, 0.5], atol=1e-8)
 
     def test_all_zero_matrix(self):
-        game = MatrixGame(np.zeros((2, 3)), ("a", "b"), (1, 2, 3))
+        game = MatrixGame(np.zeros((2, 3)))
         sol = solve_game(game)
         assert sol.value == pytest.approx(0.0, abs=1e-12)
         assert sol.duality_gap <= 1e-12
@@ -131,7 +131,7 @@ class TestSolveGame:
         rng = np.random.default_rng(0)
         for _ in range(10):
             A = rng.standard_normal((int(rng.integers(2, 5)), int(rng.integers(2, 5))))
-            sol = solve_game(MatrixGame(A, (), ()), tol=1e-9)
+            sol = solve_game(MatrixGame(A), tol=1e-9)
             assert sol.duality_gap <= 2e-9
 
     def test_agrees_with_support_enumeration(self):
@@ -140,7 +140,7 @@ class TestSolveGame:
             size = 2 if case < 10 else 3
             A = rng.integers(-4, 5, size=(size, size)).astype(float)
             expected = support_enumeration_value(A)
-            sol = solve_game(MatrixGame(A, (), ()), tol=1e-9)
+            sol = solve_game(MatrixGame(A), tol=1e-9)
             assert sol.value == pytest.approx(expected, abs=1e-4)
 
     def test_low_noise_recovery(self):
@@ -170,10 +170,10 @@ class TestSolveGame:
             solve_game(game, iterations=1)
 
     def test_validation(self):
-        game = MatrixGame(np.zeros((1, 1)), (), ())
+        game = MatrixGame(np.zeros((1, 1)))
         with pytest.raises(ValueError):
             solve_game(game, iterations=0)
         with pytest.raises(ValueError):
             solve_game(game, tol=0.0)
         with pytest.raises(ValueError):
-            MatrixGame(np.array([[np.inf]]), (), ())
+            MatrixGame(np.array([[np.inf]]))

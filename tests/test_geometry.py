@@ -144,9 +144,27 @@ class TestMonteCarloConstants:
         assert est.std_error == math.sqrt(max(mean_sq - est.mean**2, 0.0) / n)
 
     def test_agreement_helper(self):
-        est = MonteCarloEstimate(0.5, 0.01, 1000)
+        est = MonteCarloEstimate(0.5, 0.01)
         assert est.agrees_with(0.52)
         assert not est.agrees_with(0.56)
+
+
+class TestKindCheck:
+    """Both Monte Carlo estimators accept a kind and a scale bound M alike."""
+
+    @pytest.mark.parametrize("kind,M", [("median", 1.0), ("least-squares", None),
+                                        ("least-squares", 0.0), ("least-squares", -1.0),
+                                        ("hinge", None)],
+                             ids=["median-with-M", "ls-without-M", "ls-zero-M",
+                                  "ls-negative-M", "unknown-kind"])
+    def test_both_estimators_reject_before_drawing(self, kind, M):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            estimate_constant_mc(rng, 2, kind, 1000, M=M)
+        with pytest.raises(ValueError):
+            estimate_reconstruction_mc(rng, np.zeros(2), kind, 1000, M=M)
+        assert rng.bit_generator.state == state
 
 
 class TestReconstructionIdentity:

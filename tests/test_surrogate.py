@@ -8,7 +8,6 @@ from weaksgd.learner import StepSchedule, run_median_sgd
 from weaksgd.oracle import QueryOracle
 from weaksgd.surrogate import (
     decode_batch,
-    encode_batch,
     infimum_loss_sgd,
     random_proper_subset,
     surrogate_target_check,
@@ -22,7 +21,7 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_decode_inverts_encode(self, m):
         for y in range(1, m + 1):
-            assert decode_batch(encode_batch([y], m))[0] == y
+            assert decode_batch(np.eye(m)[[y - 1]])[0] == y
 
     def test_tie_goes_to_lowest_index(self):
         assert decode_batch([[0.5, 0.5]])[0] == 1
@@ -35,16 +34,6 @@ class TestEncodeDecode:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             decode_batch(np.empty((1, 0)))
-
-    def test_encode_is_orthonormal(self):
-        E = encode_batch([1, 2, 3], 3)
-        assert np.allclose(E @ E.T, np.eye(3), atol=0)
-
-    def test_encode_range_check(self):
-        with pytest.raises(ValueError):
-            encode_batch([0], 3)
-        with pytest.raises(ValueError):
-            encode_batch([1, 4], 3)
 
     def test_decode_batch(self):
         G = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0]])
