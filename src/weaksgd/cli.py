@@ -177,7 +177,6 @@ def cmd_run(args) -> int:
         if key not in ("command", "config", "outdir") and value is not None:
             mapping[key] = value
     cfg = config_from_mapping(mapping).resolved()
-    os.makedirs(args.outdir, exist_ok=True)
     names = ("curve.csv", "curve.svg", "manifest")
     paths = [os.path.join(args.outdir, name) for name in names]
     # written under temporary names and moved into place only once all three
@@ -188,6 +187,7 @@ def cmd_run(args) -> int:
         if not np.isfinite(curve.mean_risk).all():
             raise ValueError("the risk curve is not finite; the iterates diverged "
                              "(try a smaller gamma0)")
+        os.makedirs(args.outdir, exist_ok=True)  # only now: a failed run leaves no new directory
         emit_csv(curve, temps[0])
         emit_svg([(cfg.strategy, curve)], temps[1])
         manifest = (f"# weaksgd {__version__}, numpy {np.__version__}\n"

@@ -216,11 +216,17 @@ def parse_csv_regression(source, target_columns) -> LabeledDataset:
         raise ParseError(1, "missing header row")
     header = [h.strip() for h in lines[0].split(",")]
     targets = list(target_columns)
+    if not targets:
+        raise ValueError("target names no column")
     for name in targets:
         if name not in header:
             raise ValueError(f"target column {name!r} not in header {header}")
+        if targets.count(name) > 1:
+            raise ValueError(f"target column {name!r} is named more than once")
     t_idx = [header.index(name) for name in targets]
     f_idx = [j for j in range(len(header)) if j not in t_idx]
+    if not f_idx:
+        raise ValueError(f"target names every column of {header}, leaving no feature")
     feat_rows, targ_rows, dropped = [], [], 0
     for ln_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():

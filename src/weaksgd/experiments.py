@@ -249,7 +249,7 @@ def _load_input(cfg: ExperimentConfig) -> LabeledDataset:
                     fh, [c.strip() for c in cfg.target.split(",") if c.strip()])
             except (ParseError, UnicodeError):
                 raise
-            except ValueError as exc:  # the parser's one other error: a target it lacks
+            except ValueError as exc:  # the parser's other errors: a bad target list
                 raise ConfigError(str(exc)) from None
     n_train = _train_size(data.n, cfg.train_fraction)
     if n_train < 2:

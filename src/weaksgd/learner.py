@@ -6,6 +6,14 @@ and maintain the running average of the iterates (checkpoint risks are
 evaluated on that average). A driver draws its randomness up front and
 supplies only a *bit rule*: one oracle call, then the step's coefficient and
 direction. A driver consumes exactly ``min(budget, len(sequence))`` queries.
+
+What each driver draws from its generator, in order, once per trial:
+
+* median (:func:`run_median_sgd`): U, on the sphere or a coordinate;
+* least squares (:func:`run_least_squares_sgd`): U, then V;
+* passive (:func:`run_passive_median`): V;
+* full-sgd (:func:`run_full_sgd`): nothing;
+* infimum-loss (:func:`weaksgd.surrogate.infimum_loss_sgd`): the class-set rows.
 """
 
 from __future__ import annotations

@@ -136,7 +136,7 @@ class QueryOracle:
         if self._classes is None:
             raise ValueError("membership queries require a classification oracle")
         used = self._precheck(i)
-        S = frozenset(int(s) for s in S)
+        S = frozenset(map(int, S))
         if not S <= self._class_ids:
             raise ValueError(f"classes in S must lie in 1..{self._m}")
         if len(S) == 0 or len(S) == self._m:

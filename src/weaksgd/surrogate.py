@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import geometric_median
-from .kernel import KernelModel
+from .kernel import CHUNK_ROWS, KernelModel
 from .learner import StepSchedule, TrainReport, _descend, _prepare
 from .learner import run_median_sgd  # noqa: F401  kept: perfbench/layers.py wraps this site
 from .oracle import QueryOracle
@@ -28,15 +28,27 @@ def decode_batch(G) -> np.ndarray:
     return np.argmax(G, axis=1) + 1
 
 
-def random_proper_subset(rng: np.random.Generator, n_classes: int) -> frozenset:
-    """Random class subset with each class an independent fair coin flip,
-    redrawn until the set is neither empty nor everything."""
+def random_proper_subsets(rng: np.random.Generator, n_classes: int, count: int) -> np.ndarray:
+    """``count`` random class sets, as the rows of a (count, n_classes) bool
+    array: each class is an independent fair coin flip, and a row that is
+    empty or full is dropped and drawn again.
+
+    The rows are drawn in blocks of at most ``CHUNK_ROWS``, each asking only
+    for the rows still missing. A fair int64 coin is one 32-bit draw that the
+    sampler never rejects, so the blocks read the generator exactly as one
+    ``rng.integers(0, 2, n_classes)`` per row, redrawn until proper, would.
+    """
     if n_classes < 2:
         raise ValueError("need at least two classes to form a proper subset")
-    while True:
-        members = rng.integers(0, 2, n_classes).nonzero()[0]
-        if 0 < members.size < n_classes:
-            return frozenset((members + 1).tolist())
+    sets = np.empty((count, n_classes), dtype=bool)
+    filled = 0
+    while filled < count:
+        block = rng.integers(0, 2, (min(count - filled, CHUNK_ROWS), n_classes)).astype(bool)
+        size = np.count_nonzero(block, axis=1)
+        block = block[(size > 0) & (size < n_classes)]
+        sets[filled:filled + len(block)] = block
+        filled += len(block)
+    return sets
 
 
 def infimum_loss_sgd(
@@ -51,23 +63,26 @@ def infimum_loss_sgd(
 ) -> TrainReport:
     """Best-case-loss SGD from one membership bit per step.
 
-    Per step: draw a proper random set S, learn the bit 1{Y in S}, restrict
-    to S when the bit is 1 and to its complement otherwise, pick
+    Every step's proper random set S is drawn up front. Per step: learn the
+    bit 1{Y in S}, restrict to S when the bit is 1 and to its complement
+    otherwise, pick
     y* = argmax_{y in set} g(x)_y, and descend along
     (g(x) - e_{y*}) / ||g(x) - e_{y*}|| (no-op at the kink g(x) = e_{y*}).
     """
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     m = model.output_dim
+    sets = random_proper_subsets(rng, m, len(used))
     a = model.coefficients
     query = oracle.membership_query
-    classes = frozenset(range(1, m + 1))
+    ids = np.arange(1, m + 1)
 
     def rule(s, kcol, gamma):
-        S = random_proper_subset(rng, m)
-        inside = query(int(used[s]), S)
-        order = np.array(sorted(S if inside else classes - S)) - 1  # 0-based candidates
+        row = sets[s]
+        if not query(int(used[s]), ids[row].tolist()):
+            row = ~row  # the complement holds the class
+        cand = row.nonzero()[0]  # 0-based candidates, ascending
         r = kcol.dot(a)
-        r[order[r[order].argmax()]] -= 1.0  # y*: the smallest class attaining the max
+        r[cand[r[cand].argmax()]] -= 1.0  # y*: the smallest class attaining the max
         nr = float(np.sqrt(r.dot(r)))
         return (-gamma, r / nr) if nr > 0.0 else None
 

@@ -57,6 +57,12 @@ class TestExitCodes:
         (("run", "--seed", "-1"), "seed"),
         (("run", "--task", "csv-regression", "--input", str(FIXTURES / "weather.csv"),
           "--target", "nosuch"), "target"),
+        (("run", "--task", "csv-regression", "--input", str(FIXTURES / "weather.csv"),
+          "--target", ","), "target"),
+        (("run", "--task", "csv-regression", "--input", str(FIXTURES / "weather.csv"),
+          "--target", "temperature,humidity,wind,apparent"), "target"),
+        (("run", "--task", "csv-regression", "--input", str(FIXTURES / "weather.csv"),
+          "--target", "apparent,apparent"), "target"),
         (("run", "--task", "libsvm", "--input", str(FIXTURES / "blobs3.libsvm"),
           "--train-fraction", "0.001"), "train_fraction"),
         (("run", "--task", "libsvm", "--input", str(FIXTURES / "blobs3.libsvm"),
@@ -65,6 +71,7 @@ class TestExitCodes:
         (("constants", "--m", "0"), "--m"),
         (("game", "--counterexample", "--tol", "0"), "--tol"),
     ], ids=["run-gamma0", "run-ridge", "run-bound", "run-sigma", "run-seed", "run-csv-target",
+            "run-csv-no-target", "run-csv-every-column", "run-csv-repeated-target",
             "run-no-training-row", "run-one-training-row", "verify-seed", "constants-m",
             "game-tol"])
     def test_invalid_value_is_config_error(self, capsys, tmp_path, monkeypatch, argv, key):
@@ -72,11 +79,12 @@ class TestExitCodes:
             raise AssertionError("a trial ran before the configuration was checked")
 
         monkeypatch.setattr(experiments, "_one_trial", no_trial)
+        outdir = tmp_path / "out"
         if argv[0] == "run":
-            argv += ("--budget", "16", "--trials", "1", "--outdir", str(tmp_path))
+            argv += ("--budget", "16", "--trials", "1", "--outdir", str(outdir))
         assert exit_code(*argv) == 1
         assert capsys.readouterr().err.startswith(f"{argv[0]}: {key} ")
-        assert not (tmp_path / "curve.csv").exists()
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("run", "--help")])
     def test_help_and_version_exit_zero(self, capsys, argv):
@@ -298,6 +306,7 @@ class TestRunCommand:
                                "--target", "b", "--budget", "16", "--trials", "1",
                                "--outdir", str(tmp_path / "out"))
         assert code == 2
+        assert not (tmp_path / "out").exists()
         assert err.startswith("run: line ")
 
     def test_jobs_parallelism_matches_serial(self, capsys, tmp_path):

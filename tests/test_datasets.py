@@ -277,6 +277,16 @@ class TestCsvParser:
         with pytest.raises(ValueError, match="humidity"):
             parse_csv_regression("a,b\n1,2\n", ["humidity"])
 
+    @pytest.mark.parametrize("targets,match", [
+        ([], "no column"),
+        (["b", "b"], "more than once"),
+        (["a", "b"], "no feature"),
+    ], ids=["empty", "repeated", "every-column"])
+    def test_bad_target_list_is_a_value_error(self, targets, match):
+        with pytest.raises(ValueError, match=match) as info:
+            parse_csv_regression("a,b\n1,2\n", targets)
+        assert not isinstance(info.value, ParseError)
+
     def test_no_usable_rows(self):
         with pytest.raises(ValueError):
             parse_csv_regression("a,b\n,2\n,3\n", ["b"])

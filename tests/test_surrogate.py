@@ -3,13 +3,13 @@ import pytest
 
 from weaksgd import surrogate
 from weaksgd.experiments import train
-from weaksgd.kernel import KernelModel, KernelSpec
+from weaksgd.kernel import CHUNK_ROWS, KernelModel, KernelSpec
 from weaksgd.learner import StepSchedule, run_median_sgd
 from weaksgd.oracle import QueryOracle
 from weaksgd.surrogate import (
     decode_batch,
     infimum_loss_sgd,
-    random_proper_subset,
+    random_proper_subsets,
     surrogate_target_check,
 )
 
@@ -115,8 +115,9 @@ class TestExponentialRegime:
 
 @pytest.fixture
 def set_two_three(monkeypatch):
-    """Every class set the infimum-loss rule draws is {2, 3}."""
-    monkeypatch.setattr(surrogate, "random_proper_subset", lambda rng, m: frozenset({2, 3}))
+    """Every class set the infimum-loss driver draws is {2, 3}."""
+    monkeypatch.setattr(surrogate, "random_proper_subsets",
+                        lambda rng, m, count: np.tile([False, True, True], (count, 1)))
 
 
 class TestInfimumLoss:
@@ -157,15 +158,48 @@ class TestInfimumLoss:
         assert np.allclose(report.final_model.coefficients[0], [0.0, 1.0, 0.0], atol=0)
 
     def test_proper_subset_never_trivial(self):
-        rng = np.random.default_rng(3)
         m = 4
-        for _ in range(10**5):
-            s = random_proper_subset(rng, m)
-            assert 0 < len(s) < m
+        sets = random_proper_subsets(np.random.default_rng(3), m, 10**5)
+        assert sets.shape == (10**5, m) and sets.dtype == bool
+        sizes = sets.sum(axis=1)
+        assert ((0 < sizes) & (sizes < m)).all()
 
     def test_proper_subset_needs_two_classes(self):
         with pytest.raises(ValueError):
-            random_proper_subset(np.random.default_rng(0), 1)
+            random_proper_subsets(np.random.default_rng(0), 1, 4)
+
+    @pytest.mark.parametrize("count", [0, CHUNK_ROWS + 700])
+    @pytest.mark.parametrize("m", [2, 3, 10])
+    def test_batched_draw_reads_the_per_step_stream(self, m, count):
+        # one rng.integers(0, 2, m) per set, redrawn until proper: the rule as it
+        # read the generator inside the step loop; CHUNK_ROWS + 700 rows make the
+        # batched draw fill its first block's rejects from a shortfall block
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            expected = np.empty((count, m), dtype=bool)
+            for k in range(count):
+                while True:
+                    flips = rng.integers(0, 2, m)
+                    if 0 < flips.sum() < m:
+                        break
+                expected[k] = flips == 1
+            batched = np.random.default_rng(seed)
+            assert np.array_equal(random_proper_subsets(batched, m, count), expected)
+            assert batched.random() == rng.random()
+
+    def test_zero_steps_leave_the_model_alone(self):
+        X, oracle, model = classification_setup([1, 2], 3, budget=0)
+        report = infimum_loss_sgd(X, oracle, StepSchedule.decaying(0.5), model,
+                                  np.random.default_rng(4))
+        assert report.queries_used == 0 == oracle.budget_used
+        assert not report.averaged_model.coefficients.any()
+
+    def test_one_class_fails_before_any_query(self):
+        X, oracle, model = classification_setup([1, 1], 1, budget=2)
+        with pytest.raises(ValueError, match="two classes"):
+            infimum_loss_sgd(X, oracle, StepSchedule.decaying(0.5), model,
+                             np.random.default_rng(4))
+        assert oracle.budget_used == 0
 
     def test_budget_consumed_one_bit_per_step(self):
         X, oracle, model = classification_setup([1, 2, 3, 2], 3, budget=4)
