@@ -230,29 +230,63 @@ def save_model(model: KernelModel, path) -> None:
 
 
 def load_model(path) -> KernelModel:
-    """Read a checkpoint written by :func:`save_model`."""
+    """Read a checkpoint written by :func:`save_model`.
+
+    A file that ends early, a field or row that does not parse, a row with the
+    wrong number of values, a non-finite value, or a non-blank line after the
+    last row raises ``ValueError`` naming the path and the 1-based line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not a kernel model checkpoint")
 
-    def _field(i, name):
-        key, _, val = lines[i].partition(" ")
+    def fail(i, message):
+        raise ValueError(f"{path}, line {i + 1}: {message}")
+
+    def line(i):
+        if i >= len(lines):
+            fail(i, "the file ends early")
+        return lines[i]
+
+    def floats(i, text, count):
+        try:
+            values = [float(v) for v in text.split()]
+        except ValueError:
+            fail(i, f"not a number in {lines[i]!r}")
+        if len(values) != count:
+            fail(i, f"expected {count} values, got {len(values)}")
+        if not np.all(np.isfinite(values)):
+            fail(i, f"non-finite value in {lines[i]!r}")
+        return values
+
+    def field(i, name):
+        key, _, val = line(i).partition(" ")
         if key != name:
-            raise ValueError(f"{path}: expected field {name!r}, got {lines[i]!r}")
+            fail(i, f"expected field {name!r}, got {lines[i]!r}")
         return val
 
-    p = int(_field(1, "rank"))
-    m = int(_field(2, "output_dim"))
-    d = int(_field(3, "feature_dim"))
-    bandwidth = float(_field(4, "bandwidth"))
-    ridge = float(_field(5, "ridge"))
-    if lines[6] != "representers":
-        raise ValueError(f"{path}: malformed checkpoint")
-    reps = np.array([[float(v) for v in lines[7 + i].split()] for i in range(p)])
-    if lines[7 + p] != "coefficients":
-        raise ValueError(f"{path}: malformed checkpoint")
-    coef = np.array([[float(v) for v in lines[8 + p + i].split()] for i in range(p)])
-    reps = reps.reshape(p, d)
-    coef = coef.reshape(p, m)
+    def size(i, name):
+        val = field(i, name)
+        try:
+            n = int(val)
+        except ValueError:
+            n = 0
+        if n < 1:
+            fail(i, f"{name} must be a positive integer, got {val!r}")
+        return n
+
+    def block(i, name, rows, cols):
+        if line(i) != name:
+            fail(i, f"expected {name!r}, got {lines[i]!r}")
+        return np.array([floats(i + 1 + r, line(i + 1 + r), cols) for r in range(rows)])
+
+    p, m, d = size(1, "rank"), size(2, "output_dim"), size(3, "feature_dim")
+    bandwidth = floats(4, field(4, "bandwidth"), 1)[0]
+    ridge = floats(5, field(5, "ridge"), 1)[0]
+    reps = block(6, "representers", p, d)
+    coef = block(7 + p, "coefficients", p, m)
+    for i in range(8 + 2 * p, len(lines)):
+        if lines[i].strip():
+            fail(i, f"unexpected line after the coefficients: {lines[i]!r}")
     return KernelModel(reps, coef, KernelSpec(bandwidth), ridge)

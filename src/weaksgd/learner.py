@@ -1,9 +1,13 @@
 """SGD drivers that learn kernel models from single-bit label queries.
 
 Every driver runs the same step loop (:func:`_descend`): walk the input
-sequence, spend one oracle bit per step, apply the matching coefficient step,
-and maintain the running average of the iterates (checkpoint risks are
-evaluated on that average). A driver draws its randomness up front and
+sequence, spend one oracle bit per step and apply the matching coefficient
+step. Checkpoint risks are evaluated on the average of the iterates, which no
+step reads. So the loop records each step's move and sums the iterates a
+window of steps at a time, in one product with the window's kernel rows. A
+window closes at every multiple of 256 steps, at every checkpoint and at the
+end of every Gram block; 256 divides ``CHUNK_ROWS``, so the average does not
+depend on where the blocks are cut. A driver draws its randomness up front and
 supplies only a *bit rule*: one oracle call, then the step's coefficient and
 direction. A driver consumes exactly ``min(budget, len(sequence))`` queries.
 
@@ -110,6 +114,24 @@ def default_checkpoints(budget: int) -> list[int]:
     return grid
 
 
+# Steps per averaging window. It divides CHUNK_ROWS, so a window never spans
+# two Gram blocks and the average does not depend on where the blocks are cut.
+_WINDOW = 256
+
+
+def _tail_sums(shrink: np.ndarray) -> np.ndarray:
+    """Weights w with w[-1] = 1 and w[j] = 1 + shrink[j + 1] * w[j + 1]: the
+    summed factors by which a move made at step j of a window reaches the
+    iterates from step j on. Built backward, never by dividing a running
+    product, since a shrink factor may be 0 or negative."""
+    acc = 1.0
+    out = [acc]
+    for r in shrink[:0:-1].tolist():
+        acc = 1.0 + r * acc
+        out.append(acc)
+    return np.array(out[::-1])
+
+
 def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate, rule,
              queries: int) -> TrainReport:
     """The step loop shared by every driver.
@@ -118,42 +140,72 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     ``kcol``, built with the rest of its block of ``CHUNK_ROWS`` rows. It calls
     ``rule(t - 1, kcol, gamma)``, which reads the current coefficients and
     returns ``(c, direction)`` or None for no move. The loop then shrinks by
-    ``1 - gamma * ridge``, adds ``c * outer(kcol, direction)`` and folds the
-    iterate into the running mean, ``mean += (a - mean) / t``.
+    ``1 - gamma * ridge`` and adds ``c * outer(kcol, direction)``; it records c
+    (0 for no move) and the direction.
+
+    The average is summed a window of steps at a time. A window closes at every
+    multiple of ``_WINDOW`` (which divides ``CHUNK_ROWS``), at every checkpoint
+    and at every block end. The iterates of a window of n steps that starts
+    from ``start`` sum to ``lead * start + Kw.T @ ((w * C)[:, None] * D)``,
+    where ``Kw`` holds the window's kernel rows, w the :func:`_tail_sums` of its
+    shrink factors (``n - j`` with no ridge) and ``lead`` the sum of the
+    products of its leading shrink factors (n with no ridge). A checkpoint
+    scores the total so far divided by its step count.
     """
     a = model.coefficients
-    mean = np.zeros_like(a)
     buf = np.empty_like(a)
+    total = np.zeros_like(a)  # sum of the iterates of the closed windows
+    start = a.copy()  # the iterate the open window starts from
+    C = np.empty(_WINDOW)
+    D = np.zeros((_WINDOW, model.output_dim))
     steps = len(used)
     gammas = schedule.gammas(steps)
     shrink = 1.0 - gammas * model.ridge if model.ridge != 0.0 else None
+    bounds = sorted({0, steps, *grid, *range(_WINDOW, steps, _WINDOW),
+                     *range(CHUNK_ROWS, steps, CHUNK_ROWS)})
+    due = set(grid)
     records = []
-    pending = iter(grid)
-    due = next(pending, 0)
-    multiply, subtract = np.multiply, np.subtract
+    multiply = np.multiply
     # every block is built into one buffer, so only one is held at a time and
     # its pages are reused rather than faulted in afresh for each block
     gram = np.empty((min(steps, CHUNK_ROWS), model.rank))
-    for lo in range(0, steps, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, steps)
-        K = kernel_matrix(model.spec, X[used[lo:hi]], model.representers, out=gram[:hi - lo])
-        # rows of K also as (rank, 1) columns: column * direction is outer(kcol, direction)
-        for s, kcol, column, gamma in zip(range(lo, hi), K, K[:, :, None], gammas[lo:hi]):
+    lo = hi = 0
+    for wlo, whi in zip(bounds, bounds[1:]):
+        if wlo == hi:
+            lo, hi = wlo, min(wlo + CHUNK_ROWS, steps)
+            K = kernel_matrix(model.spec, X[used[lo:hi]], model.representers,
+                              out=gram[:hi - lo])
+        Kw = K[wlo - lo:whi - lo]
+        n = whi - wlo
+        # rows of Kw also as (rank, 1) columns: column * direction is outer(kcol, direction)
+        for j, s, kcol, column, gamma in zip(range(n), range(wlo, whi), Kw, Kw[:, :, None],
+                                             gammas[wlo:whi]):
             move = rule(s, kcol, gamma)
             if shrink is not None:
                 a *= shrink[s]
-            if move is not None:
-                multiply(column, move[1], out=buf)
-                buf *= move[0]
+            if move is None:
+                C[j] = 0.0
+            else:
+                c, d = move
+                C[j] = c
+                D[j] = d
+                multiply(column, d, out=buf)
+                buf *= c
                 a += buf
-            t = s + 1
-            subtract(a, mean, out=buf)
-            buf /= t
-            mean += buf
-            if t == due:
-                snap = model.with_coefficients(mean)
-                records.append((t, evaluate(snap) if evaluate is not None else snap.coefficients))
-                due = next(pending, 0)
+        if shrink is None:
+            w = np.arange(n, 0.0, -1.0)
+            lead = n
+        else:
+            w = _tail_sums(shrink[wlo:whi])
+            lead = shrink[wlo] * w[0]
+        w *= C[:n]
+        total += lead * start
+        total += Kw.T @ (w[:, None] * D[:n])
+        start[:] = a
+        if whi in due:
+            snap = model.with_coefficients(total / whi)
+            records.append((whi, evaluate(snap) if evaluate is not None else snap.coefficients))
+    mean = total / steps if steps else total
     return TrainReport(model, model.with_coefficients(mean), records, queries)
 
 

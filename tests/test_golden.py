@@ -1,5 +1,6 @@
-"""Byte-level golden outputs: curves for every task x strategy pair and digests
-of every estimator strategy's predictions.
+"""Byte-level golden outputs: curves for every task x strategy pair, digests
+of every estimator strategy's predictions, and digests of every estimator
+strategy's final iterate.
 
 The files under ``tests/golden/`` were written by an earlier version of the
 package; a refactor of the training loop must reproduce them byte for byte.
@@ -81,12 +82,26 @@ ESTIMATORS = {
 }
 
 
-def estimator_digest(name: str) -> str:
+def _fitted(name: str):
     make, kind = ESTIMATORS[name]
     X, Y, labels, Xh = _pool()
     y = {"vector": Y, "scalar": Y[:, 0], "labels": labels}[kind]
-    pred = make().fit(X, y).predict(Xh)
-    return hashlib.sha256(np.ascontiguousarray(pred).tobytes()).hexdigest()
+    return make().fit(X, y), Xh
+
+
+def _digest(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def estimator_digest(name: str) -> str:
+    est, Xh = _fitted(name)
+    return _digest(est.predict(Xh))
+
+
+def final_model_digest(name: str) -> str:
+    """Digest of the last iterate's coefficients. The trajectory never reads
+    the average, so a change to how the average is kept must leave these."""
+    return _digest(_fitted(name)[0].final_model_.coefficients)
 
 
 @pytest.mark.parametrize("task,strategy", PAIRS)
@@ -99,6 +114,12 @@ def test_curve_matches_golden(task, strategy, tmp_path):
 def test_estimator_predictions_match_golden(name):
     digests = json.loads((GOLDEN / "estimators.json").read_text())
     assert estimator_digest(name) == digests[name]
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_final_model_matches_golden(name):
+    digests = json.loads((GOLDEN / "final_models.json").read_text())
+    assert final_model_digest(name) == digests[name]
 
 
 def test_every_pair_has_a_golden_file():
@@ -114,4 +135,7 @@ if __name__ == "__main__":
                  GOLDEN / f"{task}__{strategy}.csv")
     digests = {name: estimator_digest(name) for name in sorted(ESTIMATORS)}
     (GOLDEN / "estimators.json").write_text(json.dumps(digests, indent=2) + "\n")
-    sys.stdout.write(f"wrote {len(PAIRS)} curves and {len(digests)} digests to {GOLDEN}\n")
+    finals = {name: final_model_digest(name) for name in sorted(ESTIMATORS)}
+    (GOLDEN / "final_models.json").write_text(json.dumps(finals, indent=2) + "\n")
+    sys.stdout.write(f"wrote {len(PAIRS)} curves, {len(digests)} prediction digests and "
+                     f"{len(finals)} final-model digests to {GOLDEN}\n")

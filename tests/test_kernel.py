@@ -1,3 +1,4 @@
+import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaksgd import kernel
+from weaksgd import kernel, learner
 from weaksgd.datasets import (
     LabeledDataset,
     SplitSpec,
@@ -243,45 +244,118 @@ class TestWeakUpdate:
 
 
 def averaged(iterates, grid=()):
-    """Run the shared step loop with a rule that sets the t-th iterate to
-    ``iterates[t - 1]``; returns the loop's report."""
-    p, m = iterates[0].shape
-    model = KernelModel.zeros(np.zeros((p, 1)), m, KernelSpec(0.5))
+    """Run the shared step loop so that its t-th iterate is ``iterates[t - 1]``.
+
+    Each (p, m) iterate is held as the coefficients of a model with a single
+    representer and p * m outputs. Every step reads that representer itself,
+    so its kernel column is exactly [1.0], and step t returns the move
+    ``(1.0, iterates[t - 1] - iterates[t - 2])`` (from zeros at t = 1). With
+    dyadic iterates every sum is exact. Returns the averaged coefficients, the
+    checkpoints and the final coefficients, all in the iterates' shape.
+    """
+    shape = iterates[0].shape
+    flat = [np.zeros(iterates[0].size)] + [it.ravel() for it in iterates]
+    model = KernelModel.zeros(np.zeros((1, 1)), flat[0].size, KernelSpec(0.5))
 
     def rule(s, kcol, gamma):
-        model.coefficients[:] = iterates[s]
-        return None
+        return 1.0, flat[s + 1] - flat[s]
 
-    X = np.zeros((len(iterates), 1))  # every kernel column is all ones
-    return _descend(model, X, np.arange(len(iterates)), StepSchedule.decaying(1.0), list(grid),
-                    None, rule, 0)
+    report = _descend(model, np.zeros((len(iterates), 1)), np.arange(len(iterates)),
+                      StepSchedule.decaying(1.0), list(grid), None, rule, 0)
+    return (report.averaged_model.coefficients.reshape(shape),
+            [(t, c.reshape(shape)) for t, c in report.checkpoints],
+            report.final_model.coefficients.reshape(shape))
+
+
+def far_apart_walk(steps, grid, ridge=0.0, schedule=StepSchedule.decaying(1.0), seed=0):
+    """Run the shared step loop on a random walk over three representers far
+    enough apart that every kernel column is exactly a basis vector.
+
+    Step s reads one representer at random and returns a dyadic move, or no
+    move one step in four. The rule keeps a copy of every iterate it sees.
+    Returns the report and the float mean of the first t iterates for each
+    checkpoint t and for t = steps.
+    """
+    rng = np.random.default_rng(seed)
+    reps = np.array([[0.0], [100.0], [200.0]])
+    model = KernelModel.zeros(reps, 2, KernelSpec(0.5), ridge)
+    rows = rng.integers(0, 3, steps)
+    moves = rng.integers(-8, 9, (steps, 3)) / 4.0
+    seen = []
+
+    def rule(s, kcol, gamma):
+        assert np.array_equal(kcol, np.eye(3)[rows[s]])
+        seen.append(model.coefficients.copy())  # the iterate after step s
+        c, d0, d1 = moves[s]
+        return None if c == 0.0 else (c, np.array([d0, d1]))
+
+    report = _descend(model, reps[rows], np.arange(steps), schedule, list(grid), None, rule, 0)
+    iterates = np.array(seen[1:] + [report.final_model.coefficients])
+    return report, {t: iterates[:t].mean(axis=0) for t in [*grid, steps]}
 
 
 class TestAveragedModel:
-    """The running mean the step loop keeps is the plain mean of the iterates."""
+    """The average the step loop sums a window at a time from the recorded
+    moves is the plain mean of the iterates."""
 
     def test_same_matrix_twice(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        report = averaged([a, a])
-        assert np.allclose(report.averaged_model.coefficients, a, atol=0)
+        mean, _, _ = averaged([a, a])
+        assert np.allclose(mean, a, atol=0)
 
     def test_two_matrices(self):
-        report = averaged([np.array([[2.0, 0.0]]), np.array([[0.0, 4.0]])])
-        assert np.allclose(report.averaged_model.coefficients, [[1.0, 2.0]], atol=1e-15)
+        mean, _, _ = averaged([np.array([[2.0, 0.0]]), np.array([[0.0, 4.0]])])
+        assert np.allclose(mean, [[1.0, 2.0]], atol=1e-15)
 
     def test_zeros_then_one(self):
-        report = averaged([np.zeros((1, 1))] * 4 + [np.array([[10.0]])], grid=[4, 5])
-        assert report.averaged_model.coefficients[0, 0] == pytest.approx(2.0, rel=1e-14)
-        assert [t for t, _ in report.checkpoints] == [4, 5]
-        assert report.checkpoints[0][1][0, 0] == 0.0
+        mean, checkpoints, _ = averaged([np.zeros((1, 1))] * 4 + [np.array([[10.0]])],
+                                        grid=[4, 5])
+        assert mean[0, 0] == pytest.approx(2.0, rel=1e-14)
+        assert [t for t, _ in checkpoints] == [4, 5]
+        assert checkpoints[0][1][0, 0] == 0.0
 
     def test_matches_plain_mean(self):
         rng = np.random.default_rng(4)
-        mats = [rng.standard_normal((3, 2)) for _ in range(50)]
-        report = averaged(mats)
-        assert np.allclose(report.averaged_model.coefficients, np.mean(mats, axis=0),
-                           atol=1e-12)
-        assert np.array_equal(report.final_model.coefficients, mats[-1])
+        mats = [rng.integers(-2**10, 2**10, (3, 2)) / 2**6 for _ in range(50)]
+        mean, _, final = averaged(mats)
+        assert np.allclose(mean, np.mean(mats, axis=0), atol=1e-12)
+        assert np.array_equal(final, mats[-1])
+
+    @pytest.mark.parametrize("ridge,schedule", [
+        (0.0, StepSchedule.decaying(1.0)),
+        (0.25, StepSchedule.decaying(1.0)),
+        (1.0, StepSchedule("constant", 1.0)),  # shrink 0: each step forgets the last
+        (1.5, StepSchedule("constant", 1.0)),  # shrink -0.5
+        (0.75, StepSchedule.decaying(2.0)),  # shrink -0.5 at t = 1, positive from t = 3
+    ])
+    def test_windows_match_the_mean_of_the_iterates(self, ridge, schedule):
+        grid = [1, 255, 256, 257, 300, 511, 700]
+        report, want = far_apart_walk(900, grid, ridge, schedule)
+        assert [t for t, _ in report.checkpoints] == grid
+        for t, got in report.checkpoints:
+            assert np.all(np.isfinite(got))
+            assert np.allclose(got, want[t], rtol=0, atol=1e-12), t
+        assert np.allclose(report.averaged_model.coefficients, want[900], rtol=0, atol=1e-12)
+        assert np.abs(want[900]).max() > 1e-3
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.25])
+    def test_blocks_of_six_rows_match_the_mean_of_the_iterates(self, ridge, monkeypatch):
+        monkeypatch.setattr(learner, "CHUNK_ROWS", 6)
+        grid = [255, 257, 300]
+        report, want = far_apart_walk(601, grid, ridge, seed=1)
+        for t, got in [*report.checkpoints, (601, report.averaged_model.coefficients)]:
+            assert np.allclose(got, want[t], rtol=0, atol=1e-12), t
+
+    def test_window_divides_the_block(self):
+        # so a window is a row slice of one Gram block, wherever blocks are cut
+        assert kernel.CHUNK_ROWS % learner._WINDOW == 0
+
+    def test_no_steps_average_to_zeros(self):
+        model = KernelModel.zeros(np.zeros((2, 1)), 1, KernelSpec(0.5))
+        model.coefficients[:] = 1.0
+        report = _descend(model, np.zeros((0, 1)), np.arange(0), StepSchedule.decaying(1.0),
+                          [], None, None, 0)
+        assert np.array_equal(report.averaged_model.coefficients, np.zeros((2, 1)))
 
 
 class TestCheckpointSerialization:
@@ -333,6 +407,67 @@ class TestCheckpointSerialization:
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
             load_model(path)
+
+    def saved_lines(self, tmp_path):
+        """The lines of a saved rank-2 model with 3 outputs and 1 feature:
+        coefficient rows are lines 11 and 12, 1-based."""
+        model = KernelModel(np.array([[0.5], [1.5]]), np.arange(6.0).reshape(2, 3),
+                            KernelSpec(0.5), 0.25)
+        save_model(model, tmp_path / "model.txt")
+        return (tmp_path / "model.txt").read_text().splitlines()
+
+    def load_lines(self, tmp_path, lines):
+        path = tmp_path / "edited.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return re.escape(str(path)), lambda: load_model(path)
+
+    @pytest.mark.parametrize("keep,line", [(11, 12), (10, 11), (9, 10), (7, 8), (3, 4)])
+    def test_short_file_names_the_missing_line(self, tmp_path, keep, line):
+        path, load = self.load_lines(tmp_path, self.saved_lines(tmp_path)[:keep])
+        with pytest.raises(ValueError, match=rf"^{path}, line {line}: the file ends early"):
+            load()
+
+    @pytest.mark.parametrize("row", ["0.0 1.0", "0.0 1.0 2.0 3.0", ""])
+    def test_row_of_the_wrong_length(self, tmp_path, row):
+        lines = self.saved_lines(tmp_path)
+        lines[10] = row
+        path, load = self.load_lines(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"^{path}, line 11: expected 3 values"):
+            load()
+
+    def test_representer_row_of_the_wrong_length(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        lines[7] = "0.5 0.5"
+        path, load = self.load_lines(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"^{path}, line 8: expected 1 values"):
+            load()
+
+    def test_trailing_lines(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        path, load = self.load_lines(tmp_path, lines + ["", "   "])
+        assert np.array_equal(load().coefficients, np.arange(6.0).reshape(2, 3))
+        path, load = self.load_lines(tmp_path, lines + ["", "6.0 7.0 8.0"])
+        with pytest.raises(ValueError, match=rf"^{path}, line 14: unexpected line"):
+            load()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index,line", [(11, 12), (8, 9), (4, 5), (5, 6)])
+    def test_non_finite_values(self, tmp_path, value, index, line):
+        lines = self.saved_lines(tmp_path)
+        key, _, rest = lines[index].rpartition(" ")
+        lines[index] = f"{key} {value}" if key else value
+        path, load = self.load_lines(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"^{path}, line {line}: non-finite value"):
+            load()
+
+    @pytest.mark.parametrize("text,line", [("rank two", 2), ("rank 0", 2), ("ridge x", 6),
+                                           ("output_dim 3", 2)])
+    def test_bad_fields(self, tmp_path, text, line):
+        lines = self.saved_lines(tmp_path)
+        lines[line - 1] = text
+        path, load = self.load_lines(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"^{path}, line {line}: "):
+            load()
 
 
 class TestNystromRepresenters:
