@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # each flag is a config key, kept as a string: config_from_mapping parses it
     run_flags = [
         ("task", "sin-regression | anchor-classification | libsvm | csv-regression"),
-        ("strategy", "query strategy; the valid set depends on the task"),
+        ("strategy", "query strategy, by run name or alias (median, active, "
+                     "least-squares, full); the valid set depends on the task"),
         ("schedule", "decaying (gamma0/sqrt(t)) or constant (gamma0 at every step)"),
         ("input", "input file for libsvm / csv-regression tasks"),
         ("target", "CSV target column names, comma-separated"),

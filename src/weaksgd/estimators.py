@@ -62,12 +62,22 @@ class _ParamsMixin:
 
 
 class _BaseWeakSGD(_ParamsMixin):
-    _ALIASES: dict = {}  # short name -> the run name it stands for
+    def __init__(self, strategy: str = "active-median", bandwidth: float = 1.0,
+                 gamma0: float = 1.0, schedule: str = "decaying",
+                 budget: int | None = None, rank: int = 100, ridge: float = 0.0,
+                 seed: int = 0):
+        self.strategy = strategy
+        self.bandwidth = bandwidth
+        self.gamma0 = gamma0
+        self.schedule = schedule
+        self.budget = budget
+        self.rank = rank
+        self.ridge = ridge
+        self.seed = seed
 
     def _fit(self, X, labels, n_classes=None, bound: float = 1.0):
-        """Train through :func:`experiments.train`, which rejects a strategy
-        name that is not its task kind's (after alias resolution)."""
-        strategy = self._ALIASES.get(self.strategy, self.strategy)
+        """Train through :func:`experiments.train`, which resolves an alias and
+        rejects a strategy name that is not its task kind's."""
         budget = self.budget if self.budget is not None else X.shape[0]
         if budget < 0:
             raise ValueError("budget must be >= 0")
@@ -76,7 +86,7 @@ class _BaseWeakSGD(_ParamsMixin):
         reps = nystrom_representers(X, self.rank, rng)
         output_dim = labels.shape[1] if n_classes is None else n_classes
         model = KernelModel.zeros(reps, output_dim, KernelSpec(self.bandwidth), self.ridge)
-        report = experiments.train(strategy, X, labels, model, schedule, rng, budget,
+        report = experiments.train(self.strategy, X, labels, model, schedule, rng, budget,
                                    n_classes, bound)
         self.model_ = report.averaged_model
         self.final_model_ = report.final_model
@@ -92,36 +102,25 @@ class _BaseWeakSGD(_ParamsMixin):
 class WeakSGDRegressor(_BaseWeakSGD):
     """Kernel regressor trained from one label bit per gradient step.
 
-    Strategies, with their short aliases:
+    Strategies (the names of ``weaksgd run``; the aliases in
+    :data:`weaksgd.experiments.ALIASES` work too):
 
-    * ``"active-median"`` (alias ``"median"``): half-space signs at the
-      current prediction;
-    * ``"active-least-squares"`` (alias ``"least-squares"``): random-threshold
-      bits; needs the range bound;
+    * ``"active-median"``: half-space signs at the current prediction;
+    * ``"active-least-squares"``: random-threshold bits; needs the range bound;
     * ``"passive"``: blind N(0,1) thresholds, scalar targets only;
-    * ``"full-sgd"`` (alias ``"full"``): plain subgradient descent on the
-      labels, no query bits spent.
+    * ``"full-sgd"``: plain subgradient descent on the labels, no query bits
+      spent.
 
     Every strategy takes ``budget`` steps; a budget larger than n re-queries
     the data cyclically.
     """
 
-    _ALIASES = {"median": "active-median", "least-squares": "active-least-squares",
-                "full": "full-sgd"}
-
-    def __init__(self, strategy: str = "median", bandwidth: float = 1.0,
+    def __init__(self, strategy: str = "active-median", bandwidth: float = 1.0,
                  gamma0: float = 1.0, schedule: str = "decaying",
                  budget: int | None = None, rank: int = 100, ridge: float = 0.0,
                  bound: float = 1.0, seed: int = 0):
-        self.strategy = strategy
-        self.bandwidth = bandwidth
-        self.gamma0 = gamma0
-        self.schedule = schedule
-        self.budget = budget
-        self.rank = rank
-        self.ridge = ridge
+        super().__init__(strategy, bandwidth, gamma0, schedule, budget, rank, ridge, seed)
         self.bound = bound
-        self.seed = seed
 
     def fit(self, X, y):
         X = check_array(X)
@@ -143,40 +142,23 @@ class WeakSGDRegressor(_BaseWeakSGD):
 class WeakSGDClassifier(_BaseWeakSGD):
     """Classifier trained through the simplex-embedding regression surrogate.
 
-    Strategies, with their short aliases:
+    Strategies (the names of ``weaksgd run``; the aliases in
+    :data:`weaksgd.experiments.ALIASES` work too):
 
-    * ``"active-median"`` (alias ``"active"``): sphere-uniform half-space
-      queries;
+    * ``"active-median"``: sphere-uniform half-space queries;
     * ``"coordinate-passive"``: basis-vector queries, one class per bit;
     * ``"infimum-loss"``: random-set membership bits with best-case gradients.
 
-    Labels may be arbitrary hashables; they are mapped onto classes 1..m.
+    Labels may be arbitrary sortable values; they are mapped onto classes 1..m.
     """
-
-    _ALIASES = {"active": "active-median"}
-
-    def __init__(self, strategy: str = "active", bandwidth: float = 1.0,
-                 gamma0: float = 1.0, schedule: str = "decaying",
-                 budget: int | None = None, rank: int = 100, ridge: float = 0.0,
-                 seed: int = 0):
-        self.strategy = strategy
-        self.bandwidth = bandwidth
-        self.gamma0 = gamma0
-        self.schedule = schedule
-        self.budget = budget
-        self.rank = rank
-        self.ridge = ridge
-        self.seed = seed
 
     def fit(self, X, y):
         X = check_array(X)
         y = np.asarray(y)
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError("y must be a length-n label vector")
-        self.classes_ = np.unique(y)
-        index = {label: k + 1 for k, label in enumerate(self.classes_)}
-        codes = np.array([index[label] for label in y], dtype=int)
-        return self._fit(X, codes, n_classes=len(self.classes_))
+        self.classes_, codes = np.unique(y, return_inverse=True)
+        return self._fit(X, codes + 1, n_classes=len(self.classes_))
 
     def decision_function(self, X):
         self._check_fitted()

@@ -55,6 +55,9 @@ TASK_STRATEGIES = {
     "anchor-classification": CLASSIFICATION_STRATEGIES,
     "libsvm": CLASSIFICATION_STRATEGIES,
 }
+# short names for run names, accepted wherever a strategy is named
+ALIASES = {"median": "active-median", "active": "active-median",
+           "least-squares": "active-least-squares", "full": "full-sgd"}
 
 
 class ConfigError(ValueError):
@@ -85,7 +88,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def resolved(self) -> "ExperimentConfig":
-        """Fill task-dependent defaults (bandwidth, ridge) and validate."""
+        """Fill task-dependent defaults (bandwidth, ridge), validate, and
+        replace an aliased strategy by its run name."""
         cfg = self
         if cfg.sigma is None:
             if cfg.task == "sin-regression":
@@ -97,7 +101,7 @@ class ExperimentConfig:
             ridge = 1e-6 if cfg.task in ("libsvm", "csv-regression") else 0.0
             cfg = replace(cfg, ridge=ridge)
         validate_config(cfg)
-        return cfg
+        return replace(cfg, strategy=ALIASES.get(cfg.strategy, cfg.strategy))
 
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
@@ -108,7 +112,7 @@ _FLOAT_FIELDS = {"sigma", "gamma0", "ridge", "bound", "epsilon", "train_fraction
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}; expected one of {TASKS}")
-    if cfg.strategy not in TASK_STRATEGIES[cfg.task]:
+    if ALIASES.get(cfg.strategy, cfg.strategy) not in TASK_STRATEGIES[cfg.task]:
         raise ConfigError(
             f"strategy {cfg.strategy!r} is not valid for task {cfg.task!r}; "
             f"allowed: {TASK_STRATEGIES[cfg.task]}"
@@ -178,14 +182,16 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
     """Train ``model`` with one strategy for ``budget`` steps over the rows of ``X``.
 
     ``labels`` are real targets, or classes 1..n_classes when ``n_classes`` is
-    given; ``strategy`` is one of that task kind's strategies. A budget up to
-    n streams the first ``budget`` rows once; a larger one walks the rows
-    cyclically under the resampling protocol. ``full-sgd`` reads the labels
-    directly; every other strategy asks a budgeted oracle one bit per step.
+    given; ``strategy`` is one of that task kind's strategies or an alias of
+    one. A budget up to n streams the first ``budget`` rows once; a larger one
+    walks the rows cyclically under the resampling protocol. ``full-sgd`` reads
+    the labels directly; every other strategy asks a budgeted oracle one bit
+    per step.
     """
     allowed = REGRESSION_STRATEGIES if n_classes is None else CLASSIFICATION_STRATEGIES
+    given, strategy = strategy, ALIASES.get(strategy, strategy)
     if strategy not in allowed:
-        raise ConfigError(f"unknown strategy {strategy!r}; expected one of {allowed}")
+        raise ConfigError(f"unknown strategy {given!r}; expected one of {allowed}")
     n = len(labels)
     indices = np.arange(budget) % n
     if strategy == "full-sgd":

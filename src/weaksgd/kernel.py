@@ -212,7 +212,15 @@ def save_model(model: KernelModel, path) -> None:
         <d floats per line, p lines>
         coefficients
         <m floats per line, p lines>
+
+    A non-finite value, which :func:`load_model` would reject, raises
+    ``ValueError`` naming its field before the file is opened.
     """
+    for name, values in (("bandwidth", model.spec.bandwidth), ("ridge", model.ridge),
+                         ("representers", model.representers),
+                         ("coefficients", model.coefficients)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"cannot save a non-finite {name}")
     lines = [
         _CHECKPOINT_HEADER,
         f"rank {model.rank}",

@@ -94,10 +94,11 @@ def _prepare(X, budget: int, checkpoint_grid, indices):
             )
     used = indices[:steps]
     n = X.shape[0]
-    if steps and not -n <= used.min() <= used.max() < n:
+    if steps and not 0 <= used.min() <= used.max() < n:
         # checked up front: the loop gathers rows a block at a time, and a bad
-        # index must fail before any query is spent
-        raise IndexError(f"step indices must lie in [{-n}, {n})")
+        # index (the oracle answers no negative one) must fail before any
+        # query is spent
+        raise IndexError(f"step indices must lie in [0, {n})")
     return X, used, grid
 
 

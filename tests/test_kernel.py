@@ -375,6 +375,22 @@ class TestCheckpointSerialization:
         save_model(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("field", ["coefficients", "representers", "bandwidth", "ridge"])
+    def test_non_finite_model_is_refused_before_writing(self, tmp_path, field):
+        # load_model rejects such a file, so save_model must not write one
+        model = KernelModel(np.array([[0.5], [1.5]]), np.arange(6.0).reshape(2, 3),
+                            KernelSpec(0.5), 0.25)
+        if field == "bandwidth":
+            model.spec = KernelSpec(np.inf)
+        elif field == "ridge":
+            model.ridge = np.inf
+        else:
+            getattr(model, field)[1, 0] = np.nan
+        path = tmp_path / "model.txt"
+        with pytest.raises(ValueError, match=f"non-finite {field}"):
+            save_model(model, path)
+        assert not path.exists()
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), rank=st.integers(1, 6), output_dim=st.integers(1, 4),
            feature_dim=st.integers(1, 5),

@@ -432,13 +432,20 @@ class TestChunkedGram:
     def test_bad_index_in_a_later_block_fails_before_any_query(self):
         rng = np.random.default_rng(23)
         X = rng.random((CHUNK + 10, 1))
-        oracle = QueryOracle.for_regression(np.sin(X[:, 0]), CHUNK + 10, "resampling")
-        indices = np.arange(CHUNK + 10)
-        indices[-1] = CHUNK + 10  # one past the last row, in the second block
-        with pytest.raises(IndexError):
-            run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X[:4]), rng,
-                           indices=indices)
-        assert oracle.budget_used == 0
+        # one past the last row, in the second block; and a negative index, which
+        # numpy would gather but the oracle does not answer
+        for position, bad in ((-1, CHUNK + 10), (5, -1)):
+            oracle = QueryOracle.for_regression(np.sin(X[:, 0]), CHUNK + 10, "resampling")
+            indices = np.arange(CHUNK + 10)
+            indices[position] = bad
+            with pytest.raises(IndexError, match=rf"\[0, {CHUNK + 10}\)"):
+                run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X[:4]),
+                               rng, indices=indices)
+            assert oracle.budget_used == 0
+            # full-sgd reads the labels directly, and takes the same indices
+            with pytest.raises(IndexError):
+                run_full_sgd(X, np.sin(X), StepSchedule.decaying(0.3), zero_model(X[:4]),
+                             indices=indices)
 
     def test_memory_does_not_grow_with_the_budget(self):
         # the whole 2^16 x 256 Gram block alone would be 134 MB
