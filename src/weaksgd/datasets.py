@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernel import _as_rows
+
 
 class ParseError(ValueError):
     """Malformed input file; carries the 1-based line number."""
@@ -37,9 +39,7 @@ class LabeledDataset:
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
         if self.kind == "regression":
-            self.targets = np.asarray(self.targets, dtype=float)
-            if self.targets.ndim == 1:
-                self.targets = self.targets[:, None]
+            self.targets = _as_rows(self.targets)
             if self.targets.shape[0] != self.n:
                 raise ValueError("features and targets disagree on n")
         elif self.kind == "classification":
@@ -180,11 +180,9 @@ def parse_libsvm(source) -> LabeledDataset:
     for r, entries in enumerate(rows):
         for idx, val in entries.items():
             X[r, idx - 1] = val
-    label_values = sorted(set(labels))
-    mapping = {v: i + 1 for i, v in enumerate(label_values)}
-    y = np.array([mapping[v] for v in labels], dtype=int)
-    return LabeledDataset(X, y, "classification", n_classes=len(label_values),
-                          extra={"label_values": label_values})
+    values, codes = np.unique(labels, return_inverse=True)
+    return LabeledDataset(X, codes + 1, "classification", n_classes=len(values),
+                          extra={"label_values": values.tolist()})
 
 
 def serialize_libsvm(dataset: LabeledDataset) -> str:

@@ -14,7 +14,7 @@ import inspect
 import numpy as np
 
 from . import experiments, surrogate
-from .kernel import KernelModel, KernelSpec, _as_points, nystrom_representers
+from .kernel import KernelModel, KernelSpec, _as_rows, nystrom_representers
 from .learner import StepSchedule
 
 
@@ -29,7 +29,7 @@ def check_random_state(seed) -> np.random.Generator:
 
 
 def check_array(X) -> np.ndarray:
-    X = _as_points(X)
+    X = _as_rows(X)
     if X.shape[0] < 1:
         raise ValueError("X must be a nonempty 2-D array")
     if not np.isfinite(X).all():
@@ -77,17 +77,23 @@ class _BaseWeakSGD(_ParamsMixin):
 
     def _fit(self, X, labels, n_classes=None, bound: float = 1.0):
         """Train through :func:`experiments.train`, which resolves an alias and
-        rejects a strategy name that is not its task kind's."""
+        rejects a strategy name that is not its task kind's. A setting that is
+        not finite raises before any bit is spent, and a diverged fit (an
+        averaged model that is not finite) raises once training ends."""
         budget = self.budget if self.budget is not None else X.shape[0]
         if budget < 0:
             raise ValueError("budget must be >= 0")
         schedule = StepSchedule(self.schedule, self.gamma0)
+        spec = KernelSpec(self.bandwidth)
         rng = check_random_state(self.seed)
         reps = nystrom_representers(X, self.rank, rng)
         output_dim = labels.shape[1] if n_classes is None else n_classes
-        model = KernelModel.zeros(reps, output_dim, KernelSpec(self.bandwidth), self.ridge)
+        model = KernelModel.zeros(reps, output_dim, spec, self.ridge)
         report = experiments.train(self.strategy, X, labels, model, schedule, rng, budget,
                                    n_classes, bound)
+        if not np.isfinite(report.averaged_model.coefficients).all():
+            raise ValueError("the averaged model is not finite; the iterates diverged "
+                             "(try a smaller gamma0)")
         self.model_ = report.averaged_model
         self.final_model_ = report.final_model
         self.n_queries_ = report.queries_used
@@ -124,9 +130,8 @@ class WeakSGDRegressor(_BaseWeakSGD):
 
     def fit(self, X, y):
         X = check_array(X)
-        y = np.asarray(y, dtype=float)
-        self._y_was_1d = y.ndim == 1
-        Y = y[:, None] if y.ndim == 1 else y
+        Y = _as_rows(y)
+        self._y_was_1d = np.ndim(y) == 1
         if Y.shape[0] != X.shape[0]:
             raise ValueError("X and y disagree on the number of samples")
         if not np.isfinite(Y).all():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset, anchor_conditional, anchor_support_mask
-from .kernel import KernelModel
+from .kernel import KernelModel, _as_rows
 from .surrogate import decode_batch
 
 
@@ -75,9 +75,7 @@ def excess_risk_noiseless(model: KernelModel, target_fn, grid_size: int = 512) -
     """Mean ||f(x) - f*(x)|| over the midpoint grid on [0, 1]; zero at f = f*."""
     xs = midpoint_grid(grid_size)
     preds = model.predict_batch(xs[:, None])
-    truth = np.asarray(target_fn(xs), dtype=float)
-    if truth.ndim == 1:
-        truth = truth[:, None]
+    truth = _as_rows(target_fn(xs))
     return float(np.linalg.norm(preds - truth, axis=1).mean())
 
 

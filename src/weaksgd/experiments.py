@@ -44,7 +44,8 @@ from .kernel import KernelModel, KernelSpec, nystrom_representers
 from .learner import StepSchedule, default_checkpoints
 from .oracle import QueryOracle
 
-TASKS = ("sin-regression", "anchor-classification", "libsvm", "csv-regression")
+FILE_TASKS = ("libsvm", "csv-regression")  # the tasks that read an input file
+TASKS = ("sin-regression", "anchor-classification") + FILE_TASKS
 
 # the run vocabulary: which query strategies make sense for which task kind
 REGRESSION_STRATEGIES = ("active-median", "active-least-squares", "passive", "full-sgd")
@@ -98,7 +99,7 @@ class ExperimentConfig:
                 cfg = replace(cfg, sigma=0.05)
             # file-backed tasks default to d/5 once the file is read
         if cfg.ridge is None:
-            ridge = 1e-6 if cfg.task in ("libsvm", "csv-regression") else 0.0
+            ridge = 1e-6 if cfg.task in FILE_TASKS else 0.0
             cfg = replace(cfg, ridge=ridge)
         validate_config(cfg)
         return replace(cfg, strategy=ALIASES.get(cfg.strategy, cfg.strategy))
@@ -142,7 +143,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("the anchored task needs at least 3 classes")
         if not 0.0 <= cfg.epsilon < 0.25:
             raise ConfigError("epsilon must lie in [0, 1/4)")
-    if cfg.task in ("libsvm", "csv-regression") and not cfg.input:
+        if not anchor_points(cfg.epsilon, cfg.grid_size).size:
+            raise ConfigError(f"grid_size {cfg.grid_size} with epsilon {cfg.epsilon!r} leaves "
+                              "no evaluation point outside the excluded bands")
+    if cfg.task in FILE_TASKS and not cfg.input:
         raise ConfigError(f"task {cfg.task!r} needs an input file")
 
 
@@ -275,12 +279,8 @@ def _file_trial(cfg: ExperimentConfig, seed: int, rng, full: LabeledDataset):
     return rows, model, lambda m: empirical_risk(m, test)
 
 
-_TRIAL_FUNCTIONS = {
-    "sin-regression": _sin_trial,
-    "anchor-classification": _anchor_trial,
-    "libsvm": _file_trial,
-    "csv-regression": _file_trial,
-}
+_TRIAL_FUNCTIONS = {"sin-regression": _sin_trial, "anchor-classification": _anchor_trial,
+                    **dict.fromkeys(FILE_TASKS, _file_trial)}
 
 
 def _one_trial(args):
@@ -300,7 +300,7 @@ def run_curve(cfg: ExperimentConfig) -> RiskCurve:
     A file-backed task reads its input once; every trial gets the parsed data.
     """
     cfg = cfg.resolved()
-    data = _load_input(cfg) if cfg.task in ("libsvm", "csv-regression") else None
+    data = _load_input(cfg) if cfg.task in FILE_TASKS else None
     jobs = [(cfg, i, data) for i in range(cfg.trials)]
     if cfg.jobs > 1:
         # imported here: loading the pool machinery would slow every ``import weaksgd``

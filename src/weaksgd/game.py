@@ -41,17 +41,24 @@ class GameSolution:
     duality_gap: float
 
 
+def class_distribution(p) -> np.ndarray:
+    """``p`` as a float vector, checked to be a class distribution: nonempty,
+    1-D, nonnegative and summing to 1 within 1e-9."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or p.size < 1:
+        raise ValueError("p must be a nonempty probability vector")
+    if not ((p >= 0).all() and abs(float(p.sum()) - 1.0) <= 1e-9):  # NaN fails too
+        raise ValueError("p must be nonnegative and sum to 1")
+    return p
+
+
 def build_game(p, family) -> MatrixGame:
     """Payoff matrix for class distribution ``p`` and query family ``family``.
 
     Entry (S, y) = -(2 P(Y in S) - 1) * (+1 if y in S else -1). Rows with
     P(Y in S) = 1/2 vanish identically.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("p must be a nonempty probability vector")
-    if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("p must be nonnegative and sum to 1")
+    p = class_distribution(p)
     m = p.size
     sets = []
     for S in family:
@@ -71,52 +78,46 @@ def build_game(p, family) -> MatrixGame:
     return MatrixGame(payoff)
 
 
-def _strategy_lp(A: np.ndarray, maxiter: int):
-    """min_v max-row payoff as an LP over (v, t): min t s.t. Av <= t, sum v = 1."""
-    from scipy.optimize import linprog  # on first solve: only the game needs scipy (0.5 s import)
-
-    k, m = A.shape
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([A, -np.ones((k, 1))])
-    A_eq = np.hstack([np.ones((1, m)), np.zeros((1, 1))])
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=np.zeros(k),
-        A_eq=A_eq,
-        b_eq=np.ones(1),
-        bounds=[(0, None)] * m + [(None, None)],
-        method="highs",
-        options={"maxiter": int(maxiter)},
-    )
-    if not res.success:
-        raise GameSolveError(f"linear program failed: {res.message}")
-    v = np.maximum(res.x[:m], 0.0)
-    return v / v.sum(), float(res.x[-1])
-
-
 def solve_game(game: MatrixGame, iterations: int = 100_000, tol: float = 1e-6) -> GameSolution:
     """Equilibrium of the zero-sum game, certified by the duality gap.
 
-    Solves both players' linear programs exactly and checks
-    max_row (A v*) - min_col (mu*^T A) <= 2 * tol; a larger gap raises
-    :class:`GameSolveError` naming the gap.
+    Solves the prediction player's linear program over (v, t): min t subject
+    to A v <= t, sum v = 1, v >= 0. The duals of its k payoff rows are the
+    query player's strategy (dual feasibility for the free t makes them sum
+    to 1). The certificate max_row (A v*) - min_col (mu*^T A) <= 2 * tol
+    checks both strategies; a larger gap raises :class:`GameSolveError`
+    naming the gap.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    from scipy.optimize import linprog  # on first solve: only the game needs scipy (0.5 s import)
+
     A = game.payoff
-    col_strategy, value = _strategy_lp(A, iterations)
-    row_strategy, neg_value = _strategy_lp(-A.T, iterations)
+    k, m = A.shape
+    c = np.zeros(m + 1)
+    c[-1] = 1.0
+    res = linprog(
+        c,
+        A_ub=np.hstack([A, -np.ones((k, 1))]),
+        b_ub=np.zeros(k),
+        A_eq=np.hstack([np.ones((1, m)), np.zeros((1, 1))]),
+        b_eq=np.ones(1),
+        bounds=[(0, None)] * m + [(None, None)],
+        method="highs",
+        options={"maxiter": int(iterations)},
+    )
+    if not res.success:
+        raise GameSolveError(f"linear program failed: {res.message}")
+    v = np.maximum(res.x[:m], 0.0)
+    mu = np.maximum(-res.ineqlin.marginals, 0.0)
+    col_strategy, row_strategy = v / v.sum(), mu / mu.sum()
     gap = float((A @ col_strategy).max() - (row_strategy @ A).min())
     if gap > 2.0 * tol:
         raise GameSolveError(
             f"duality gap {gap:.3e} exceeds certificate 2*tol = {2.0 * tol:.3e}")
-    if abs(value + neg_value) > 2.0 * tol:
-        raise GameSolveError(f"player values disagree: {value} vs {-neg_value}")
-    return GameSolution(value, row_strategy, col_strategy, gap)
+    return GameSolution(float(res.x[-1]), row_strategy, col_strategy, gap)
 
 
 def singleton_family(n_classes: int) -> list[frozenset]:

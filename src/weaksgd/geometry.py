@@ -204,13 +204,14 @@ def estimate_reconstruction_mc(
         u = sample_sphere_batch(rng, m, take)
         proj = u @ z
         if kind == "median":
-            w = np.where(proj >= 0.0, 1.0, -1.0)
+            # the weights are +/-1: they flip signs in the sum, squares are u^2
+            total += np.where(proj >= 0.0, 1.0, -1.0) @ u
         else:
-            v = rng.uniform(0.0, 2.0 * M, take)
-            w = (proj >= v).astype(float)
-        vals = u * w[:, None]
-        total += vals.sum(axis=0)
-        total_sq += (vals * vals).sum(axis=0)
+            # the weights are 0/1: only the selected rows count
+            u = u[proj >= rng.uniform(0.0, 2.0 * M, take)]
+            total += u.sum(axis=0)
+        u *= u
+        total_sq += u.sum(axis=0)
     mean = total / n_samples
     var = np.maximum(total_sq / n_samples - mean * mean, 0.0)
     return mean, np.sqrt(var / n_samples)

@@ -27,11 +27,13 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
 
 
-def _as_points(X) -> np.ndarray:
+def _as_rows(X) -> np.ndarray:
+    """``X`` as a 2-D float array of rows: a 1-D array becomes one column.
+    The shape rule for inputs and for real label matrices alike."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -53,8 +55,8 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 def kernel_matrix(spec: KernelSpec, X, Z, out: np.ndarray | None = None) -> np.ndarray:
     """Gram block k(X_i, Z_j) as an (n, p) array, written into ``out`` when
     given, so that a caller building block after block can reuse one buffer."""
-    X = _as_points(X)
-    Z = _as_points(Z)
+    X = _as_rows(X)
+    Z = _as_rows(Z)
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
     # built in place, one extra block at a time, with the rounding of
@@ -107,7 +109,7 @@ class KernelModel:
     pinned: PinnedBlock | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.representers = _as_points(self.representers)
+        self.representers = _as_rows(self.representers)
         self.coefficients = np.ascontiguousarray(self.coefficients, dtype=float)
         if self.coefficients.ndim != 2:
             raise ValueError("coefficients must be a 2-D (rank, output_dim) array")
@@ -118,12 +120,12 @@ class KernelModel:
             )
         if self.representers.shape[0] < 1:
             raise ValueError("need at least one representer")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
     @classmethod
     def zeros(cls, representers, output_dim: int, spec: KernelSpec, ridge: float = 0.0):
-        reps = _as_points(representers)
+        reps = _as_rows(representers)
         return cls(reps, np.zeros((reps.shape[0], int(output_dim))), spec, ridge)
 
     @property
@@ -141,7 +143,7 @@ class KernelModel:
     def predict_batch(self, X) -> np.ndarray:
         """Predictions at the rows of ``X``, built and multiplied in blocks of
         ``CHUNK_ROWS`` rows, so at most one block of kernel values is held."""
-        X = _as_points(X)
+        X = _as_rows(X)
         n = X.shape[0]
         pin = self.pinned
         pinned = pin is not None and pin.matches(X, self.representers, self.spec)
@@ -165,7 +167,7 @@ class KernelModel:
         representers and the spec all equal those it was built from; otherwise
         a fresh block is built, so predictions are the same bits either way.
         """
-        X = _as_points(X).copy()
+        X = _as_rows(X).copy()
         reps = self.representers.copy()
         block = np.empty((X.shape[0], reps.shape[0]))
         for lo in range(0, X.shape[0], CHUNK_ROWS):
@@ -185,7 +187,7 @@ class KernelModel:
 
 def nystrom_representers(X, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random subset of the inputs, without replacement, as representers."""
-    X = _as_points(X)
+    X = _as_rows(X)
     n = X.shape[0]
     if rank < 1:
         raise ValueError("rank must be >= 1")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import sample_sphere_batch
-from .kernel import CHUNK_ROWS, KernelModel, _as_points, kernel_matrix
+from .kernel import CHUNK_ROWS, KernelModel, _as_rows, kernel_matrix
 from .oracle import QueryOracle
 
 
@@ -44,8 +44,9 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.gamma0 > 0:
-            raise ValueError(f"{self.kind} schedule needs gamma0 > 0")
+        if not 0 < self.gamma0 < np.inf:
+            raise ValueError(
+                f"{self.kind} schedule needs a finite gamma0 > 0, got {self.gamma0}")
 
     @classmethod
     def decaying(cls, gamma0: float) -> "StepSchedule":
@@ -76,7 +77,7 @@ class TrainReport:
 def _prepare(X, budget: int, checkpoint_grid, indices):
     """Inputs as an (n, d) array, the indices of the steps to take, and the
     validated checkpoint grid."""
-    X = _as_points(X)
+    X = _as_rows(X)
     if indices is None:
         indices = np.arange(X.shape[0])
     else:
@@ -265,8 +266,8 @@ def run_least_squares_sgd(
     b = 1{<Y, U> < <f(x), U> - V}, and descend by gamma(t) * b * (U_j k(x, x_i)).
     The caller asserts ||f(x) - Y|| <= 2*bound; the oracle cannot check it.
     """
-    if not bound > 0:
-        raise ValueError("bound must be > 0")
+    if not 0 < bound < np.inf:
+        raise ValueError(f"bound must be finite and > 0, got {bound}")
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     steps = len(used)
     U = sample_sphere_batch(rng, model.output_dim, steps)
@@ -297,9 +298,7 @@ def run_full_sgd(
     Uses the labels directly (no oracle, no budget): descends along
     (f(x) - y)/||f(x) - y||, with subgradient 0 at f(x) = y.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    Y = _as_rows(Y)
     X, used, grid = _prepare(X, len(Y) if indices is None else len(indices),
                              checkpoint_grid, indices)
     a = model.coefficients

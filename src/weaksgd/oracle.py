@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernel import _as_rows
+
 
 class BudgetExhausted(RuntimeError):
     """All budgeted queries have been spent."""
@@ -52,10 +54,8 @@ class QueryOracle:
                        record_log: bool = False) -> "QueryOracle":
         """Oracle over real-vector labels; ``targets`` is (n,) or (n, m)."""
         oracle = cls(budget=budget, mode=mode, record_log=record_log)
-        t = np.asarray(targets, dtype=float)
-        if t.ndim == 1:
-            t = t[:, None]
-        if t.ndim != 2 or t.shape[0] < 1:
+        t = _as_rows(targets)
+        if t.shape[0] < 1:
             raise ValueError("targets must be a nonempty (n,) or (n, m) array")
         oracle._targets = t.copy()
         oracle._n, oracle._m = t.shape

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .game import class_distribution
 from .geometry import geometric_median
 from .kernel import CHUNK_ROWS, KernelModel
 from .learner import StepSchedule, TrainReport, _descend, _prepare
@@ -107,11 +108,7 @@ def surrogate_target_check(p, tol: float = 1e-8) -> OrderingReport:
     checks (a) p_y > p_z + tol implies median_y >= median_z - tol, and
     (b) the decoded class attains max p.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("p must be a nonempty probability vector")
-    if (p < 0).any() or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("p must be nonnegative and sum to 1")
+    p = class_distribution(p)
     m = p.size
     theta = geometric_median(np.eye(m), p, tol=min(tol, 1e-8))
     violations = []

@@ -55,6 +55,8 @@ class TestExitCodes:
         (("run", "--bound", "inf", "--strategy", "active-least-squares"), "bound"),
         (("run", "--sigma", "inf"), "sigma"),
         (("run", "--seed", "-1"), "seed"),
+        (("run", "--task", "anchor-classification", "--grid-size", "2", "--epsilon", "0.2",
+          "--classes", "3"), "grid_size"),
         (("run", "--task", "csv-regression", "--input", str(FIXTURES / "weather.csv"),
           "--target", "nosuch"), "target"),
         (("run", "--task", "csv-regression", "--input", str(FIXTURES / "weather.csv"),
@@ -70,7 +72,8 @@ class TestExitCodes:
         (("verify", "--seed", "-1"), "--seed"),
         (("constants", "--m", "0"), "--m"),
         (("game", "--counterexample", "--tol", "0"), "--tol"),
-    ], ids=["run-gamma0", "run-ridge", "run-bound", "run-sigma", "run-seed", "run-csv-target",
+    ], ids=["run-gamma0", "run-ridge", "run-bound", "run-sigma", "run-seed",
+            "run-empty-anchor-grid", "run-csv-target",
             "run-csv-no-target", "run-csv-every-column", "run-csv-repeated-target",
             "run-no-training-row", "run-one-training-row", "verify-seed", "constants-m",
             "game-tol"])

@@ -103,6 +103,11 @@ class TestParseLibsvm:
         assert ds.n == 200
         assert ds.n_classes == 3
         assert ds.d == 2
+        assert ds.extra["label_values"] == [1.0, 2.0, 3.0]
+        assert ds.targets[:12].tolist() == [1, 2, 3, 1, 3, 3, 3, 3, 1, 2, 3, 2]
+        raw = [float(line.split()[0]) for line in (fixtures_dir / "blobs3.libsvm").open()
+               if line.strip()]
+        assert [ds.extra["label_values"][c - 1] for c in ds.targets] == raw
 
 
 class TestStandardize:

@@ -7,6 +7,7 @@ from weaksgd.estimators import (
     WeakSGDRegressor,
     check_array,
 )
+from weaksgd.oracle import QueryOracle
 
 
 def sin_data(n=256, seed=0):
@@ -115,10 +116,39 @@ class TestRegressor:
         with pytest.raises(NotFittedError):
             WeakSGDRegressor().predict(np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("cls", [WeakSGDRegressor, WeakSGDClassifier])
+    def test_diverged_fit_raises(self, cls):
+        X, y = sin_data(n=50) if cls is WeakSGDRegressor else blob_data(n=50)
+        est = cls(schedule="constant", gamma0=1e308, budget=50, rank=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="diverged"):
+                est.fit(X, y)
+        assert getattr(est, "model_", None) is None
+
     def test_unknown_strategy(self):
         X, y = sin_data(n=16)
         with pytest.raises(ValueError):
             WeakSGDRegressor(strategy="bandit").fit(X, y)
+
+
+@pytest.mark.parametrize("cls,params,name", [
+    (WeakSGDRegressor, {"ridge": np.nan}, "ridge"),
+    (WeakSGDRegressor, {"ridge": np.inf}, "ridge"),
+    (WeakSGDRegressor, {"gamma0": np.inf}, "gamma0"),
+    (WeakSGDRegressor, {"gamma0": np.nan}, "gamma0"),
+    (WeakSGDRegressor, {"bandwidth": np.inf}, "bandwidth"),
+    (WeakSGDRegressor, {"strategy": "least-squares", "bound": np.inf}, "bound"),
+    (WeakSGDClassifier, {"ridge": np.nan}, "ridge"),
+    (WeakSGDClassifier, {"gamma0": np.inf}, "gamma0"),
+])
+def test_non_finite_setting_spends_no_bit(monkeypatch, cls, params, name):
+    def charge(*args):
+        raise AssertionError("a bit was spent")
+
+    monkeypatch.setattr(QueryOracle, "_charge", charge)
+    X, y = sin_data(n=50) if cls is WeakSGDRegressor else blob_data(n=50)
+    with pytest.raises(ValueError, match=name):
+        cls(budget=50, rank=5, **params).fit(X, y)
 
 
 class TestClassifier:

@@ -95,6 +95,8 @@ class TestBuildGame:
             build_game([1.2, -0.2], [{1}])
         with pytest.raises(ValueError):
             build_game([0.5, 0.5], [{3}])
+        with pytest.raises(ValueError):
+            build_game([np.nan, 1.0], [{1}])
 
 
 class TestSolveGame:
@@ -111,12 +113,24 @@ class TestSolveGame:
         assert sol.value == pytest.approx(0.0, abs=1e-12)
         assert sol.duality_gap <= 1e-12
 
-    def test_counterexample_value_and_strategies(self):
+    def test_counterexample_value_and_strategies(self, monkeypatch):
+        # one linear program solves both players
+        import scipy.optimize
+
+        calls = []
+        linprog = scipy.optimize.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
         game = build_game([0.4, 0.3, 0.3], singleton_family(3))
         sol = solve_game(game, tol=1e-9)
+        assert len(calls) == 1
         assert sol.value == pytest.approx(-0.1, abs=1e-9)
-        assert np.abs(sol.row_strategy - [0.5, 0.25, 0.25]).max() <= 1e-8
-        assert np.abs(sol.col_strategy - [0.25, 0.375, 0.375]).max() <= 1e-8
+        assert np.abs(sol.row_strategy - [0.5, 0.25, 0.25]).max() <= 1e-9
+        assert np.abs(sol.col_strategy - [0.25, 0.375, 0.375]).max() <= 1e-9
 
     def test_certain_class_game_value(self):
         sol = solve_game(build_game([1.0, 0.0], singleton_family(2)))
@@ -124,8 +138,12 @@ class TestSolveGame:
         assert np.allclose(sol.col_strategy, [1.0, 0.0], atol=1e-8)
 
     def test_uniform_two_classes_value_zero(self):
+        # every strategy of either player is optimal here
         sol = solve_game(build_game([0.5, 0.5], singleton_family(2)))
         assert sol.value == pytest.approx(0.0, abs=1e-12)
+        assert sol.row_strategy.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sol.col_strategy.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sol.duality_gap == 0.0
 
     def test_duality_gap_certificate(self):
         rng = np.random.default_rng(0)

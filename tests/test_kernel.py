@@ -98,8 +98,37 @@ class TestKernelEval:
             assert np.isnan(buf[n:]).all()
 
     def test_bad_spec(self):
-        with pytest.raises(ValueError):
-            KernelSpec(bandwidth=0.0)
+        for bandwidth in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="bandwidth must be finite"):
+                KernelSpec(bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("ridge", [-1e-3, np.inf, np.nan])
+    def test_bad_ridge(self, spec, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite"):
+            KernelModel.zeros(np.zeros((1, 1)), 1, spec, ridge)
+
+
+class TestShapeRule:
+    """Inputs and real label matrices share one shape rule: a 1-D array is one
+    column, a 2-D array is kept, anything else fails with the same error."""
+
+    SITES = {
+        "dataset": lambda Y: LabeledDataset(np.zeros((4, 1)), Y, "regression"),
+        "oracle": lambda Y: QueryOracle.for_regression(Y, budget=4),
+        "full-sgd": lambda Y: learner.run_full_sgd(
+            np.zeros((4, 1)), Y, StepSchedule.decaying(1.0),
+            KernelModel.zeros(np.zeros((1, 1)), 1, KernelSpec(1.0))),
+        "regressor": lambda Y: WeakSGDRegressor(budget=4, rank=1).fit(np.zeros((4, 1)), Y),
+        "excess-risk": lambda Y: excess_risk_noiseless(
+            KernelModel.zeros(np.zeros((1, 1)), 1, KernelSpec(1.0)), lambda xs: Y, 4),
+    }
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("shape", [(4, 1, 1), ()], ids=["3-D", "0-D"])
+    def test_bad_label_shape_fails_at_once(self, site, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected 1-D or 2-D input array, got shape {shape}")):
+            self.SITES[site](np.zeros(shape))
 
 
 class TestPredict:
@@ -381,7 +410,8 @@ class TestCheckpointSerialization:
         model = KernelModel(np.array([[0.5], [1.5]]), np.arange(6.0).reshape(2, 3),
                             KernelSpec(0.5), 0.25)
         if field == "bandwidth":
-            model.spec = KernelSpec(np.inf)
+            # KernelSpec refuses it, so only a frozen-field write gets one through
+            object.__setattr__(model.spec, "bandwidth", np.inf)
         elif field == "ridge":
             model.ridge = np.inf
         else:

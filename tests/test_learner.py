@@ -52,6 +52,9 @@ class TestStepSchedule:
             StepSchedule("constant", -0.5)
         with pytest.raises(ValueError):
             StepSchedule(kind="cyclic", gamma0=1.0)
+        for gamma0 in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite gamma0"):
+                StepSchedule.decaying(gamma0)
 
 
 class TestMedianSGD:
@@ -230,9 +233,11 @@ class TestLeastSquaresSGD:
         rng = np.random.default_rng(0)
         model = zero_model([[0.0]])
         oracle = QueryOracle.for_regression(np.array([[0.0]]), budget=1)
-        with pytest.raises(ValueError):
-            run_least_squares_sgd(np.array([[0.0]]), oracle, StepSchedule.decaying(0.5),
-                                  model, rng, bound=0.0)
+        for bound in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="bound must be finite"):
+                run_least_squares_sgd(np.array([[0.0]]), oracle, StepSchedule.decaying(0.5),
+                                      model, rng, bound=bound)
+            assert oracle.budget_used == 0
 
     def test_shrinkage_applies_even_without_an_update(self):
         # ridge is part of the objective: a zero bit still shrinks the

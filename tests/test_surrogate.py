@@ -243,3 +243,5 @@ class TestSurrogateTarget:
             surrogate_target_check([0.5, 0.6])
         with pytest.raises(ValueError):
             surrogate_target_check([1.2, -0.2])
+        with pytest.raises(ValueError):
+            surrogate_target_check([np.nan, 1.0])
