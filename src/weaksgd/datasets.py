@@ -23,14 +23,14 @@ class ParseError(ValueError):
 class LabeledDataset:
     """Dense feature matrix with either real-vector or class targets.
 
-    ``targets`` is (n, m) float for regression or (n,) int in 1..n_classes
-    for classification. ``extra`` carries parser bookkeeping such as dropped
-    row counts and original label values.
+    ``n_classes`` names the kind: ``None`` means ``targets`` is (n, m) float
+    (regression), otherwise (n,) int in 1..n_classes (classification).
+    ``extra`` carries parser bookkeeping such as dropped row counts and
+    original label values.
     """
 
     features: np.ndarray
     targets: np.ndarray
-    kind: str
     n_classes: int | None = None
     extra: dict = field(default_factory=dict)
 
@@ -38,20 +38,18 @@ class LabeledDataset:
         self.features = np.asarray(self.features, dtype=float)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
-        if self.kind == "regression":
+        if self.n_classes is None:
             self.targets = _as_rows(self.targets)
             if self.targets.shape[0] != self.n:
                 raise ValueError("features and targets disagree on n")
-        elif self.kind == "classification":
-            self.targets = np.asarray(self.targets, dtype=int)
-            if self.targets.ndim != 1 or self.targets.shape[0] != self.n:
-                raise ValueError("class targets must be a length-n vector")
-            if self.n_classes is None or self.n_classes < 1:
-                raise ValueError("classification datasets need n_classes")
-            if ((self.targets < 1) | (self.targets > self.n_classes)).any():
-                raise ValueError(f"class indices must lie in 1..{self.n_classes}")
-        else:
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+            return
+        self.targets = np.asarray(self.targets, dtype=int)
+        if self.targets.ndim != 1 or self.targets.shape[0] != self.n:
+            raise ValueError("class targets must be a length-n vector")
+        if self.n_classes < 1:
+            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        if ((self.targets < 1) | (self.targets > self.n_classes)).any():
+            raise ValueError(f"class indices must lie in 1..{self.n_classes}")
 
     @property
     def n(self) -> int:
@@ -63,11 +61,11 @@ class LabeledDataset:
 
     @property
     def output_dim(self) -> int:
-        return self.n_classes if self.kind == "classification" else self.targets.shape[1]
+        return self.targets.shape[1] if self.n_classes is None else self.n_classes
 
     def take(self, idx) -> "LabeledDataset":
         return LabeledDataset(np.array(self.features[idx]), np.array(self.targets[idx]),
-                              self.kind, self.n_classes, dict(self.extra))
+                              self.n_classes, dict(self.extra))
 
 
 @dataclass(frozen=True)
@@ -181,13 +179,12 @@ def parse_libsvm(source) -> LabeledDataset:
         for idx, val in entries.items():
             X[r, idx - 1] = val
     values, codes = np.unique(labels, return_inverse=True)
-    return LabeledDataset(X, codes + 1, "classification", n_classes=len(values),
-                          extra={"label_values": values.tolist()})
+    return LabeledDataset(X, codes + 1, len(values), extra={"label_values": values.tolist()})
 
 
 def serialize_libsvm(dataset: LabeledDataset) -> str:
     """Sparse-text form of a classification dataset (nonzero entries only)."""
-    if dataset.kind != "classification":
+    if dataset.n_classes is None:
         raise ValueError("serialize_libsvm expects a classification dataset")
     label_values = dataset.extra.get("label_values")
     lines = []
@@ -221,6 +218,8 @@ def parse_csv_regression(source, target_columns) -> LabeledDataset:
             raise ValueError(f"target column {name!r} not in header {header}")
         if targets.count(name) > 1:
             raise ValueError(f"target column {name!r} is named more than once")
+        if header.count(name) > 1:
+            raise ValueError(f"target column {name!r} appears more than once in {header}")
     t_idx = [header.index(name) for name in targets]
     f_idx = [j for j in range(len(header)) if j not in t_idx]
     if not f_idx:
@@ -244,7 +243,7 @@ def parse_csv_regression(source, target_columns) -> LabeledDataset:
         targ_rows.append([values[j] for j in t_idx])
     if not feat_rows:
         raise ParseError(len(lines), "no usable rows after dropping incomplete ones")
-    return LabeledDataset(np.array(feat_rows), np.array(targ_rows), "regression",
+    return LabeledDataset(np.array(feat_rows), np.array(targ_rows),
                           extra={"dropped_rows": dropped})
 
 
@@ -257,7 +256,7 @@ def sin_target(x: np.ndarray) -> np.ndarray:
 def gen_sin_regression(n: int, rng: np.random.Generator) -> LabeledDataset:
     """Noiseless scalar task: X uniform on [0, 1], Y = sin(2 pi X)."""
     x = rng.random(n)
-    return LabeledDataset(x[:, None], sin_target(x), "regression")
+    return LabeledDataset(x[:, None], sin_target(x))
 
 
 def harmonic_target(x: np.ndarray, output_dim: int) -> np.ndarray:
@@ -275,7 +274,7 @@ def gen_harmonic_regression(n: int, output_dim: int, rng: np.random.Generator) -
     if output_dim < 1:
         raise ValueError("output_dim must be >= 1")
     x = rng.random(n)
-    return LabeledDataset(x[:, None], harmonic_target(x, output_dim), "regression")
+    return LabeledDataset(x[:, None], harmonic_target(x, output_dim))
 
 
 _ANCHOR_POSITIONS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -331,4 +330,4 @@ def gen_anchor_classification(n: int, n_classes: int, band_halfwidth: float,
     cum = np.cumsum(probs, axis=1)
     draws = rng.random(n)
     y = (draws[:, None] >= cum).sum(axis=1) + 1
-    return LabeledDataset(xs[:, None], y, "classification", n_classes=n_classes)
+    return LabeledDataset(xs[:, None], y, n_classes)

@@ -22,12 +22,6 @@ class NotFittedError(RuntimeError):
     """predict was called before fit."""
 
 
-def check_random_state(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def check_array(X) -> np.ndarray:
     X = _as_rows(X)
     if X.shape[0] < 1:
@@ -85,7 +79,7 @@ class _BaseWeakSGD(_ParamsMixin):
             raise ValueError("budget must be >= 0")
         schedule = StepSchedule(self.schedule, self.gamma0)
         spec = KernelSpec(self.bandwidth)
-        rng = check_random_state(self.seed)
+        rng = np.random.default_rng(self.seed)  # a Generator seed passes through as is
         reps = nystrom_representers(X, self.rank, rng)
         output_dim = labels.shape[1] if n_classes is None else n_classes
         model = KernelModel.zeros(reps, output_dim, spec, self.ridge)
@@ -162,6 +156,8 @@ class WeakSGDClassifier(_BaseWeakSGD):
         y = np.asarray(y)
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError("y must be a length-n label vector")
+        if y.dtype.kind in "fc" and not np.isfinite(y).all():
+            raise ValueError("y contains non-finite values")
         self.classes_, codes = np.unique(y, return_inverse=True)
         return self._fit(X, codes + 1, n_classes=len(self.classes_))
 

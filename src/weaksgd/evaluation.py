@@ -66,7 +66,7 @@ def empirical_risk(model: KernelModel, test: LabeledDataset) -> float:
     """Mean test loss: decoded zero-one error on classes, rowwise ||f(x) - y||
     on real targets."""
     preds = model.predict_batch(test.features)
-    if test.kind == "classification":
+    if test.n_classes is not None:
         return float((decode_batch(preds) != test.targets).mean())
     return float(np.linalg.norm(preds - test.targets, axis=1).mean())
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -132,6 +133,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name in ("gamma0", "bound"):
         if not getattr(cfg, name) > 0:
             raise ConfigError(f"{name} must be > 0")
+    if not 2.0 * cfg.bound < math.inf:  # least-squares draws V from [0, 2 * bound]
+        raise ConfigError(f"bound must be > 0 with 2 * bound finite, got {cfg.bound!r}")
     if cfg.sigma is not None and not cfg.sigma > 0:
         raise ConfigError("sigma must be > 0")
     if cfg.ridge is not None and cfg.ridge < 0:
@@ -223,30 +226,6 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
                                       indices)
 
 
-def _model(cfg: ExperimentConfig, data: LabeledDataset, sigma: float, rng,
-           points) -> KernelModel:
-    """A zero model on representers drawn from ``data``, with the kernel block
-    of the trial's evaluation ``points`` pinned for every checkpoint."""
-    reps = nystrom_representers(data.features, cfg.rank, rng)
-    model = KernelModel.zeros(reps, data.output_dim, KernelSpec(sigma), cfg.ridge)
-    model.pin_points(points)
-    return model
-
-
-def _sin_trial(cfg: ExperimentConfig, seed: int, rng, full):
-    data = gen_sin_regression(cfg.budget, rng)
-    model = _model(cfg, data, cfg.sigma, rng, midpoint_grid(cfg.grid_size))
-    return data, model, lambda m: excess_risk_noiseless(m, sin_target, cfg.grid_size)
-
-
-def _anchor_trial(cfg: ExperimentConfig, seed: int, rng, full):
-    data = gen_anchor_classification(cfg.budget, cfg.classes, cfg.epsilon, rng)
-    points = anchor_points(cfg.epsilon, cfg.grid_size)
-    model = _model(cfg, data, cfg.sigma, rng, points)
-    law = anchor_law(cfg.classes, cfg.epsilon, cfg.grid_size)
-    return data, model, lambda m: excess_zero_one_anchor(m, points, law)
-
-
 def _load_input(cfg: ExperimentConfig) -> LabeledDataset:
     """The input file, read once for every trial; a bad ``target`` or
     ``train_fraction`` is a configuration error, a malformed file is not."""
@@ -268,26 +247,34 @@ def _load_input(cfg: ExperimentConfig) -> LabeledDataset:
     return data
 
 
-def _file_trial(cfg: ExperimentConfig, seed: int, rng, full: LabeledDataset):
-    # fixture-scale files can be smaller than the budget: train then cycles
-    # through the training rows and re-queries under the resampling protocol
-    rows, test = split(full, SplitSpec(cfg.train_fraction, seed))
-    rows, info = standardize(rows)
-    test = apply_standardize(test, info)
-    sigma = cfg.sigma if cfg.sigma is not None else rows.d / 5.0
-    model = _model(cfg, rows, sigma, rng, test.features)
-    return rows, model, lambda m: empirical_risk(m, test)
-
-
-_TRIAL_FUNCTIONS = {"sin-regression": _sin_trial, "anchor-classification": _anchor_trial,
-                    **dict.fromkeys(FILE_TASKS, _file_trial)}
-
-
 def _one_trial(args):
+    """One seeded trial: its training rows (drawn, or split from the parsed
+    file ``full``), then its representers, then ``budget`` steps of training
+    with the task's risk evaluated at every checkpoint."""
     cfg, trial_index, full = args
     seed = cfg.seed + trial_index
     rng = np.random.default_rng(seed)
-    data, model, evaluate = _TRIAL_FUNCTIONS[cfg.task](cfg, seed, rng, full)
+    if cfg.task == "sin-regression":
+        data = gen_sin_regression(cfg.budget, rng)
+        points = midpoint_grid(cfg.grid_size)
+        evaluate = partial(excess_risk_noiseless, target_fn=sin_target, grid_size=cfg.grid_size)
+    elif cfg.task == "anchor-classification":
+        data = gen_anchor_classification(cfg.budget, cfg.classes, cfg.epsilon, rng)
+        points = anchor_points(cfg.epsilon, cfg.grid_size)
+        evaluate = partial(excess_zero_one_anchor, points=points,
+                           law=anchor_law(cfg.classes, cfg.epsilon, cfg.grid_size))
+    else:
+        # fixture-scale files can be smaller than the budget: train then cycles
+        # through the training rows and re-queries under the resampling protocol
+        data, test = split(full, SplitSpec(cfg.train_fraction, seed))
+        data, info = standardize(data)
+        test = apply_standardize(test, info)
+        points = test.features
+        evaluate = partial(empirical_risk, test=test)
+    reps = nystrom_representers(data.features, cfg.rank, rng)
+    sigma = data.d / 5.0 if cfg.sigma is None else cfg.sigma  # a file task's default
+    model = KernelModel.zeros(reps, data.output_dim, KernelSpec(sigma), cfg.ridge)
+    model.pin_points(points)  # one kernel block for every checkpoint's evaluation
     report = train(cfg.strategy, data.features, data.targets, model,
                    StepSchedule(cfg.schedule, cfg.gamma0), rng, cfg.budget,
                    data.n_classes, cfg.bound, default_checkpoints(cfg.budget), evaluate)

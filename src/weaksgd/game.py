@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+LP_ITERATIONS = 100_000  # the simplex step cap of each solve
+
+
 class GameSolveError(RuntimeError):
     """Equilibrium solve failed or missed the requested certificate."""
 
@@ -78,7 +81,7 @@ def build_game(p, family) -> MatrixGame:
     return MatrixGame(payoff)
 
 
-def solve_game(game: MatrixGame, iterations: int = 100_000, tol: float = 1e-6) -> GameSolution:
+def solve_game(game: MatrixGame, tol: float = 1e-6) -> GameSolution:
     """Equilibrium of the zero-sum game, certified by the duality gap.
 
     Solves the prediction player's linear program over (v, t): min t subject
@@ -86,12 +89,10 @@ def solve_game(game: MatrixGame, iterations: int = 100_000, tol: float = 1e-6) -
     query player's strategy (dual feasibility for the free t makes them sum
     to 1). The certificate max_row (A v*) - min_col (mu*^T A) <= 2 * tol
     checks both strategies; a larger gap raises :class:`GameSolveError`
-    naming the gap.
+    naming the gap. HiGHS stops after :data:`LP_ITERATIONS` simplex steps.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     from scipy.optimize import linprog  # on first solve: only the game needs scipy (0.5 s import)
 
     A = game.payoff
@@ -106,7 +107,7 @@ def solve_game(game: MatrixGame, iterations: int = 100_000, tol: float = 1e-6) -
         b_eq=np.ones(1),
         bounds=[(0, None)] * m + [(None, None)],
         method="highs",
-        options={"maxiter": int(iterations)},
+        options={"maxiter": LP_ITERATIONS},
     )
     if not res.success:
         raise GameSolveError(f"linear program failed: {res.message}")

@@ -24,6 +24,7 @@ import numpy as np
 
 # float budget per Monte Carlo chunk; keeps peak memory flat for large n
 _CHUNK_FLOATS = 4_000_000
+WEISZFELD_STEPS = 100_000  # the iteration cap of geometric_median
 
 
 class WeiszfeldNonConvergence(RuntimeError):
@@ -95,6 +96,12 @@ def c2_constant(m: int) -> float:
     return math.exp(math.lgamma(m / 2.0) - math.lgamma((m + 1) / 2.0)) / math.sqrt(math.pi)
 
 
+def _check_scale(M: float) -> None:
+    """Reject a scale bound M unless M > 0 and 2M, the far end of V's range, is finite."""
+    if not 0 < 2.0 * M < math.inf:
+        raise ValueError(f"scale bound M must be > 0 with 2M finite, got {M}")
+
+
 def c1_constant(m: int, M: float) -> float:
     """Normalizer in E[1{<z, U> >= V} U] = c1 z for ||z|| <= 2M.
 
@@ -103,8 +110,7 @@ def c1_constant(m: int, M: float) -> float:
     c1 = 1 / (4 m M). Scale equivariance: c1(m, aM) = c1(m, M)/a.
     """
     m = _check_dim(m)
-    if not M > 0:
-        raise ValueError(f"scale bound M must be > 0, got {M}")
+    _check_scale(M)
     return 1.0 / (4.0 * m * M)
 
 
@@ -136,8 +142,7 @@ def _check_kind(kind: str, M: float | None) -> None:
     elif kind == "least-squares":
         if M is None:
             raise ValueError("least-squares kind requires the scale bound M")
-        if not M > 0:
-            raise ValueError(f"scale bound M must be > 0, got {M}")
+        _check_scale(M)
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
@@ -229,12 +234,7 @@ def _anchor_force(points: np.ndarray, weights: np.ndarray, a: int) -> tuple[floa
     return float(np.linalg.norm(force)), here
 
 
-def geometric_median(
-    points,
-    weights=None,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> np.ndarray:
+def geometric_median(points, weights=None, tol: float = 1e-8) -> np.ndarray:
     """Weighted geometric median: argmin_x sum_i w_i ||x - p_i||.
 
     Weiszfeld iteration with exact anchor handling: a point p_a is the global
@@ -245,25 +245,29 @@ def geometric_median(
     lands within ``tol`` of a non-optimal anchor, the update steps along the
     residual direction instead of dividing by a vanishing distance.
 
-    Raises :class:`WeiszfeldNonConvergence` after ``max_iter`` steps.
+    Raises :class:`WeiszfeldNonConvergence` after :data:`WEISZFELD_STEPS` steps.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k, _ = pts.shape
     if k < 1:
         raise ValueError("need at least one point")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if weights is None:
         w = np.ones(k)
     else:
         w = np.asarray(weights, dtype=float)
     if w.shape != (k,):
         raise ValueError(f"weights must have shape ({k},)")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     wsum = w.sum()
     if wsum <= 0:
         raise ValueError("weights must not all be zero")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     # exact optimality certificate at each anchor (covers k == 1 too)
     for a in range(k):
@@ -275,7 +279,7 @@ def geometric_median(
 
     x = (w @ pts) / wsum
     displacement = math.inf
-    for _ in range(max_iter):
+    for _ in range(WEISZFELD_STEPS):
         diffs = pts - x
         dists = np.linalg.norm(diffs, axis=1)
         near = dists < tol
@@ -298,7 +302,7 @@ def geometric_median(
         x = nxt
         if displacement < tol:
             return x
-    raise WeiszfeldNonConvergence(x, displacement, max_iter)
+    raise WeiszfeldNonConvergence(x, displacement, WEISZFELD_STEPS)
 
 
 def median_objective(x, points, weights=None) -> float:

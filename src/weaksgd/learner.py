@@ -266,8 +266,8 @@ def run_least_squares_sgd(
     b = 1{<Y, U> < <f(x), U> - V}, and descend by gamma(t) * b * (U_j k(x, x_i)).
     The caller asserts ||f(x) - Y|| <= 2*bound; the oracle cannot check it.
     """
-    if not 0 < bound < np.inf:
-        raise ValueError(f"bound must be finite and > 0, got {bound}")
+    if not 0 < 2.0 * bound < np.inf:
+        raise ValueError(f"bound must be finite and > 0 with 2 * bound finite, got {bound}")
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     steps = len(used)
     U = sample_sphere_batch(rng, model.output_dim, steps)

@@ -35,7 +35,10 @@ class QueryOracle:
     answered query is logged as (t, index, kind, cost).
     """
 
-    def __init__(self, *, budget: int, mode: str = "streaming", record_log: bool = False):
+    def __init__(self, labels: np.ndarray, n_classes: int | None, budget: int,
+                 mode: str, record_log: bool):
+        """Use :meth:`for_regression` or :meth:`for_classification`; they check
+        ``labels``: (n, m) real targets, or (n,) classes 1..n_classes."""
         if mode not in ("streaming", "resampling"):
             raise ValueError(f"unknown mode {mode!r}")
         if budget < 0:
@@ -44,28 +47,26 @@ class QueryOracle:
         self.budget_used = 0
         self.mode = mode
         self.query_log: list[tuple[int, int, str, int]] | None = [] if record_log else None
-        self._targets: np.ndarray | None = None
-        self._classes: np.ndarray | None = None
-        self._m = 0
-        self._n = 0
+        self._n = labels.shape[0]
+        if n_classes is None:
+            self._targets, self._classes, self._m = labels, None, labels.shape[1]
+        else:
+            self._targets, self._classes, self._m = None, labels, int(n_classes)
+            self._class_ids = frozenset(range(1, self._m + 1))
 
     @classmethod
     def for_regression(cls, targets, budget: int, mode: str = "streaming",
                        record_log: bool = False) -> "QueryOracle":
         """Oracle over real-vector labels; ``targets`` is (n,) or (n, m)."""
-        oracle = cls(budget=budget, mode=mode, record_log=record_log)
         t = _as_rows(targets)
         if t.shape[0] < 1:
             raise ValueError("targets must be a nonempty (n,) or (n, m) array")
-        oracle._targets = t.copy()
-        oracle._n, oracle._m = t.shape
-        return oracle
+        return cls(t.copy(), None, budget, mode, record_log)
 
     @classmethod
     def for_classification(cls, classes, n_classes: int, budget: int,
                            mode: str = "streaming", record_log: bool = False) -> "QueryOracle":
         """Oracle over classes 1..n_classes, embedded as basis vectors of R^m."""
-        oracle = cls(budget=budget, mode=mode, record_log=record_log)
         c = np.asarray(classes, dtype=int)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("classes must be a nonempty 1-D array")
@@ -73,10 +74,7 @@ class QueryOracle:
             raise ValueError("n_classes must be >= 1")
         if ((c < 1) | (c > n_classes)).any():
             raise ValueError(f"class indices must lie in 1..{n_classes}")
-        oracle._classes = c.copy()
-        oracle._n, oracle._m = c.size, int(n_classes)
-        oracle._class_ids = frozenset(range(1, oracle._m + 1))
-        return oracle
+        return cls(c.copy(), n_classes, budget, mode, record_log)
 
     @property
     def budget_remaining(self) -> int:

@@ -108,6 +108,8 @@ def surrogate_target_check(p, tol: float = 1e-8) -> OrderingReport:
     checks (a) p_y > p_z + tol implies median_y >= median_z - tol, and
     (b) the decoded class attains max p.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     p = class_distribution(p)
     m = p.size
     theta = geometric_median(np.eye(m), p, tol=min(tol, 1e-8))

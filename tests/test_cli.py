@@ -53,6 +53,7 @@ class TestExitCodes:
         (("run", "--gamma0", "inf"), "gamma0"),
         (("run", "--ridge", "nan"), "ridge"),
         (("run", "--bound", "inf", "--strategy", "active-least-squares"), "bound"),
+        (("run", "--strategy", "least-squares", "--bound", "1e308"), "bound"),
         (("run", "--sigma", "inf"), "sigma"),
         (("run", "--seed", "-1"), "seed"),
         (("run", "--task", "anchor-classification", "--grid-size", "2", "--epsilon", "0.2",
@@ -65,23 +66,29 @@ class TestExitCodes:
           "--target", "temperature,humidity,wind,apparent"), "target"),
         (("run", "--task", "csv-regression", "--input", str(FIXTURES / "weather.csv"),
           "--target", "apparent,apparent"), "target"),
+        (("run", "--task", "csv-regression", "--input", "{tmp}/twice.csv", "--target", "a"),
+         "target"),
         (("run", "--task", "libsvm", "--input", str(FIXTURES / "blobs3.libsvm"),
           "--train-fraction", "0.001"), "train_fraction"),
         (("run", "--task", "libsvm", "--input", str(FIXTURES / "blobs3.libsvm"),
           "--train-fraction", "0.006"), "train_fraction"),
         (("verify", "--seed", "-1"), "--seed"),
         (("constants", "--m", "0"), "--m"),
+        (("constants", "--m", "3", "--scale", "1e308", "--samples", "1000"), "--scale"),
         (("game", "--counterexample", "--tol", "0"), "--tol"),
-    ], ids=["run-gamma0", "run-ridge", "run-bound", "run-sigma", "run-seed",
-            "run-empty-anchor-grid", "run-csv-target",
+    ], ids=["run-gamma0", "run-ridge", "run-bound", "run-bound-overflow", "run-sigma",
+            "run-seed", "run-empty-anchor-grid", "run-csv-target",
             "run-csv-no-target", "run-csv-every-column", "run-csv-repeated-target",
-            "run-no-training-row", "run-one-training-row", "verify-seed", "constants-m",
-            "game-tol"])
+            "run-csv-header-twice", "run-no-training-row", "run-one-training-row",
+            "verify-seed", "constants-m", "constants-scale", "game-tol"])
     def test_invalid_value_is_config_error(self, capsys, tmp_path, monkeypatch, argv, key):
         def no_trial(args):
             raise AssertionError("a trial ran before the configuration was checked")
 
         monkeypatch.setattr(experiments, "_one_trial", no_trial)
+        # the header names column a twice; --target a must not pick one silently
+        (tmp_path / "twice.csv").write_text("a,a,b\n1,2,3\n4,5,6\n7,8,9\n")
+        argv = tuple(arg.replace("{tmp}", str(tmp_path)) for arg in argv)
         outdir = tmp_path / "out"
         if argv[0] == "run":
             argv += ("--budget", "16", "--trials", "1", "--outdir", str(outdir))

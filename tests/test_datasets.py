@@ -66,7 +66,7 @@ class TestParseLibsvm:
         X[X == 0.0] = 0.25
         X[:, 2] = np.abs(X[:, 2]) + 0.1  # keep the last column nonzero to pin d
         y = rng.integers(1, 4, 10)
-        ds = LabeledDataset(X, y, "classification", n_classes=3)
+        ds = LabeledDataset(X, y, n_classes=3)
         back = parse_libsvm(serialize_libsvm(ds))
         assert back.features.tobytes() == ds.features.tobytes()
         assert back.targets.tolist() == ds.targets.tolist()
@@ -89,7 +89,7 @@ class TestParseLibsvm:
             X[0, -1] = 1.0  # the parser reads d off the largest index present
         values = sorted(set(raw_labels))
         y = [values.index(v) + 1 for v in raw_labels]
-        ds = LabeledDataset(X, y, "classification", n_classes=len(values),
+        ds = LabeledDataset(X, y, n_classes=len(values),
                             extra={"label_values": [float(v) for v in values]})
         back = parse_libsvm(serialize_libsvm(ds))
         assert back.features.tobytes() == ds.features.tobytes()
@@ -112,41 +112,41 @@ class TestParseLibsvm:
 
 class TestStandardize:
     def test_two_point_column(self):
-        ds = LabeledDataset(np.array([[0.0], [2.0]]), np.zeros(2), "regression")
+        ds = LabeledDataset(np.array([[0.0], [2.0]]), np.zeros(2))
         out, info = standardize(ds)
         assert np.allclose(out.features[:, 0], [-1.0, 1.0], atol=1e-15)
         assert not info.constant_columns[0]
 
     def test_constant_column_flagged_and_unchanged(self):
-        ds = LabeledDataset(np.array([[5.0, 1.0], [5.0, 3.0]]), np.zeros(2), "regression")
+        ds = LabeledDataset(np.array([[5.0, 1.0], [5.0, 3.0]]), np.zeros(2))
         out, info = standardize(ds)
         assert np.allclose(out.features[:, 0], [5.0, 5.0], atol=0)
         assert info.constant_columns.tolist() == [True, False]
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
-        ds = LabeledDataset(rng.standard_normal((50, 3)) * 4 + 2, np.zeros(50), "regression")
+        ds = LabeledDataset(rng.standard_normal((50, 3)) * 4 + 2, np.zeros(50))
         once, _ = standardize(ds)
         twice, _ = standardize(once)
         assert np.abs(twice.features - once.features).max() < 1e-12
 
     def test_moments(self):
         rng = np.random.default_rng(2)
-        ds = LabeledDataset(rng.standard_normal((200, 4)) * 3 - 1, np.zeros(200), "regression")
+        ds = LabeledDataset(rng.standard_normal((200, 4)) * 3 - 1, np.zeros(200))
         out, _ = standardize(ds)
         assert np.abs(out.features.mean(axis=0)).max() < 1e-10
         assert np.abs(out.features.var(axis=0) - 1.0).max() < 1e-8
 
     def test_apply_to_held_out_rows(self):
         rng = np.random.default_rng(3)
-        train = LabeledDataset(rng.standard_normal((60, 2)) + 5, np.zeros(60), "regression")
-        test = LabeledDataset(rng.standard_normal((20, 2)) + 5, np.zeros(20), "regression")
+        train = LabeledDataset(rng.standard_normal((60, 2)) + 5, np.zeros(60))
+        test = LabeledDataset(rng.standard_normal((20, 2)) + 5, np.zeros(20))
         _, info = standardize(train)
         out = apply_standardize(test, info)
         assert np.allclose(out.features, (test.features - info.mean) / info.scale, atol=0)
 
     def test_needs_two_rows(self):
-        ds = LabeledDataset(np.ones((1, 2)), np.zeros(1), "regression")
+        ds = LabeledDataset(np.ones((1, 2)), np.zeros(1))
         with pytest.raises(ValueError):
             standardize(ds)
 
@@ -312,8 +312,7 @@ class TestCsvParser:
 class TestSplit:
     def make(self, n=30):
         rng = np.random.default_rng(11)
-        return LabeledDataset(rng.standard_normal((n, 2)), rng.standard_normal(n),
-                              "regression")
+        return LabeledDataset(rng.standard_normal((n, 2)), rng.standard_normal(n))
 
     def test_sizes(self):
         ds = self.make(3)
@@ -348,12 +347,13 @@ class TestSplit:
 class TestDatasetValidation:
     def test_class_range_checked(self):
         with pytest.raises(ValueError):
-            LabeledDataset(np.ones((2, 1)), [1, 4], "classification", n_classes=3)
+            LabeledDataset(np.ones((2, 1)), [1, 4], n_classes=3)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            LabeledDataset(np.ones((2, 1)), np.zeros(2), "ranking")
+    def test_class_count_below_one(self):
+        for n_classes in (0, -1):
+            with pytest.raises(ValueError, match="n_classes must be >= 1"):
+                LabeledDataset(np.ones((2, 1)), [1, 1], n_classes=n_classes)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            LabeledDataset(np.ones((2, 1)), np.zeros(3), "regression")
+            LabeledDataset(np.ones((2, 1)), np.zeros(3))

@@ -140,6 +140,7 @@ class TestRegressor:
     (WeakSGDRegressor, {"strategy": "least-squares", "bound": np.inf}, "bound"),
     (WeakSGDClassifier, {"ridge": np.nan}, "ridge"),
     (WeakSGDClassifier, {"gamma0": np.inf}, "gamma0"),
+    (WeakSGDRegressor, {"strategy": "least-squares", "bound": 1e308}, "bound"),
 ])
 def test_non_finite_setting_spends_no_bit(monkeypatch, cls, params, name):
     def charge(*args):
@@ -192,6 +193,17 @@ class TestClassifier:
         clf = WeakSGDClassifier(gamma0=1.0, budget=600, seed=4).fit(X, y)
         assert set(clf.predict(X)) <= {3, 7}
         assert clf.classes_.tolist() == [3, 7]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_labels(self, monkeypatch, bad):
+        def charge(*args):
+            raise AssertionError("a bit was spent")
+
+        monkeypatch.setattr(QueryOracle, "_charge", charge)
+        X, _ = sin_data(n=40)
+        y = np.where(np.arange(40) % 3, 1.0, bad)  # np.unique would make bad a class
+        with pytest.raises(ValueError, match="non-finite"):
+            WeakSGDClassifier(budget=40, rank=8).fit(X, y)
 
 
 class TestParamsProtocol:

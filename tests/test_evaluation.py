@@ -31,13 +31,13 @@ class TestEmpiricalRisk:
         rng = np.random.default_rng(0)
         model = KernelModel(rng.random((5, 1)), rng.standard_normal((5, 2)), KernelSpec(0.3))
         X = rng.random((20, 1))
-        ds = LabeledDataset(X, model.predict_batch(X), "regression")
+        ds = LabeledDataset(X, model.predict_batch(X))
         assert empirical_risk(model, ds) == 0.0
 
     def test_zero_model_on_sin_grid(self):
         # E|sin(2 pi X)| over the 512-point grid approximates 2/pi
         xs = midpoint_grid(512)
-        ds = LabeledDataset(xs[:, None], sin_target(xs), "regression")
+        ds = LabeledDataset(xs[:, None], sin_target(xs))
         risk = empirical_risk(scalar_model(0.0), ds)
         assert risk == pytest.approx(2.0 / math.pi, abs=1e-3)
 
@@ -46,7 +46,7 @@ class TestEmpiricalRisk:
         model.coefficients[0] = [1.0, 0.0]  # always decodes class 1
         X = np.zeros((10, 1))
         y = np.array([1, 2] * 5)
-        ds = LabeledDataset(X, y, "classification", n_classes=2)
+        ds = LabeledDataset(X, y, n_classes=2)
         assert empirical_risk(model, ds) == 0.5
 
 

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from weaksgd import game as game_module
 from weaksgd.game import (
     GameSolveError,
     MatrixGame,
@@ -182,16 +183,16 @@ class TestSolveGame:
             target[top] = 1.0
             assert np.abs(sol.col_strategy - target).max() <= 1e-5, (p, sol.col_strategy)
 
-    def test_iteration_cap_raises_diagnostic(self):
+    def test_iteration_cap_raises_diagnostic(self, monkeypatch):
+        monkeypatch.setattr(game_module, "LP_ITERATIONS", 1)
         game = build_game([0.4, 0.3, 0.3], singleton_family(3))
         with pytest.raises(GameSolveError):
-            solve_game(game, iterations=1)
+            solve_game(game)
 
     def test_validation(self):
         game = MatrixGame(np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            solve_game(game, iterations=0)
-        with pytest.raises(ValueError):
-            solve_game(game, tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                solve_game(game, tol=tol)
         with pytest.raises(ValueError):
             MatrixGame(np.array([[np.inf]]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from weaksgd import geometry
 from weaksgd.geometry import (
     MonteCarloEstimate,
     WeiszfeldNonConvergence,
@@ -82,6 +83,9 @@ class TestClosedFormConstants:
             c1_constant(3, 0.0)
         with pytest.raises(ValueError):
             c1_constant(3, -1.0)
+        for M in (np.inf, np.nan, 1e308):  # 2M must be finite too
+            with pytest.raises(ValueError, match="M"):
+                c1_constant(3, M)
 
 
 class TestMonteCarloConstants:
@@ -154,9 +158,11 @@ class TestKindCheck:
 
     @pytest.mark.parametrize("kind,M", [("median", 1.0), ("least-squares", None),
                                         ("least-squares", 0.0), ("least-squares", -1.0),
-                                        ("hinge", None)],
+                                        ("hinge", None), ("least-squares", np.inf),
+                                        ("least-squares", np.nan), ("least-squares", 1e308)],
                              ids=["median-with-M", "ls-without-M", "ls-zero-M",
-                                  "ls-negative-M", "unknown-kind"])
+                                  "ls-negative-M", "unknown-kind", "ls-infinite-M",
+                                  "ls-nan-M", "ls-M-with-2M-infinite"])
     def test_both_estimators_reject_before_drawing(self, kind, M):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
@@ -233,15 +239,22 @@ class TestGeometricMedian:
             geometric_median(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             geometric_median(np.eye(2), np.array([1.0, -0.1]))
-        with pytest.raises(ValueError):
-            geometric_median(np.eye(2), np.ones(2), tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                geometric_median(np.eye(2), np.ones(2), tol=tol)
         with pytest.raises(ValueError):
             geometric_median(np.eye(2), np.ones(3))
+        # non-finite input fails at once instead of running every Weiszfeld step
+        with pytest.raises(ValueError, match="weights"):
+            geometric_median(np.eye(3), np.array([1.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="points"):
+            geometric_median(np.array([[0.0, 0.0], [1.0, 0.0], [np.inf, 2.0]]))
 
-    def test_nonconvergence_diagnostic(self):
+    def test_nonconvergence_diagnostic(self, monkeypatch):
+        monkeypatch.setattr(geometry, "WEISZFELD_STEPS", 2)
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 2.0]])
         with pytest.raises(WeiszfeldNonConvergence) as err:
-            geometric_median(pts, np.ones(3), tol=1e-15, max_iter=2)
+            geometric_median(pts, np.ones(3), tol=1e-15)
         assert err.value.last_iterate.shape == (2,)
 
     def test_escape_from_non_optimal_anchor(self):

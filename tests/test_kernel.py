@@ -113,7 +113,7 @@ class TestShapeRule:
     column, a 2-D array is kept, anything else fails with the same error."""
 
     SITES = {
-        "dataset": lambda Y: LabeledDataset(np.zeros((4, 1)), Y, "regression"),
+        "dataset": lambda Y: LabeledDataset(np.zeros((4, 1)), Y),
         "oracle": lambda Y: QueryOracle.for_regression(Y, budget=4),
         "full-sgd": lambda Y: learner.run_full_sgd(
             np.zeros((4, 1)), Y, StepSchedule.decaying(1.0),
@@ -592,7 +592,7 @@ class TestPinnedPoints:
         plain, pinned = pinned_pair(*cases[0])
         assert empirical_risk(pinned, test) == empirical_risk(plain, test)
         plain, pinned = pinned_pair(*cases[1])
-        grid = LabeledDataset(xs[:, None], sin_target(xs), "regression")
+        grid = LabeledDataset(xs[:, None], sin_target(xs))
         assert empirical_risk(pinned, grid) == empirical_risk(plain, grid)
         assert (excess_risk_noiseless(pinned, sin_target, 512)
                 == excess_risk_noiseless(plain, sin_target, 512))

@@ -233,7 +233,7 @@ class TestLeastSquaresSGD:
         rng = np.random.default_rng(0)
         model = zero_model([[0.0]])
         oracle = QueryOracle.for_regression(np.array([[0.0]]), budget=1)
-        for bound in (0.0, -1.0, np.inf, np.nan):
+        for bound in (0.0, -1.0, np.inf, np.nan, 1e308):
             with pytest.raises(ValueError, match="bound must be finite"):
                 run_least_squares_sgd(np.array([[0.0]]), oracle, StepSchedule.decaying(0.5),
                                       model, rng, bound=bound)

@@ -245,3 +245,6 @@ class TestSurrogateTarget:
             surrogate_target_check([1.2, -0.2])
         with pytest.raises(ValueError):
             surrogate_target_check([np.nan, 1.0])
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                surrogate_target_check([0.5, 0.3, 0.2], tol=tol)
