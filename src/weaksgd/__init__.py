@@ -3,7 +3,6 @@ queries under a hard annotation budget."""
 
 from .datasets import (
     LabeledDataset,
-    SplitSpec,
     gen_anchor_classification,
     gen_harmonic_regression,
     gen_sin_regression,
@@ -50,7 +49,6 @@ __all__ = [
     "MonteCarloEstimate",
     "QueryOracle",
     "RiskCurve",
-    "SplitSpec",
     "StepSchedule",
     "StreamingViolation",
     "TrainReport",

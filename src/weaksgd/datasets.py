@@ -4,6 +4,7 @@ splits, and the synthetic regression / classification generators."""
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,27 +69,18 @@ class LabeledDataset:
                               self.n_classes, dict(self.extra))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train fraction and shuffle seed for a permutation split."""
-
-    train_fraction: float = 2.0 / 3.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
-
-
 def _train_size(n: int, train_fraction: float) -> int:
     return int(n * train_fraction)  # the rows of n that split puts in the training part
 
 
-def split(dataset: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
+def split(dataset: LabeledDataset, train_fraction: float,
+          seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded shuffle, then prefix/suffix partition. Deterministic per seed."""
-    rng = np.random.default_rng(spec.seed)
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie strictly between 0 and 1")
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n)
-    n_train = _train_size(dataset.n, spec.train_fraction)
+    n_train = _train_size(dataset.n, train_fraction)
     return dataset.take(perm[:n_train]), dataset.take(perm[n_train:])
 
 
@@ -136,8 +128,9 @@ def parse_libsvm(source) -> LabeledDataset:
     are zero. Labels map to contiguous classes 1..m preserving numeric
     order; the original values are kept in ``extra["label_values"]``.
     """
-    rows: list[dict[int, float]] = []
     labels: list[float] = []
+    # each entry's row, column and value, unboxed: no Python object per entry
+    rows, cols, vals = array("q"), array("q"), array("d")
     max_idx = 0
     for ln_no, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
@@ -150,7 +143,6 @@ def parse_libsvm(source) -> LabeledDataset:
             raise ParseError(ln_no, f"bad label {tokens[0]!r}") from None
         if not math.isfinite(label):
             raise ParseError(ln_no, f"non-finite label {tokens[0]!r}")
-        entries: dict[int, float] = {}
         prev = 0
         for tok in tokens[1:]:
             idx_s, sep, val_s = tok.partition(":")
@@ -168,16 +160,15 @@ def parse_libsvm(source) -> LabeledDataset:
             if idx <= prev:
                 raise ParseError(ln_no, f"feature indices not increasing at {tok!r}")
             prev = idx
-            entries[idx] = val
+            rows.append(len(labels))
+            cols.append(idx - 1)
+            vals.append(val)
         max_idx = max(max_idx, prev)
-        rows.append(entries)
         labels.append(label)
-    if not rows:
+    if not labels:
         raise ParseError(1, "no samples found")
-    X = np.zeros((len(rows), max_idx))
-    for r, entries in enumerate(rows):
-        for idx, val in entries.items():
-            X[r, idx - 1] = val
+    X = np.zeros((len(labels), max_idx))
+    X[rows, cols] = vals
     values, codes = np.unique(labels, return_inverse=True)
     return LabeledDataset(X, codes + 1, len(values), extra={"label_values": values.tolist()})
 

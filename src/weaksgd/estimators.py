@@ -31,8 +31,21 @@ def check_array(X) -> np.ndarray:
     return X
 
 
-class _ParamsMixin:
-    """get_params/set_params over the __init__ signature, scikit-learn style."""
+class _BaseWeakSGD:
+    """Shared settings and fit; scikit-learn get_params/set_params over __init__."""
+
+    def __init__(self, strategy: str = "active-median", bandwidth: float = 1.0,
+                 gamma0: float = 1.0, schedule: str = "decaying",
+                 budget: int | None = None, rank: int = 100, ridge: float = 0.0,
+                 seed: int = 0):
+        self.strategy = strategy
+        self.bandwidth = bandwidth
+        self.gamma0 = gamma0
+        self.schedule = schedule
+        self.budget = budget
+        self.rank = rank
+        self.ridge = ridge
+        self.seed = seed
 
     @classmethod
     def _param_names(cls):
@@ -53,21 +66,6 @@ class _ParamsMixin:
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
-
-
-class _BaseWeakSGD(_ParamsMixin):
-    def __init__(self, strategy: str = "active-median", bandwidth: float = 1.0,
-                 gamma0: float = 1.0, schedule: str = "decaying",
-                 budget: int | None = None, rank: int = 100, ridge: float = 0.0,
-                 seed: int = 0):
-        self.strategy = strategy
-        self.bandwidth = bandwidth
-        self.gamma0 = gamma0
-        self.schedule = schedule
-        self.budget = budget
-        self.rank = rank
-        self.ridge = ridge
-        self.seed = seed
 
     def _fit(self, X, labels, n_classes=None, bound: float = 1.0):
         """Train through :func:`experiments.train`, which resolves an alias and

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset, anchor_conditional, anchor_support_mask
-from .kernel import KernelModel, _as_rows
+from .kernel import KernelModel
 from .surrogate import decode_batch
 
 
@@ -72,11 +72,10 @@ def empirical_risk(model: KernelModel, test: LabeledDataset) -> float:
 
 
 def excess_risk_noiseless(model: KernelModel, target_fn, grid_size: int = 512) -> float:
-    """Mean ||f(x) - f*(x)|| over the midpoint grid on [0, 1]; zero at f = f*."""
+    """Mean ||f(x) - f*(x)|| over the midpoint grid on [0, 1]; zero at f = f*:
+    the empirical risk on the grid labelled by ``target_fn``."""
     xs = midpoint_grid(grid_size)
-    preds = model.predict_batch(xs[:, None])
-    truth = _as_rows(target_fn(xs))
-    return float(np.linalg.norm(preds - truth, axis=1).mean())
+    return empirical_risk(model, LabeledDataset(xs[:, None], target_fn(xs)))
 
 
 def anchor_law(n_classes: int, band_halfwidth: float, grid_size: int = 512) -> np.ndarray:
@@ -141,17 +140,17 @@ _WIDTH, _HEIGHT = 640.0, 480.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72.0, 24.0, 24.0, 48.0
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float):
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def emit_svg(curves, path) -> None:
     """Render labelled curves as a log-log SVG line chart (polyline/line/text
     only).
 
-    ``curves`` is a sequence of (label, RiskCurve). Risks that are not positive
-    are left out (one default decade spans the y axis if none is). Output bytes
-    are a deterministic function of the inputs.
+    ``curves`` is a sequence of (label, RiskCurve); labels are escaped for XML.
+    Risks that are not positive are left out (one default decade spans the y
+    axis if none is). Output bytes are a deterministic function of the inputs.
     """
     curves = list(curves)
     if not curves:
@@ -218,8 +217,9 @@ def emit_svg(curves, path) -> None:
             f'x2="{_WIDTH - _MARGIN_R - 130:.1f}" y2="{ly - 4:.1f}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
-            f'<text x="{_WIDTH - _MARGIN_R - 124:.1f}" y="{ly:.1f}" font-size="12">{label}</text>'
+            f'<text x="{_WIDTH - _MARGIN_R - 124:.1f}" y="{ly:.1f}" font-size="12">{text}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

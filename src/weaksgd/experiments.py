@@ -20,7 +20,6 @@ from . import learner, surrogate
 from .datasets import (
     LabeledDataset,
     ParseError,
-    SplitSpec,
     _train_size,
     apply_standardize,
     gen_anchor_classification,
@@ -266,7 +265,7 @@ def _one_trial(args):
     else:
         # fixture-scale files can be smaller than the budget: train then cycles
         # through the training rows and re-queries under the resampling protocol
-        data, test = split(full, SplitSpec(cfg.train_fraction, seed))
+        data, test = split(full, cfg.train_fraction, seed)
         data, info = standardize(data)
         test = apply_standardize(test, info)
         points = test.features

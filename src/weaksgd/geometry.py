@@ -33,13 +33,12 @@ class WeiszfeldNonConvergence(RuntimeError):
     Carries the last iterate so callers can inspect how far the solve got.
     """
 
-    def __init__(self, last_iterate: np.ndarray, displacement: float, max_iter: int):
+    def __init__(self, last_iterate: np.ndarray, displacement: float):
         super().__init__(
-            f"geometric median did not converge within {max_iter} iterations "
+            f"geometric median did not converge within {WEISZFELD_STEPS} iterations "
             f"(last displacement {displacement:.3e})"
         )
         self.last_iterate = last_iterate
-        self.displacement = displacement
 
 
 def _check_dim(m: int) -> int:
@@ -121,8 +120,8 @@ class MonteCarloEstimate:
     mean: float
     std_error: float
 
-    def agrees_with(self, value: float, n_sigma: float = 4.0, atol: float = 1e-12) -> bool:
-        return abs(self.mean - value) <= n_sigma * self.std_error + atol
+    def agrees_with(self, value: float, n_sigma: float = 4.0) -> bool:
+        return abs(self.mean - value) <= n_sigma * self.std_error + 1e-12
 
 
 def _iter_chunks(n: int, m: int):
@@ -302,7 +301,7 @@ def geometric_median(points, weights=None, tol: float = 1e-8) -> np.ndarray:
         x = nxt
         if displacement < tol:
             return x
-    raise WeiszfeldNonConvergence(x, displacement, WEISZFELD_STEPS)
+    raise WeiszfeldNonConvergence(x, displacement)
 
 
 def median_objective(x, points, weights=None) -> float:

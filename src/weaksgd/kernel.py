@@ -136,10 +136,6 @@ class KernelModel:
     def output_dim(self) -> int:
         return self.coefficients.shape[1]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.representers.shape[1]
-
     def predict_batch(self, X) -> np.ndarray:
         """Predictions at the rows of ``X``, built and multiplied in blocks of
         ``CHUNK_ROWS`` rows, so at most one block of kernel values is held."""
@@ -227,7 +223,7 @@ def save_model(model: KernelModel, path) -> None:
         _CHECKPOINT_HEADER,
         f"rank {model.rank}",
         f"output_dim {model.output_dim}",
-        f"feature_dim {model.feature_dim}",
+        f"feature_dim {model.representers.shape[1]}",
         f"bandwidth {float(model.spec.bandwidth)!r}",
         f"ridge {float(model.ridge)!r}",
         "representers",

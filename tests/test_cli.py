@@ -76,11 +76,16 @@ class TestExitCodes:
         (("constants", "--m", "0"), "--m"),
         (("constants", "--m", "3", "--scale", "1e308", "--samples", "1000"), "--scale"),
         (("game", "--counterexample", "--tol", "0"), "--tol"),
+        (("constants", "--m", "x"), "--m"),
+        (("constants", "--seed", "-1"), "--seed"),
+        (("run", "--config", "{tmp}/missing.cfg"), "cannot read config:"),
+        (("game",), "game needs"),
     ], ids=["run-gamma0", "run-ridge", "run-bound", "run-bound-overflow", "run-sigma",
             "run-seed", "run-empty-anchor-grid", "run-csv-target",
             "run-csv-no-target", "run-csv-every-column", "run-csv-repeated-target",
             "run-csv-header-twice", "run-no-training-row", "run-one-training-row",
-            "verify-seed", "constants-m", "constants-scale", "game-tol"])
+            "verify-seed", "constants-m", "constants-scale", "game-tol",
+            "constants-m-not-integer", "constants-seed", "run-missing-config", "game-no-p"])
     def test_invalid_value_is_config_error(self, capsys, tmp_path, monkeypatch, argv, key):
         def no_trial(args):
             raise AssertionError("a trial ran before the configuration was checked")
@@ -273,6 +278,26 @@ class TestRunCommand:
         assert {name: (tmp_path / name).read_bytes() for name in names} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
+    def test_failed_emission_removes_its_temporary_files(self, capsys, tmp_path, monkeypatch):
+        names = ("curve.csv", "curve.svg", "manifest")
+        code, _, _ = run_cli(capsys, "run", "--task", "sin-regression", "--budget", "16",
+                             "--trials", "1", "--outdir", str(tmp_path))
+        assert code == 0
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+
+        def broken_svg(curves, path):
+            # emit_csv has already written its temporary file
+            assert any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "emit_svg", broken_svg)
+        code, _, err = run_cli(capsys, "run", "--task", "sin-regression", "--budget", "16",
+                               "--trials", "1", "--seed", "5", "--outdir", str(tmp_path))
+        assert code == 2
+        assert "disk full" in err
+        assert not list(tmp_path.glob(".*.tmp"))
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
     def test_non_finite_libsvm_value_is_runtime_error(self, capsys, tmp_path, fixtures_dir):
         lines = (fixtures_dir / "blobs3.libsvm").read_text().splitlines()
         label, _, rest = lines[4].partition(" ")
@@ -333,3 +358,14 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert len(lines) >= 6
         assert all(ln.startswith("ok") for ln in lines)
+
+    def test_failures_are_reported(self, capsys, monkeypatch):
+        def broken():
+            raise RuntimeError("no answer")
+
+        monkeypatch.setattr(cli, "_verify_checks",
+                            lambda seed: [("false", lambda: False), ("raises", broken)])
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 3
+        assert out.splitlines() == ["FAIL false", "FAIL raises: no answer"]
+        assert err == "2 check(s) failed\n"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from weaksgd.datasets import (
     LabeledDataset,
     ParseError,
-    SplitSpec,
     anchor_conditional,
     anchor_support_mask,
     apply_standardize,
@@ -46,11 +45,20 @@ class TestParseLibsvm:
         with pytest.raises(ParseError) as err:
             parse_libsvm("1 3:1 2:1\n")
         assert err.value.line == 1
+        with pytest.raises(ParseError, match="feature index 0 must be >= 1") as err:
+            parse_libsvm("1 1:1\n2 0:1\n")
+        assert err.value.line == 2
 
     def test_malformed_token(self):
         with pytest.raises(ParseError) as err:
             parse_libsvm("1 1:0.5\n2 oops\n")
         assert err.value.line == 2
+        with pytest.raises(ParseError, match="bad feature token '1:x'") as err:
+            parse_libsvm("1 1:0.5\n\n2 1:x\n")
+        assert err.value.line == 3
+        with pytest.raises(ParseError, match="bad label 'x'") as err:
+            parse_libsvm("x 1:0.5\n")
+        assert err.value.line == 1
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -177,6 +185,8 @@ class TestSinGenerator:
         ds = gen_harmonic_regression(64, 3, np.random.default_rng(7))
         assert ds.targets.shape == (64, 3)
         assert np.allclose(ds.targets, harmonic_target(ds.features[:, 0], 3), atol=0)
+        with pytest.raises(ValueError, match="output_dim must be >= 1"):
+            gen_harmonic_regression(64, 0, np.random.default_rng(7))
 
 
 class TestAnchorTask:
@@ -239,6 +249,8 @@ class TestAnchorTask:
     def test_band_too_wide(self):
         with pytest.raises(ValueError):
             gen_anchor_classification(10, 3, 0.25, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            gen_anchor_classification(0, 3, 0.05, np.random.default_rng(0))
 
     def test_needs_three_classes(self):
         with pytest.raises(ValueError):
@@ -295,6 +307,10 @@ class TestCsvParser:
     def test_no_usable_rows(self):
         with pytest.raises(ValueError):
             parse_csv_regression("a,b\n,2\n,3\n", ["b"])
+        for text in ("", " \n1,2\n"):
+            with pytest.raises(ParseError, match="missing header row") as err:
+                parse_csv_regression(text, ["b"])
+            assert err.value.line == 1
 
     def test_multi_target(self):
         ds = parse_csv_regression("a,b,c\n1,2,3\n4,5,6\n", ["b", "c"])
@@ -316,32 +332,31 @@ class TestSplit:
 
     def test_sizes(self):
         ds = self.make(3)
-        train, test = split(ds, SplitSpec(2.0 / 3.0, seed=0))
+        train, test = split(ds, 2.0 / 3.0, seed=0)
         assert train.n == 2 and test.n == 1
 
     def test_partition(self):
         ds = self.make(30)
-        train, test = split(ds, SplitSpec(0.5, seed=1))
+        train, test = split(ds, 0.5, seed=1)
         merged = np.vstack([train.features, test.features])
         assert sorted(map(tuple, merged)) == sorted(map(tuple, ds.features))
 
     def test_deterministic_per_seed(self):
         ds = self.make(30)
-        a, _ = split(ds, SplitSpec(0.5, seed=2))
-        b, _ = split(ds, SplitSpec(0.5, seed=2))
+        a, _ = split(ds, 0.5, seed=2)
+        b, _ = split(ds, 0.5, seed=2)
         assert a.features.tobytes() == b.features.tobytes()
 
     def test_seeds_differ(self):
         ds = self.make(100)
-        a, _ = split(ds, SplitSpec(0.5, seed=3))
-        b, _ = split(ds, SplitSpec(0.5, seed=4))
+        a, _ = split(ds, 0.5, seed=3)
+        b, _ = split(ds, 0.5, seed=4)
         assert a.features.tobytes() != b.features.tobytes()
 
     def test_fraction_validated(self):
-        with pytest.raises(ValueError):
-            SplitSpec(0.0, seed=0)
-        with pytest.raises(ValueError):
-            SplitSpec(1.0, seed=0)
+        for fraction in (0.0, 1.0):
+            with pytest.raises(ValueError, match="strictly between 0 and 1"):
+                split(self.make(), fraction, seed=0)
 
 
 class TestDatasetValidation:
@@ -357,3 +372,8 @@ class TestDatasetValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.ones((2, 1)), np.zeros(3))
+        with pytest.raises(ValueError, match="class targets must be a length-n vector"):
+            LabeledDataset(np.ones((2, 1)), [1, 1, 1], n_classes=3)
+        for features in (np.ones((0, 1)), np.ones(3)):
+            with pytest.raises(ValueError, match="features must be a nonempty"):
+                LabeledDataset(features, np.zeros(len(features)))

@@ -116,6 +116,13 @@ class TestRegressor:
         with pytest.raises(NotFittedError):
             WeakSGDRegressor().predict(np.zeros((2, 1)))
 
+    def test_rejects_bad_labels_and_budget(self):
+        X, y = sin_data(n=16)
+        with pytest.raises(ValueError, match="X and y disagree"):
+            WeakSGDRegressor().fit(X, y[:-1])
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            WeakSGDRegressor(budget=-1).fit(X, y)
+
     @pytest.mark.parametrize("cls", [WeakSGDRegressor, WeakSGDClassifier])
     def test_diverged_fit_raises(self, cls):
         X, y = sin_data(n=50) if cls is WeakSGDRegressor else blob_data(n=50)
@@ -185,6 +192,12 @@ class TestClassifier:
         for name in ("bandit", "passive", "full-sgd"):
             with pytest.raises(ValueError, match="unknown strategy"):
                 WeakSGDClassifier(strategy=name).fit(X, y)
+
+    def test_rejects_labels_that_are_not_a_vector(self):
+        X, y = blob_data(n=16)
+        for bad in (y[:-1], np.stack([y, y], axis=1)):
+            with pytest.raises(ValueError, match="length-n label vector"):
+                WeakSGDClassifier().fit(X, bad)
 
     def test_integer_labels_preserved(self):
         rng = np.random.default_rng(9)

@@ -1,4 +1,5 @@
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -65,6 +66,8 @@ class TestExcessRisk:
     def test_single_point_grid(self):
         risk = excess_risk_noiseless(scalar_model(0.0), sin_target, 1)
         assert risk == pytest.approx(abs(math.sin(2 * math.pi * 0.5)), abs=1e-12)
+        with pytest.raises(ValueError, match="grid size must be >= 1"):
+            midpoint_grid(0)
 
     def test_monotone_under_pointwise_domination(self):
         rng = np.random.default_rng(1)
@@ -113,6 +116,8 @@ class TestAggregate:
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError):
             aggregate_trials([[(1, 0.3)], [(2, 0.3)]])
+        with pytest.raises(ValueError, match="need at least one trial"):
+            aggregate_trials([])
 
     def test_replicated_trial_mean_matches(self):
         base = [(1, 0.8), (2, 0.6), (4, 0.1)]
@@ -156,6 +161,8 @@ class TestCurveValidation:
     def test_budgets_strictly_increasing(self):
         with pytest.raises(ValueError):
             RiskCurve(np.array([2, 2]), np.ones(2), np.zeros(2), 1)
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            RiskCurve(np.array([1, 2]), np.ones(3), np.zeros(2), 1)
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
@@ -205,11 +212,14 @@ class TestEmission:
 
     def test_svg_structure(self, tmp_path):
         path = tmp_path / "curve.svg"
-        emit_svg([("active", self.make_curve()), ("passive", self.make_curve())],
-                 path)
+        labels = ["active", "passive", "a<b & c"]
+        emit_svg([(label, self.make_curve()) for label in labels], path)
         text = path.read_text()
-        assert text.count("<polyline") == 2
-        assert "active" in text and "passive" in text
+        assert text.count("<polyline") == 3
+        # well-formed XML, whose legend reads back the labels as given
+        texts = ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")
+        legend = [el.text for el in texts if el.get("font-size") == "12"]
+        assert legend == labels
         assert "<text" in text and "<line" in text
         # restricted element vocabulary: polyline, line, text under the svg root
         for tag in ("rect", "circle", "path ", "<g>"):

@@ -51,6 +51,15 @@ class TestConfigResolution:
             ExperimentConfig(task="anchor-classification", epsilon=0.3).resolved()
         with pytest.raises(ConfigError):
             validate_config(replace(ExperimentConfig().resolved(), sigma=-1.0))
+        for cfg, message in [
+            (ExperimentConfig(task="regression"), "unknown task 'regression'"),
+            (ExperimentConfig(ridge=-1.0), "ridge must be >= 0"),
+            (ExperimentConfig(train_fraction=1.0), "train_fraction must lie strictly"),
+            (ExperimentConfig(task="anchor-classification", classes=2),
+             "the anchored task needs at least 3 classes"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                cfg.resolved()
 
     def test_schedule_names_are_the_step_schedule_kinds(self):
         accepted = []

@@ -88,6 +88,8 @@ class TestBuildGame:
             build_game([0.5, 0.5], [{1, 2}])
         with pytest.raises(ValueError):
             build_game([0.5, 0.5], [set()])
+        with pytest.raises(ValueError, match="query family must be nonempty"):
+            build_game([0.5, 0.5], [])
 
     def test_distribution_validated(self):
         with pytest.raises(ValueError):
@@ -98,6 +100,8 @@ class TestBuildGame:
             build_game([0.5, 0.5], [{3}])
         with pytest.raises(ValueError):
             build_game([np.nan, 1.0], [{1}])
+        with pytest.raises(ValueError, match="p must be a nonempty probability vector"):
+            build_game([], [{1}])
 
 
 class TestSolveGame:
@@ -189,6 +193,12 @@ class TestSolveGame:
         with pytest.raises(GameSolveError):
             solve_game(game)
 
+    def test_missed_certificate_names_the_gap(self):
+        # the LP solves, but its duality gap is above a certificate of 2e-300
+        game = build_game([0.4, 0.3, 0.3], singleton_family(3))
+        with pytest.raises(GameSolveError, match=r"duality gap \S+ exceeds certificate"):
+            solve_game(game, tol=1e-300)
+
     def test_validation(self):
         game = MatrixGame(np.zeros((1, 1)))
         for tol in (0.0, np.inf, np.nan):
@@ -196,3 +206,5 @@ class TestSolveGame:
                 solve_game(game, tol=tol)
         with pytest.raises(ValueError):
             MatrixGame(np.array([[np.inf]]))
+        with pytest.raises(ValueError, match="payoff must be a nonempty 2-D matrix"):
+            MatrixGame(np.zeros((0, 2)))

@@ -45,6 +45,8 @@ class TestSphereSampling:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             sample_sphere(np.random.default_rng(0), 0)
+        with pytest.raises(ValueError, match="sample count must be >= 0, got -1"):
+            sample_sphere_batch(np.random.default_rng(0), 2, -1)
 
 
 class TestClosedFormConstants:
@@ -196,6 +198,11 @@ class TestReconstructionIdentity:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             estimate_reconstruction_mc(rng, np.array([3.0, 0.0]), "least-squares", 1000, M=1.0)
+        for z in (np.eye(2), np.zeros(0)):
+            with pytest.raises(ValueError, match="z must be a nonempty 1-D vector"):
+                estimate_reconstruction_mc(rng, z, "median", 1000)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            estimate_reconstruction_mc(rng, np.array([1.0, 0.0]), "median", 0)
 
 
 class TestGeometricMedian:
@@ -249,6 +256,8 @@ class TestGeometricMedian:
             geometric_median(np.eye(3), np.array([1.0, np.nan, 1.0]))
         with pytest.raises(ValueError, match="points"):
             geometric_median(np.array([[0.0, 0.0], [1.0, 0.0], [np.inf, 2.0]]))
+        with pytest.raises(ValueError, match="need at least one point"):
+            geometric_median(np.zeros((0, 2)))
 
     def test_nonconvergence_diagnostic(self, monkeypatch):
         monkeypatch.setattr(geometry, "WEISZFELD_STEPS", 2)
@@ -256,6 +265,14 @@ class TestGeometricMedian:
         with pytest.raises(WeiszfeldNonConvergence) as err:
             geometric_median(pts, np.ones(3), tol=1e-15)
         assert err.value.last_iterate.shape == (2,)
+        assert "within 2 iterations" in str(err.value)
+
+    def test_zero_weight_stationary_anchor(self):
+        # the sweep skips the zero-weight origin; the start is exactly the origin,
+        # where the other four points pull with zero net force, so it is returned
+        pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]])
+        med = geometric_median(pts, np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+        assert med.tolist() == [0.0, 0.0]
 
     def test_escape_from_non_optimal_anchor(self):
         # the weighted centroid (the starting iterate) coincides with a

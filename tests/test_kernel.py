@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from weaksgd import kernel, learner
 from weaksgd.datasets import (
     LabeledDataset,
-    SplitSpec,
     apply_standardize,
     parse_libsvm,
     sin_target,
@@ -173,6 +172,12 @@ class TestPredict:
         model = KernelModel.zeros(np.zeros((2, 2)), 1, spec)
         with pytest.raises(ValueError):
             model.predict_batch([[1.0]])
+        with pytest.raises(ValueError, match="coefficients must be a 2-D"):
+            KernelModel(np.zeros((2, 1)), np.zeros(2), spec)
+        with pytest.raises(ValueError, match="rank mismatch: 2 representers, 3 coefficient rows"):
+            KernelModel(np.zeros((2, 1)), np.zeros((3, 1)), spec)
+        with pytest.raises(ValueError, match="need at least one representer"):
+            KernelModel(np.zeros((0, 1)), np.zeros((0, 1)), spec)
 
 
 def one_step(model, x, y, gamma, direction="coordinate", seed=0):
@@ -507,7 +512,7 @@ class TestCheckpointSerialization:
             load()
 
     @pytest.mark.parametrize("text,line", [("rank two", 2), ("rank 0", 2), ("ridge x", 6),
-                                           ("output_dim 3", 2)])
+                                           ("output_dim 3", 2), ("coefs", 10)])
     def test_bad_fields(self, tmp_path, text, line):
         lines = self.saved_lines(tmp_path)
         lines[line - 1] = text
@@ -529,6 +534,8 @@ class TestNystromRepresenters:
         rng = np.random.default_rng(0)
         X = np.arange(5.0)[:, None]
         assert np.array_equal(nystrom_representers(X, 10, rng), X)
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            nystrom_representers(X, 0, rng)
 
     def test_seeded(self):
         X = np.random.default_rng(1).standard_normal((30, 2))
@@ -542,7 +549,7 @@ BLOBS = Path(__file__).parent / "fixtures" / "blobs3.libsvm"
 
 def heldout_set():
     """The held-out rows of a file task, split and standardized as a trial does."""
-    rows, test = split(parse_libsvm(BLOBS.read_text()), SplitSpec(2.0 / 3.0, 0))
+    rows, test = split(parse_libsvm(BLOBS.read_text()), 2.0 / 3.0, 0)
     rows, info = standardize(rows)
     return rows, apply_standardize(test, info)
 

@@ -119,6 +119,11 @@ class TestMedianSGD:
         with pytest.raises(ValueError):
             run_median_sgd(data.features, oracle, StepSchedule.decaying(0.3), model,
                            rng, checkpoint_grid=[8, 32])
+        for grid in ([4, 4], [8, 4], [0, 4]):
+            with pytest.raises(ValueError, match="strictly increasing positive"):
+                run_median_sgd(data.features, oracle, StepSchedule.decaying(0.3), model,
+                               rng, checkpoint_grid=grid)
+        assert oracle.budget_used == 0
 
     def test_checkpoints_recorded_on_grid(self):
         rng = np.random.default_rng(4)

@@ -185,3 +185,10 @@ class TestDeterminism:
             QueryOracle.for_regression(np.ones((2, 1)), budget=1, mode="batch")
         with pytest.raises(ValueError):
             QueryOracle.for_classification([0, 1], 2, budget=1)
+        with pytest.raises(ValueError, match="targets must be a nonempty"):
+            QueryOracle.for_regression(np.ones((0, 1)), budget=1)
+        for classes in ([[1, 2]], []):
+            with pytest.raises(ValueError, match="classes must be a nonempty 1-D array"):
+                QueryOracle.for_classification(classes, 2, budget=1)
+        with pytest.raises(ValueError, match="n_classes must be >= 1"):
+            QueryOracle.for_classification([1], 0, budget=1)
