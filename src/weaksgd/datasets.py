@@ -131,7 +131,7 @@ def parse_libsvm(source) -> LabeledDataset:
     labels: list[float] = []
     # each entry's row, column and value, unboxed: no Python object per entry
     rows, cols, vals = array("q"), array("q"), array("d")
-    max_idx = 0
+    max_idx = max_line = 0
     for ln_no, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line:
@@ -160,14 +160,22 @@ def parse_libsvm(source) -> LabeledDataset:
             if idx <= prev:
                 raise ParseError(ln_no, f"feature indices not increasing at {tok!r}")
             prev = idx
+            try:
+                cols.append(idx - 1)
+            except OverflowError:
+                raise ParseError(ln_no, f"feature index {idx} does not fit in 64 bits") from None
             rows.append(len(labels))
-            cols.append(idx - 1)
             vals.append(val)
-        max_idx = max(max_idx, prev)
+        if prev > max_idx:
+            max_idx, max_line = prev, ln_no
         labels.append(label)
     if not labels:
         raise ParseError(1, "no samples found")
-    X = np.zeros((len(labels), max_idx))
+    try:
+        X = np.zeros((len(labels), max_idx))
+    except (MemoryError, ValueError):  # numpy's ValueError: a size past the address space
+        raise ParseError(max_line, f"feature index {max_idx} needs a dense {len(labels)} x "
+                                   f"{max_idx} array, too large to allocate") from None
     X[rows, cols] = vals
     values, codes = np.unique(labels, return_inverse=True)
     return LabeledDataset(X, codes + 1, len(values), extra={"label_values": values.tolist()})

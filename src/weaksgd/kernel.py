@@ -60,15 +60,12 @@ def kernel_matrix(spec: KernelSpec, X, Z, out: np.ndarray | None = None) -> np.n
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
     # built in place, one extra block at a time, with the rounding of
-    # exp(-max(xx + zz - 2 X Z^T, 0) / (2 sigma^2))
+    # exp(-max(xx + zz - 2 X Z^T, 0) / (2 sigma^2)). Doubling is exact, so
+    # (2 X) Z^T is 2 (X Z^T) bit for bit, and -x / c is x / (-c)
     d2 = np.add((X * X).sum(axis=1)[:, None], (Z * Z).sum(axis=1)[None, :], out=out)
-    xz = X @ Z.T
-    xz *= 2.0
-    d2 -= xz
-    del xz
+    d2 -= (X * 2.0) @ Z.T
     np.maximum(d2, 0.0, out=d2)
-    np.negative(d2, out=d2)
-    d2 /= 2.0 * spec.bandwidth**2
+    np.divide(d2, -2.0 * spec.bandwidth**2, out=d2)
     return np.exp(d2, out=d2)
 
 

@@ -22,6 +22,7 @@ What each driver draws from its generator, in order, once per trial:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,10 +141,15 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
 
     Step t (1-based) reads row ``X[used[t - 1]]`` through its kernel column
     ``kcol``, built with the rest of its block of ``CHUNK_ROWS`` rows. It calls
-    ``rule(t - 1, kcol, gamma)``, which reads the current coefficients and
-    returns ``(c, direction)`` or None for no move. The loop then shrinks by
-    ``1 - gamma * ridge`` and adds ``c * outer(kcol, direction)``; it records c
-    (0 for no move) and the direction.
+    ``rule(t - 1, i, kcol, gamma)``, with the sample index ``i = used[t - 1]``
+    and ``gamma`` as Python numbers; the rule reads the current coefficients
+    and returns ``(c, direction)`` or None for no move. The loop then shrinks
+    by ``1 - gamma * ridge``, records c (0 for no move) and the direction in
+    the window's arrays C and D, and adds ``c * outer(kcol, direction)``, read
+    back from those records as 0-d operands. With one output the update runs
+    on 1-D operands, the coefficient column ``a[:, 0]`` and the row ``kcol``,
+    so no step pays for a (rank, 1) broadcast; each element still gets
+    ``(k * d) * c`` and then the same add.
 
     The average is summed a window of steps at a time. A window closes at every
     multiple of ``_WINDOW`` (which divides ``CHUNK_ROWS``), at every checkpoint
@@ -155,11 +161,18 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     scores the total so far divided by its step count.
     """
     a = model.coefficients
-    buf = np.empty_like(a)
+    scalar = model.output_dim == 1
+    target = a[:, 0] if scalar else a  # a view: the update writes through to a
+    buf = np.empty_like(target)
     total = np.zeros_like(a)  # sum of the iterates of the closed windows
     start = a.copy()  # the iterate the open window starts from
     C = np.empty(_WINDOW)
     D = np.zeros((_WINDOW, model.output_dim))
+    # views of the slots of C and D, from which the update reads c and the
+    # direction: numpy takes a 0-d operand on its fast path, where a Python
+    # float or a (1,) direction pays for a conversion or a broadcast
+    cs = [C[j, ...] for j in range(_WINDOW)]
+    ds = [D[j, 0, ...] for j in range(_WINDOW)] if scalar else list(D)
     steps = len(used)
     gammas = schedule.gammas(steps)
     shrink = 1.0 - gammas * model.ridge if model.ridge != 0.0 else None
@@ -179,21 +192,25 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
                               out=gram[:hi - lo])
         Kw = K[wlo - lo:whi - lo]
         n = whi - wlo
-        # rows of Kw also as (rank, 1) columns: column * direction is outer(kcol, direction)
-        for j, s, kcol, column, gamma in zip(range(n), range(wlo, whi), Kw, Kw[:, :, None],
-                                             gammas[wlo:whi]):
-            move = rule(s, kcol, gamma)
-            if shrink is not None:
-                a *= shrink[s]
+        # row * direction is outer(kcol, direction): with one output a 1-D row,
+        # otherwise the row as a (rank, 1) column
+        rows = Kw if scalar else Kw[:, :, None]
+        # Python numbers a window at a time: a whole budget of them would hold
+        # 32-36 bytes per step where the arrays hold 8
+        factors = shrink[wlo:whi].tolist() if shrink is not None else None
+        for j, s, i, kcol, row, gamma, c, d in zip(range(n), range(wlo, whi),
+                                                   used[wlo:whi].tolist(), Kw, rows,
+                                                   gammas[wlo:whi].tolist(), cs, ds):
+            move = rule(s, i, kcol, gamma)
+            if factors is not None:
+                target *= factors[j]
             if move is None:
                 C[j] = 0.0
             else:
-                c, d = move
-                C[j] = c
-                D[j] = d
-                multiply(column, d, out=buf)
+                C[j], D[j] = move
+                multiply(row, d, out=buf)
                 buf *= c
-                a += buf
+                target += buf
         if shrink is None:
             w = np.arange(n, 0.0, -1.0)
             lead = n
@@ -242,9 +259,9 @@ def run_median_sgd(
     a = model.coefficients
     query = oracle.halfspace_query
 
-    def rule(s, kcol, gamma):
+    def rule(s, i, kcol, gamma):
         u = U[s]
-        return gamma * query(int(used[s]), kcol.dot(a), u), u
+        return gamma * query(i, kcol.dot(a), u), u
 
     return _descend(model, X, used, schedule, grid, evaluate, rule, steps)
 
@@ -275,9 +292,9 @@ def run_least_squares_sgd(
     a = model.coefficients
     query = oracle.threshold_query
 
-    def rule(s, kcol, gamma):
+    def rule(s, i, kcol, gamma):
         u = U[s]
-        if query(int(used[s]), u, float(kcol.dot(a).dot(u)) - V[s]):
+        if query(i, u, float(kcol.dot(a).dot(u)) - V[s]):
             return -gamma, u
         return None
 
@@ -303,9 +320,9 @@ def run_full_sgd(
                              checkpoint_grid, indices)
     a = model.coefficients
 
-    def rule(s, kcol, gamma):
-        r = kcol.dot(a) - Y[used[s]]
-        nr = float(np.sqrt(r.dot(r)))
+    def rule(s, i, kcol, gamma):
+        r = kcol.dot(a) - Y[i]
+        nr = math.sqrt(r.dot(r))
         return (-(gamma / nr), r) if nr > 0.0 else None
 
     return _descend(model, X, used, schedule, grid, evaluate, rule, 0)  # no oracle bits spent
@@ -333,14 +350,14 @@ def run_passive_median(
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     steps = len(used)
     V = rng.standard_normal(steps)
-    a = model.coefficients
+    a0 = model.coefficients[:, 0]
     query = oracle.threshold_query
     one = np.ones(1)
 
-    def rule(s, kcol, gamma):
+    def rule(s, i, kcol, gamma):
         v = float(V[s])
-        above = 1 - query(int(used[s]), one, v)  # 1{Y > v} up to the null event Y = v
-        z = float(kcol.dot(a[:, 0]))
+        above = 1 - query(i, one, v)  # 1{Y > v} up to the null event Y = v
+        z = float(kcol.dot(a0))
         if above == 1 and z < v:
             return gamma, one
         if above == 0 and z > v:

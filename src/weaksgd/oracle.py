@@ -50,8 +50,13 @@ class QueryOracle:
         self._n = labels.shape[0]
         if n_classes is None:
             self._targets, self._classes, self._m = labels, None, labels.shape[1]
+            # with one output <Y_i, u> is a single product of Python floats read
+            # from a 1-D view of the labels: the value of a length-1 dot, without
+            # its call
+            self._scalars = labels[:, 0] if self._m == 1 else None
         else:
             self._targets, self._classes, self._m = None, labels, int(n_classes)
+            self._scalars = None
             self._class_ids = frozenset(range(1, self._m + 1))
 
     @classmethod
@@ -115,7 +120,11 @@ class QueryOracle:
             raise ValueError(
                 f"query dimensions ({z.size}, {u.size}) != label dim {self._m}"
             )
-        value = self._label_dot(i, u) - float(z.dot(u))
+        if self._scalars is not None:
+            u0 = u.item(0)
+            value = self._scalars.item(i) * u0 - z.item(0) * u0
+        else:
+            value = self._label_dot(i, u) - float(z.dot(u))
         self._charge(used, i, "halfspace")
         return 1 if value >= 0.0 else -1
 
@@ -125,7 +134,10 @@ class QueryOracle:
         u = _vector(u)
         if u.size != self._m:
             raise ValueError(f"query dimension {u.size} != label dim {self._m}")
-        value = self._label_dot(i, u)
+        if self._scalars is not None:
+            value = self._scalars.item(i) * u.item(0)
+        else:
+            value = self._label_dot(i, u)
         self._charge(used, i, "threshold")
         return int(value < float(c))
 

@@ -77,9 +77,9 @@ def infimum_loss_sgd(
     query = oracle.membership_query
     ids = np.arange(1, m + 1)
 
-    def rule(s, kcol, gamma):
+    def rule(s, i, kcol, gamma):
         row = sets[s]
-        if not query(int(used[s]), ids[row].tolist()):
+        if not query(i, ids[row].tolist()):
             row = ~row  # the complement holds the class
         cand = row.nonzero()[0]  # 0-based candidates, ascending
         r = kcol.dot(a)

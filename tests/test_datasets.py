@@ -59,6 +59,17 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="bad label 'x'") as err:
             parse_libsvm("x 1:0.5\n")
         assert err.value.line == 1
+        # an index past int64, and one whose dense matrix cannot be allocated,
+        # name their line, not a later one with a smaller index
+        with pytest.raises(ParseError, match="feature index 100000000000000000000 does not "
+                                             "fit in 64 bits") as err:
+            parse_libsvm("1 1:0.5\n2 100000000000000000000:1\n3 2:1\n")
+        assert err.value.line == 2
+        for idx in (10**15, 2**62):  # past any address space, and past numpy's size limit
+            with pytest.raises(ParseError, match=f"feature index {idx} needs a dense 3 x "
+                                                 f"{idx} array") as err:
+                parse_libsvm(f"1 1:0.5\n2 {idx}:1\n3 2:1\n")
+            assert err.value.line == 2
 
     def test_empty_input(self):
         with pytest.raises(ParseError):

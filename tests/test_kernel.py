@@ -83,7 +83,10 @@ class TestKernelEval:
     def test_matrix_bits_match_the_out_of_place_formula(self, spec):
         # the in-place block keeps the rounding of the plain expression
         rng = np.random.default_rng(2)
-        for n, p, d in ((1, 1, 1), (37, 11, 1), (50, 20, 7)):
+        # and the shapes the drivers build: a full block at d = 1, rank 64 or
+        # 100, inputs of dimension 1 to 20
+        for n, p, d in ((1, 1, 1), (37, 11, 1), (50, 20, 7), (2048, 100, 1), (40, 64, 1),
+                        (40, 100, 4), (40, 100, 20)):
             X, Z = rng.standard_normal((n, d)), rng.standard_normal((p, d))
             d2 = ((X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :]
                   - 2.0 * (X @ Z.T))
@@ -291,7 +294,7 @@ def averaged(iterates, grid=()):
     flat = [np.zeros(iterates[0].size)] + [it.ravel() for it in iterates]
     model = KernelModel.zeros(np.zeros((1, 1)), flat[0].size, KernelSpec(0.5))
 
-    def rule(s, kcol, gamma):
+    def rule(s, i, kcol, gamma):
         return 1.0, flat[s + 1] - flat[s]
 
     report = _descend(model, np.zeros((len(iterates), 1)), np.arange(len(iterates)),
@@ -317,7 +320,7 @@ def far_apart_walk(steps, grid, ridge=0.0, schedule=StepSchedule.decaying(1.0), 
     moves = rng.integers(-8, 9, (steps, 3)) / 4.0
     seen = []
 
-    def rule(s, kcol, gamma):
+    def rule(s, i, kcol, gamma):
         assert np.array_equal(kcol, np.eye(3)[rows[s]])
         seen.append(model.coefficients.copy())  # the iterate after step s
         c, d0, d1 = moves[s]

@@ -457,9 +457,9 @@ class TestChunkedGram:
                 run_full_sgd(X, np.sin(X), StepSchedule.decaying(0.3), zero_model(X[:4]),
                              indices=indices)
 
-    def test_memory_does_not_grow_with_the_budget(self):
-        # the whole 2^16 x 256 Gram block alone would be 134 MB
-        budget, rank = 2**16, 256
+    @staticmethod
+    def traced_peak(budget, rank):
+        """Peak traced bytes of one scalar active-median run."""
         rng = np.random.default_rng(22)
         data = gen_sin_regression(budget, rng)
         model = zero_model(nystrom_representers(data.features, rank, rng))
@@ -472,4 +472,12 @@ class TestChunkedGram:
         finally:
             tracemalloc.stop()
         assert report.queries_used == budget
-        assert peak < 24e6
+        return peak
+
+    def test_memory_does_not_grow_with_the_budget(self):
+        # the whole 2^16 x 256 Gram block alone would be 134 MB
+        assert self.traced_peak(2**16, 256) < 24e6
+        # per step a run holds its directions, step sizes and indices, 8 bytes
+        # each; Python numbers for the whole budget would add 32-36 bytes a step
+        growth = self.traced_peak(2**16, 100) - self.traced_peak(2**15, 100)
+        assert growth <= 32 * 2**15

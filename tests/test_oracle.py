@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaksgd.oracle import (
     BudgetExhausted,
@@ -44,6 +46,24 @@ class TestHalfspaceQuery:
         assert orc.halfspace_query(0, np.zeros(3), [0.0, 1.0, 0.0]) == 1
         # u = e_1 projects the label to 0, z = (0.5, .., ..) pushes negative
         assert orc.halfspace_query(0, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]) == -1
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros included
+
+
+class TestScalarLabels:
+    """With one output the oracle reads <Y, u> as one product; its answers are
+    those of the length-1 dots."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=finite, data=st.data(), u=st.sampled_from([1.0, -1.0]), c=finite)
+    def test_answers_match_the_dot_products(self, y, data, u, c):
+        z = data.draw(st.one_of(st.just(y), st.just(-y), finite), label="z")  # ties too
+        Y, z, u = np.array([y]), np.array([z]), np.array([u])
+        orc = QueryOracle.for_regression([y], budget=2, mode="resampling")
+        value = float(Y.dot(u)) - float(z.dot(u))
+        assert orc.halfspace_query(0, z, u) == (1 if value >= 0.0 else -1)
+        assert orc.threshold_query(0, u, c) == int(float(Y.dot(u)) < c)
 
 
 class TestThresholdQuery:
