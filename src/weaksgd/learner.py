@@ -8,12 +8,24 @@ window of steps at a time, in one product with the window's kernel rows. A
 window closes at every multiple of 256 steps, at every checkpoint and at the
 end of every Gram block; 256 divides ``CHUNK_ROWS``, so the average does not
 depend on where the blocks are cut. A driver draws its randomness up front and
-supplies only a *bit rule*: one oracle call, then the step's coefficient and
-direction. A driver consumes exactly ``min(budget, len(sequence))`` queries.
+supplies only a *bit rule*, one oracle call per step, of one of two kinds:
+
+* a *sign rule* (median, least squares, passive), whose direction is drawn
+  before the bit: the driver hands the loop its direction rows, and the rule
+  returns only the sign of the move. The loop scales the kernel rows of a
+  slice of steps by their directions and step sizes up front, so a step is
+  one add or one subtract;
+* a *move rule* (full-sgd, infimum-loss), whose direction is read from f(x):
+  the rule returns the step's coefficient and direction.
+
+Both give the same bits: each element moves by ``(k * d) * gamma``, added or
+subtracted, which is ``(k * d) * (+-gamma)`` added, exactly. A driver
+consumes exactly ``min(budget, len(sequence))`` queries.
 
 What each driver draws from its generator, in order, once per trial:
 
-* median (:func:`run_median_sgd`): U, on the sphere or a coordinate;
+* median (:func:`run_median_sgd`): U on the sphere, or the index of U's
+  coordinate;
 * least squares (:func:`run_least_squares_sgd`): U, then V;
 * passive (:func:`run_passive_median`): V;
 * full-sgd (:func:`run_full_sgd`): nothing;
@@ -121,6 +133,9 @@ def default_checkpoints(budget: int) -> list[int]:
 # two Gram blocks and the average does not depend on where the blocks are cut.
 _WINDOW = 256
 
+# Steps per slice of a window whose moves a sign rule's loop scales up front.
+_SLICE = 64
+
 
 def _tail_sums(shrink: np.ndarray) -> np.ndarray:
     """Weights w with w[-1] = 1 and w[j] = 1 + shrink[j + 1] * w[j + 1]: the
@@ -136,20 +151,36 @@ def _tail_sums(shrink: np.ndarray) -> np.ndarray:
 
 
 def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate, rule,
-             queries: int) -> TrainReport:
+             queries: int, directions=None) -> TrainReport:
     """The step loop shared by every driver.
 
     Step t (1-based) reads row ``X[used[t - 1]]`` through its kernel column
-    ``kcol``, built with the rest of its block of ``CHUNK_ROWS`` rows. It calls
-    ``rule(t - 1, i, kcol, gamma)``, with the sample index ``i = used[t - 1]``
-    and ``gamma`` as Python numbers; the rule reads the current coefficients
-    and returns ``(c, direction)`` or None for no move. The loop then shrinks
-    by ``1 - gamma * ridge``, records c (0 for no move) and the direction in
-    the window's arrays C and D, and adds ``c * outer(kcol, direction)``, read
-    back from those records as 0-d operands. With one output the update runs
-    on 1-D operands, the coefficient column ``a[:, 0]`` and the row ``kcol``,
-    so no step pays for a (rank, 1) broadcast; each element still gets
-    ``(k * d) * c`` and then the same add.
+    ``kcol``, built with the rest of its block of ``CHUNK_ROWS`` rows, and
+    shrinks the coefficients by ``1 - gamma * ridge`` before it moves them.
+    The rule, which reads the current coefficients, is one of two kinds.
+
+    * A *move rule* (``directions`` None; full-sgd and infimum-loss, whose
+      direction is read from f(x)) is called as ``rule(t - 1, i, kcol,
+      gamma)``, with the sample index ``i = used[t - 1]`` and ``gamma`` as
+      Python numbers, and returns ``(c, direction)`` or None for no move. The
+      loop records c (0 for no move) and the direction in the window's arrays
+      C and D and adds ``c * outer(kcol, direction)``, read back from those
+      records as 0-d operands: each element gets ``(k * d) * c``.
+    * A *sign rule* (median, least squares and passive, whose direction is
+      drawn before the bit) is called as ``rule(t - 1, i, kcol, u)`` with the
+      step's direction row u and returns the sign of the move: 1, -1 or 0.
+      ``directions(lo, hi)`` gives the direction rows of steps lo to hi - 1,
+      a window at a time, into D. Before the steps of a slice of ``_SLICE``
+      steps run, the loop scales their rows ``(k * d) * gamma`` into one
+      buffer, in two ufunc calls, so a step is one add or one subtract of its
+      row. The bits are those of a move rule returning ``(sign * gamma, u)``:
+      ``x * -g == -(x * g)`` and ``y - x == y + -x`` exactly in IEEE
+      arithmetic, signed zeros included. C is set at the window's end to
+      ``sign * gamma``, which is ``+-gamma`` or 0 as a move rule records.
+
+    With one output the update runs on 1-D operands, the coefficient column
+    ``a[:, 0]`` and the row ``kcol``, so no step pays for a (rank, 1)
+    broadcast.
 
     The average is summed a window of steps at a time. A window closes at every
     multiple of ``_WINDOW`` (which divides ``CHUNK_ROWS``), at every checkpoint
@@ -157,22 +188,17 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     from ``start`` sum to ``lead * start + Kw.T @ ((w * C)[:, None] * D)``,
     where ``Kw`` holds the window's kernel rows, w the :func:`_tail_sums` of its
     shrink factors (``n - j`` with no ridge) and ``lead`` the sum of the
-    products of its leading shrink factors (n with no ridge). A checkpoint
-    scores the total so far divided by its step count.
+    products of its leading shrink factors (n with no ridge). A step with no
+    move has C = 0, so whatever direction D holds on its row adds only zeros to
+    the sum. A checkpoint scores the total so far divided by its step count.
     """
     a = model.coefficients
     scalar = model.output_dim == 1
     target = a[:, 0] if scalar else a  # a view: the update writes through to a
-    buf = np.empty_like(target)
     total = np.zeros_like(a)  # sum of the iterates of the closed windows
     start = a.copy()  # the iterate the open window starts from
     C = np.empty(_WINDOW)
     D = np.zeros((_WINDOW, model.output_dim))
-    # views of the slots of C and D, from which the update reads c and the
-    # direction: numpy takes a 0-d operand on its fast path, where a Python
-    # float or a (1,) direction pays for a conversion or a broadcast
-    cs = [C[j, ...] for j in range(_WINDOW)]
-    ds = [D[j, 0, ...] for j in range(_WINDOW)] if scalar else list(D)
     steps = len(used)
     gammas = schedule.gammas(steps)
     shrink = 1.0 - gammas * model.ridge if model.ridge != 0.0 else None
@@ -181,6 +207,21 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     due = set(grid)
     records = []
     multiply = np.multiply
+    if directions is None:
+        buf = np.empty_like(target)
+        # views of the slots of C and D, from which the update reads c and the
+        # direction: numpy takes a 0-d operand on its fast path, where a Python
+        # float or a (1,) direction pays for a conversion or a broadcast
+        cs = [C[j, ...] for j in range(_WINDOW)]
+        ds = [D[j, 0, ...] for j in range(_WINDOW)] if scalar else list(D)
+    else:
+        # the scaled rows of one slice: a buffer that does not grow with the
+        # budget, where a whole window's rows would add 256 * rank * m floats
+        moves = np.empty((min(steps, _SLICE),) + target.shape)
+        dirs = D if scalar else D[:, None, :]  # a direction per step, against (rank[, m])
+        scales = gammas.reshape((-1,) + (1,) * target.ndim)
+        us = list(D)
+        signs = [0] * _WINDOW
     # every block is built into one buffer, so only one is held at a time and
     # its pages are reused rather than faulted in afresh for each block
     gram = np.empty((min(steps, CHUNK_ROWS), model.rank))
@@ -198,19 +239,39 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
         # Python numbers a window at a time: a whole budget of them would hold
         # 32-36 bytes per step where the arrays hold 8
         factors = shrink[wlo:whi].tolist() if shrink is not None else None
-        for j, s, i, kcol, row, gamma, c, d in zip(range(n), range(wlo, whi),
-                                                   used[wlo:whi].tolist(), Kw, rows,
-                                                   gammas[wlo:whi].tolist(), cs, ds):
-            move = rule(s, i, kcol, gamma)
-            if factors is not None:
-                target *= factors[j]
-            if move is None:
-                C[j] = 0.0
-            else:
-                C[j], D[j] = move
-                multiply(row, d, out=buf)
-                buf *= c
-                target += buf
+        if directions is None:
+            for j, s, i, kcol, row, gamma, c, d in zip(range(n), range(wlo, whi),
+                                                       used[wlo:whi].tolist(), Kw, rows,
+                                                       gammas[wlo:whi].tolist(), cs, ds):
+                move = rule(s, i, kcol, gamma)
+                if factors is not None:
+                    target *= factors[j]
+                if move is None:
+                    C[j] = 0.0
+                else:
+                    C[j], D[j] = move
+                    multiply(row, d, out=buf)
+                    buf *= c
+                    target += buf
+        else:
+            D[:n] = directions(wlo, whi)
+            for jlo in range(0, n, _SLICE):
+                jhi = min(jlo + _SLICE, n)
+                scaled = moves[:jhi - jlo]
+                multiply(rows[jlo:jhi], dirs[jlo:jhi], out=scaled)
+                scaled *= scales[wlo + jlo:wlo + jhi]
+                for j, s, i, kcol, u, move in zip(range(jlo, jhi), range(wlo + jlo, wlo + jhi),
+                                                  used[wlo + jlo:wlo + jhi].tolist(),
+                                                  Kw[jlo:jhi], us[jlo:jhi], scaled):
+                    sign = rule(s, i, kcol, u)
+                    if factors is not None:
+                        target *= factors[j]
+                    if sign > 0:
+                        target += move
+                    elif sign:
+                        target -= move
+                    signs[j] = sign
+            multiply(signs[:n], gammas[wlo:whi], out=C[:n])
         if shrink is None:
             w = np.arange(n, 0.0, -1.0)
             lead = n
@@ -252,18 +313,26 @@ def run_median_sgd(
     m = model.output_dim
     if direction == "sphere":
         U = sample_sphere_batch(rng, m, steps)
+
+        def directions(lo, hi):
+            return U[lo:hi]
     elif direction == "coordinate":
-        U = np.eye(m)[rng.integers(0, m, steps)]
+        # the basis vector of each step is built a window at a time from its
+        # index, so the run holds 8 bytes per step rather than 8 * m
+        picks = rng.integers(0, m, steps)
+        basis = np.eye(m)
+
+        def directions(lo, hi):
+            return basis[picks[lo:hi]]
     else:
         raise ValueError(f"unknown direction scheme {direction!r}")
     a = model.coefficients
     query = oracle.halfspace_query
 
-    def rule(s, i, kcol, gamma):
-        u = U[s]
-        return gamma * query(i, kcol.dot(a), u), u
+    def rule(s, i, kcol, u):
+        return query(i, kcol.dot(a), u)
 
-    return _descend(model, X, used, schedule, grid, evaluate, rule, steps)
+    return _descend(model, X, used, schedule, grid, evaluate, rule, steps, directions)
 
 
 def run_least_squares_sgd(
@@ -292,13 +361,11 @@ def run_least_squares_sgd(
     a = model.coefficients
     query = oracle.threshold_query
 
-    def rule(s, i, kcol, gamma):
-        u = U[s]
-        if query(i, u, float(kcol.dot(a).dot(u)) - V[s]):
-            return -gamma, u
-        return None
+    def rule(s, i, kcol, u):
+        return -query(i, u, float(kcol.dot(a).dot(u)) - V.item(s))
 
-    return _descend(model, X, used, schedule, grid, evaluate, rule, steps)
+    return _descend(model, X, used, schedule, grid, evaluate, rule, steps,
+                    lambda lo, hi: U[lo:hi])
 
 
 def run_full_sgd(
@@ -354,14 +421,17 @@ def run_passive_median(
     query = oracle.threshold_query
     one = np.ones(1)
 
-    def rule(s, i, kcol, gamma):
-        v = float(V[s])
-        above = 1 - query(i, one, v)  # 1{Y > v} up to the null event Y = v
+    def rule(s, i, kcol, u):
+        v = V.item(s)
+        above = 1 - query(i, u, v)  # 1{Y > v} up to the null event Y = v
         z = float(kcol.dot(a0))
         if above == 1 and z < v:
-            return gamma, one
+            return 1
         if above == 0 and z > v:
-            return -gamma, one
-        return None
+            return -1
+        return 0
 
-    return _descend(model, X, used, schedule, grid, evaluate, rule, steps)
+    # every step's direction is the one output's unit vector: one row serves
+    # every window, so the run holds no direction per step
+    return _descend(model, X, used, schedule, grid, evaluate, rule, steps,
+                    lambda lo, hi: one)

@@ -9,6 +9,7 @@ the class probabilities, so the decoding is consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ def infimum_loss_sgd(
         cand = row.nonzero()[0]  # 0-based candidates, ascending
         r = kcol.dot(a)
         r[cand[r[cand].argmax()]] -= 1.0  # y*: the smallest class attaining the max
-        nr = float(np.sqrt(r.dot(r)))
+        nr = math.sqrt(r.dot(r))
         return (-gamma, r / nr) if nr > 0.0 else None
 
     return _descend(model, X, used, schedule, grid, evaluate, rule, len(used))

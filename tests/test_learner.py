@@ -338,6 +338,115 @@ class TestPassiveMedian:
         assert report.final_model.coefficients[0, 0] == 50.0
 
 
+SIGN_STEPS = 600
+# cuts windows (every 256 steps) at counts that are not multiples of the
+# 64-step slice, so slices end early both at checkpoints and at window ends
+SIGN_GRID = [1, 37, 100, 300, 517, SIGN_STEPS]
+
+
+def sign_and_move_runs(name, m, ridge):
+    """A run of a fixed-direction driver, and the same run stepped by a move
+    rule that adds ``(k * u) * (sign * gamma)`` at each step, with the same
+    draws and the same oracle bits. Returns both reports, the iterate before
+    every step of each, and the move rule's signs."""
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((SIGN_STEPS, 2))
+    reps = nystrom_representers(X, 12, rng)
+    Y = np.sin(X[:, :1] + np.arange(m)) + 0.3 * rng.standard_normal((SIGN_STEPS, m))
+    if name == "coordinate":
+        # labels below the zero model, so the first steps descend: after a
+        # negative shrink factor, subtracting the zero products of a basis
+        # vector leaves -0.0 in the coefficients of the other outputs
+        Y -= 1.0
+    oracles = [QueryOracle.for_regression(Y, SIGN_STEPS) for _ in range(2)]
+    models = [KernelModel.zeros(reps, m, KernelSpec(1.0), ridge) for _ in range(2)]
+    kind = "halfspace_query" if name in ("median", "coordinate") else "threshold_query"
+    iterates = ([], [])
+    for oracle, model, seen in zip(oracles, models, iterates):
+        def asked(*args, ask=getattr(oracle, kind), a=model.coefficients, seen=seen):
+            seen.append(a.copy())
+            return ask(*args)
+
+        setattr(oracle, kind, asked)
+    sched = StepSchedule.decaying(0.5)
+    seed, bound = 32, 2.0
+    kw = dict(checkpoint_grid=SIGN_GRID)
+    rng = np.random.default_rng(seed)
+    if name == "passive":
+        got = run_passive_median(X, oracles[0], sched, models[0], rng, **kw)
+    elif name == "least-squares":
+        got = run_least_squares_sgd(X, oracles[0], sched, models[0], rng, bound, **kw)
+    else:
+        direction = "sphere" if name == "median" else name
+        got = run_median_sgd(X, oracles[0], sched, models[0], rng, direction=direction, **kw)
+
+    oracle, a = oracles[1], models[1].coefficients
+    draw = np.random.default_rng(seed)
+    if name == "coordinate":
+        U = np.eye(m)[draw.integers(0, m, SIGN_STEPS)]
+    elif name == "passive":
+        U = np.ones((SIGN_STEPS, 1))
+        V = draw.standard_normal(SIGN_STEPS)
+    else:
+        U = sample_sphere_batch(draw, m, SIGN_STEPS)
+        V = draw.uniform(0.0, 2.0 * bound, SIGN_STEPS)
+    signs = []
+
+    def rule(s, i, kcol, gamma):
+        u = U[s]
+        if name == "least-squares":
+            sign = -oracle.threshold_query(i, u, float(kcol.dot(a).dot(u)) - V[s])
+        elif name == "passive":
+            above = 1 - oracle.threshold_query(i, u, float(V[s]))
+            z = float(kcol.dot(a[:, 0]))
+            sign = 1 if above and z < V[s] else -1 if not above and z > V[s] else 0
+        else:
+            sign = oracle.halfspace_query(i, kcol.dot(a), u)
+        signs.append(sign)
+        return (sign * gamma, u) if sign else None
+
+    X, used, grid = learner._prepare(X, SIGN_STEPS, SIGN_GRID, None)
+    want = learner._descend(models[1], X, used, sched, grid, None, rule, SIGN_STEPS)
+    return got, want, iterates, signs
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+class TestSignRule:
+    """A driver whose direction is drawn before the bit steps by adding or
+    subtracting a scaled row; its bits equal those of a move rule's
+    ``(k * u) * (sign * gamma)`` update."""
+
+    @pytest.mark.parametrize("name,m,ridge", [
+        ("median", 1, 0.0), ("median", 3, 0.0), ("median", 3, 3.0),
+        # zero components of the basis vector give signed-zero products; with a
+        # negative first shrink factor (gamma0 * ridge = 1.5) they give -0.0
+        # coefficients
+        ("coordinate", 4, 0.0), ("coordinate", 4, 3.0),
+        ("least-squares", 1, 0.0), ("least-squares", 3, 3.0),
+        ("passive", 1, 0.0), ("passive", 1, 3.0),
+    ])
+    def test_bits_equal_the_move_rule(self, name, m, ridge):
+        got, want, (seen, expected), signs = sign_and_move_runs(name, m, ridge)
+        assert got.queries_used == want.queries_used == len(seen) == SIGN_STEPS
+        assert same_bits(seen, expected)  # the iterate before every step
+        for attr in ("final_model", "averaged_model"):
+            assert same_bits(getattr(got, attr).coefficients,
+                             getattr(want, attr).coefficients), attr
+        assert [t for t, _ in got.checkpoints] == SIGN_GRID
+        for (t, g), (_, w) in zip(got.checkpoints, want.checkpoints):
+            assert same_bits(g, w), t
+        # least squares only ever descends; passive and least squares skip steps
+        assert set(signs) == ({-1, 0} if name == "least-squares" else {-1, 0, 1}
+                              if name == "passive" else {-1, 1})
+        if name == "coordinate" and ridge:
+            seen = np.array(seen)
+            assert (np.signbit(seen) & (seen == 0.0)).any()
+
+
 class TestBudgetExactness:
     @pytest.mark.parametrize("budget,n,expected", [(20, 32, 20), (32, 32, 32), (50, 32, 32)])
     def test_every_oracle_driver(self, budget, n, expected):
@@ -458,26 +567,37 @@ class TestChunkedGram:
                              indices=indices)
 
     @staticmethod
-    def traced_peak(budget, rank):
-        """Peak traced bytes of one scalar active-median run."""
+    def traced_peak(name, budget, rank):
+        """Peak traced bytes of one run: scalar active-median or passive, or
+        coordinate median at m = 10."""
         rng = np.random.default_rng(22)
         data = gen_sin_regression(budget, rng)
-        model = zero_model(nystrom_representers(data.features, rank, rng))
-        oracle = QueryOracle.for_regression(data.targets, budget=budget)
+        m = 10 if name == "coordinate" else 1
+        model = zero_model(nystrom_representers(data.features, rank, rng), m)
+        if name == "coordinate":
+            oracle = QueryOracle.for_classification(rng.integers(1, m + 1, budget), m, budget)
+        else:
+            oracle = QueryOracle.for_regression(data.targets, budget=budget)
+        sched = StepSchedule.decaying(0.3)
         tracemalloc.start()
         try:
-            report = run_median_sgd(data.features, oracle, StepSchedule.decaying(0.3), model,
-                                    rng)
+            if name == "passive":
+                report = run_passive_median(data.features, oracle, sched, model, rng)
+            else:
+                report = run_median_sgd(data.features, oracle, sched, model, rng,
+                                        direction="coordinate" if m > 1 else "sphere")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.queries_used == budget
         return peak
 
-    def test_memory_does_not_grow_with_the_budget(self):
+    @pytest.mark.parametrize("name", ["active-median", "passive", "coordinate"])
+    def test_memory_does_not_grow_with_the_budget(self, name):
         # the whole 2^16 x 256 Gram block alone would be 134 MB
-        assert self.traced_peak(2**16, 256) < 24e6
-        # per step a run holds its directions, step sizes and indices, 8 bytes
-        # each; Python numbers for the whole budget would add 32-36 bytes a step
-        growth = self.traced_peak(2**16, 100) - self.traced_peak(2**15, 100)
+        assert self.traced_peak(name, 2**16, 256) < 24e6
+        # per step a run holds its directions (or, for coordinate steps, their
+        # indices), step sizes and indices, 8 bytes each; Python numbers for the
+        # whole budget would add 32-36 bytes a step, and coordinate rows 8 * m
+        growth = self.traced_peak(name, 2**16, 100) - self.traced_peak(name, 2**15, 100)
         assert growth <= 32 * 2**15
