@@ -3,7 +3,9 @@ splits, and the synthetic regression / classification generators."""
 
 from __future__ import annotations
 
+import io
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field
 
@@ -116,8 +118,21 @@ def apply_standardize(dataset: LabeledDataset, info: StandardizeInfo) -> Labeled
 
 def _iter_lines(source):
     if isinstance(source, str):
-        return source.splitlines()
+        # universal newlines, as a file opened in text mode splits
+        source = io.StringIO(source, newline=None)
     return [ln.rstrip("\n") for ln in source]
+
+
+# lines read per block: the bulk reader's temporaries stay a few hundred kB
+# whatever the file's size
+_BLOCK_LINES = 256
+# the largest index the bulk reader takes, so that a (line, index) key fits in
+# int64; a larger one, or one past int64 (which numpy reads as 2**63 - 1),
+# goes to the loop
+_MAX_INDEX = 2**40
+# what the separator check deletes: every byte but ":" and the ASCII ones
+# that str.split() parts tokens at
+_NOT_SEPARATOR = bytes(b for b in range(256) if not (b == ord(":") or chr(b).isspace()))
 
 
 def parse_libsvm(source) -> LabeledDataset:
@@ -127,12 +142,107 @@ def parse_libsvm(source) -> LabeledDataset:
     feature dimension is the largest index seen anywhere, missing entries
     are zero. Labels map to contiguous classes 1..m preserving numeric
     order; the original values are kept in ``extra["label_values"]``.
+
+    The text is read in bulk, a block of lines at a time. Where the bulk
+    reader cannot vouch for a block (a malformed or non-finite token, an
+    index that is not plain ASCII digits or is past 2**40, or indices out of
+    order), the per-token loop reads the whole text again: it raises the
+    first error with its line number, or returns the same dataset.
     """
+    lines = _iter_lines(source)
+    bulk = _read_libsvm_blocks(lines)
+    if bulk is None:
+        return _parse_libsvm_loop(lines)
+    del lines  # the dense matrix is built without the text
+    labels, counts, cols, vals, max_idx, max_line = bulk
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return _libsvm_dataset(labels, rows, cols, vals, max_idx, max_line)
+
+
+def _one_colon_each(text, n) -> bool:
+    """True when ``text`` is n tokens parted by single spaces, each holding
+    exactly one ":" (and nothing but ASCII); no tokens is the empty text."""
+    if not n:
+        return not text
+    try:
+        seps = text.encode("ascii").translate(None, _NOT_SEPARATOR)
+    except UnicodeEncodeError:
+        return False
+    return seps == b":" + b" :" * (n - 1)
+
+
+def _read_libsvm_blocks(lines):
+    """Bulk reading for :func:`parse_libsvm`: ``(labels, counts, cols, vals,
+    max_idx, max_line)``, with each nonblank line's label and entry count and
+    each entry's column and value, or None where the input needs the loop.
+
+    Between blocks only these numeric buffers are kept.
+    """
+    labels, counts, cols, vals = array("d"), array("q"), array("q"), array("d")
+    max_idx = max_line = 0
+    for lo in range(0, len(lines), _BLOCK_LINES):
+        heads = [ln.split(None, 1) for ln in lines[lo:lo + _BLOCK_LINES]]
+        try:
+            label = np.fromiter(map(float, [h[0] for h in heads if h]), float)
+        except ValueError:
+            return None
+        if not np.isfinite(label).all():
+            return None
+        bodies = [h[1] if len(h) == 2 else "" for h in heads if h]
+        # a line's entry count is its number of ":", once the separator
+        # check has shown that every token holds exactly one
+        count = np.fromiter(map(operator.methodcaller("count", ":"), bodies), np.int64,
+                            len(bodies))
+        n = int(count.sum())
+        text = " ".join(bodies)
+        del bodies
+        if not _one_colon_each(text, n):
+            text = " ".join(text.split())  # part the tokens by single spaces
+            if not _one_colon_each(text, n):
+                return None
+        labels.frombytes(label.view(np.uint8))
+        counts.frombytes(count.view(np.uint8))
+        if not n:
+            continue
+        parts = text.replace(":", " ").split(" ")
+        del text
+        idx_text = " ".join(parts[::2])
+        if idx_text.encode("ascii").translate(None, b"0123456789 "):
+            return None
+        # an empty index drops out of the read, which the size check finds
+        idx = np.fromstring(idx_text, dtype=np.int64, sep=" ")
+        del idx_text
+        try:
+            val = np.fromiter(map(float, parts[1::2]), float, n)
+        except ValueError:
+            return None
+        del parts
+        if idx.size != n or idx.min() < 1 or not np.isfinite(val).all():
+            return None
+        top = idx.argmax()  # the first entry, so the first line, holding the largest
+        if idx[top] > _MAX_INDEX:
+            return None
+        row = np.repeat(np.arange(count.size), count)
+        key = (row << 41) + idx  # (line, index) in row-major order, as one int64
+        if not (key[1:] > key[:-1]).all():
+            return None
+        if idx[top] > max_idx:
+            max_idx = int(idx[top])
+            max_line = lo + 1 + [j for j, h in enumerate(heads) if h][row[top]]
+        idx -= 1
+        cols.frombytes(idx.view(np.uint8))
+        vals.frombytes(val.view(np.uint8))
+    return labels, counts, cols, vals, max_idx, max_line
+
+
+def _parse_libsvm_loop(lines) -> LabeledDataset:
+    """The per-token reading of :func:`parse_libsvm`: the reference for the
+    bulk reader, and the reporter of the first bad line."""
     labels: list[float] = []
     # each entry's row, column and value, unboxed: no Python object per entry
     rows, cols, vals = array("q"), array("q"), array("d")
     max_idx = max_line = 0
-    for ln_no, raw in enumerate(_iter_lines(source), start=1):
+    for ln_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -169,7 +279,13 @@ def parse_libsvm(source) -> LabeledDataset:
         if prev > max_idx:
             max_idx, max_line = prev, ln_no
         labels.append(label)
-    if not labels:
+    return _libsvm_dataset(labels, rows, cols, vals, max_idx, max_line)
+
+
+def _libsvm_dataset(labels, rows, cols, vals, max_idx, max_line) -> LabeledDataset:
+    """The dataset with each entry's row, column and value set; ``max_line``
+    is the first line that holds the largest index, ``max_idx``."""
+    if not len(labels):
         raise ParseError(1, "no samples found")
     try:
         X = np.zeros((len(labels), max_idx))

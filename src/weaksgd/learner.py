@@ -361,8 +361,13 @@ def run_least_squares_sgd(
     a = model.coefficients
     query = oracle.threshold_query
 
-    def rule(s, i, kcol, u):
-        return -query(i, u, float(kcol.dot(a).dot(u)) - V.item(s))
+    if model.output_dim == 1:
+        # <f(x), u> as one product of Python floats, not a length-1 dot
+        def rule(s, i, kcol, u):
+            return -query(i, u, kcol.dot(a).item(0) * u.item(0) - V.item(s))
+    else:
+        def rule(s, i, kcol, u):
+            return -query(i, u, float(kcol.dot(a).dot(u)) - V.item(s))
 
     return _descend(model, X, used, schedule, grid, evaluate, rule, steps,
                     lambda lo, hi: U[lo:hi])
@@ -387,10 +392,20 @@ def run_full_sgd(
                              checkpoint_grid, indices)
     a = model.coefficients
 
-    def rule(s, i, kcol, gamma):
-        r = kcol.dot(a) - Y[i]
-        nr = math.sqrt(r.dot(r))
-        return (-(gamma / nr), r) if nr > 0.0 else None
+    if Y.shape[1] == model.output_dim == 1:
+        y = Y[:, 0]  # a view: no per-row copy, so memory does not grow with n
+
+        # the residual as a Python float, where the (1,) arrays pay for a
+        # subtraction, a length-1 dot and their wrappers
+        def rule(s, i, kcol, gamma):
+            r = kcol.dot(a).item(0) - y.item(i)
+            nr = math.sqrt(r * r)
+            return (-(gamma / nr), r) if nr > 0.0 else None
+    else:
+        def rule(s, i, kcol, gamma):
+            r = kcol.dot(a) - Y[i]
+            nr = math.sqrt(r.dot(r))
+            return (-(gamma / nr), r) if nr > 0.0 else None
 
     return _descend(model, X, used, schedule, grid, evaluate, rule, 0)  # no oracle bits spent
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaksgd import datasets
 from weaksgd.datasets import (
     LabeledDataset,
     ParseError,
@@ -20,6 +23,70 @@ from weaksgd.datasets import (
     split,
     standardize,
 )
+
+
+def libsvm_outcome(parse, text):
+    """What a parser makes of ``text``: the dataset's bits, or its error."""
+    try:
+        ds = parse(text)
+    except ParseError as err:
+        return "error", str(err), err.line
+    return (ds.features.shape, ds.features.tobytes(), ds.targets.tolist(), ds.n_classes,
+            [v.hex() for v in ds.extra["label_values"]])
+
+
+def per_token(text):
+    return datasets._parse_libsvm_loop(datasets._iter_lines(text))
+
+
+# pieces the bulk reader must treat exactly as the per-token loop does
+ODD_LABELS = ["-1", "0", "-0.0", "2.5", "1e1", "+3", "1_0", "nan", "inf", "x", "\u0663",
+              "1:2", "0x1p3", "."]
+ODD_TOKENS = ["1:2:3", "3:", ":4", ":", "x:1", "1:x", "0:1", "+3:1", "-3:1", "3_0:1", "1:1_0",
+              "\u0663:1", "1:\u0663", "\uff15:2", "2:nan", "2:inf", "2:-inf", "2:1e400",
+              "2:0x1p3", "2:.5", "2:5.", "2:-0.0", "2:+1e-3", "2:1e", "2:e5", "5", "00003:1",
+              "0" * 20 + "7:1", f"{2**62}:1", f"{10**20}:1", f"{2**64 + 5}:1", "9" * 19 + ":1",
+              "2:1:", "2::1", "2:p", "2:_1"]
+SEPARATORS = [" ", " ", " ", "  ", "\t", " \t ", "\xa0", "\u3000", "\x1f"]
+
+
+@st.composite
+def libsvm_texts(draw):
+    """Well-formed lines with varied whitespace and line ends, blank and
+    label-only lines, and mostly one adversarial piece: a label, a token, or
+    indices out of order."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["line"] * 6 + ["blank", "spaces", "label-only"]))
+        if kind in ("blank", "spaces"):
+            rows.append(("" if kind == "blank" else draw(st.sampled_from(SEPARATORS)), None))
+            continue
+        idx = sorted(set(draw(st.lists(st.integers(1, 40), max_size=6))))
+        tokens = [f"{i}:{draw(st.floats(-1e3, 1e3))!r}" for i in idx] if kind == "line" else []
+        rows.append((draw(st.sampled_from(["1", "2", "3", "-1", "0.5", "1e1"])), tokens))
+    lines = [r for r in rows if r[1] is not None]
+    odd = draw(st.sampled_from(["none", "label", "token", "token", "alone", "order"]))
+    if lines and odd != "none":
+        label, tokens = draw(st.sampled_from(lines))
+        if odd == "label":
+            rows[rows.index((label, tokens))] = (draw(st.sampled_from(ODD_LABELS)), tokens)
+        elif odd == "alone":  # the line's only token, perhaps its block's only one
+            tokens[:] = [draw(st.sampled_from(ODD_TOKENS))]
+        elif tokens and odd == "token":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        elif tokens:
+            tokens.insert(draw(st.integers(0, len(tokens))),
+                          draw(st.sampled_from(tokens)))  # a repeated index, maybe decreasing
+    text = []
+    for label, tokens in rows:
+        if tokens is None:
+            text.append(label)
+            continue
+        seps = [draw(st.sampled_from(SEPARATORS)) for _ in range(len(tokens) + 2)]
+        line = seps[0] * draw(st.integers(0, 1)) + label
+        line += "".join(sep + tok for sep, tok in zip(seps[1:], tokens))
+        text.append(line + seps[-1] * draw(st.integers(0, 1)))
+    return "".join(ln + draw(st.sampled_from(["\n", "\r\n", "\r"])) for ln in text)
 
 
 class TestParseLibsvm:
@@ -116,6 +183,104 @@ class TestParseLibsvm:
         assert back.n_classes == ds.n_classes
         assert back.extra["label_values"] == ds.extra["label_values"]
 
+    @settings(max_examples=400, deadline=None)
+    @given(text=libsvm_texts())
+    def test_bulk_reader_matches_the_per_token_loop(self, text):
+        assert libsvm_outcome(parse_libsvm, text) == libsvm_outcome(per_token, text)
+
+    def test_bulk_reader_vouches_for_plain_files(self, fixtures_dir):
+        # tabs, runs of spaces, label-only and blank lines stay on the bulk path
+        text = (fixtures_dir / "blobs3.libsvm").read_text()
+        text = text.replace(" ", "\t", 5).replace(" ", "   ", 5) + "\n2\n  \n3 1:1\n"
+        assert datasets._read_libsvm_blocks(datasets._iter_lines(text)) is not None
+        assert libsvm_outcome(parse_libsvm, text) == libsvm_outcome(per_token, text)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_edges(self, extra):
+        rng = np.random.default_rng(extra + 7)
+        n = datasets._BLOCK_LINES + extra
+        lines = [f"{rng.integers(1, 4)} " + " ".join(
+            f"{j}:{rng.standard_normal()!r}" for j in sorted(rng.choice(30, 5, replace=False) + 1))
+            for _ in range(n)]
+        text = "\n".join(lines) + "\n"
+        assert datasets._read_libsvm_blocks(datasets._iter_lines(text)) is not None
+        assert libsvm_outcome(parse_libsvm, text) == libsvm_outcome(per_token, text)
+        # the largest index on the last line: its line goes into the dense-size error
+        last = text + f"1 {2**62}:1\n"
+        want = libsvm_outcome(per_token, last)
+        assert want[0] == "error" and want[2] == n + 1
+        assert libsvm_outcome(parse_libsvm, last) == want
+
+    @pytest.mark.parametrize("piece", [("label", p) for p in ODD_LABELS]
+                             + [("token", p) for p in ODD_TOKENS + ["2:1 1:1"]])
+    def test_each_odd_piece_in_the_second_block(self, piece):
+        kind, odd = piece
+        lines = ["1 1:0.5 3:2"] * (datasets._BLOCK_LINES + 40)
+        lines[datasets._BLOCK_LINES + 9] = f"{odd} 1:1" if kind == "label" else f"2 1:1 {odd}"
+        lines[datasets._BLOCK_LINES + 30] = "2 1:x"  # a later error is not the one reported
+        text = "\n".join(lines)
+        assert libsvm_outcome(parse_libsvm, text) == libsvm_outcome(per_token, text)
+
+    @pytest.mark.parametrize("text", [
+        "1 5\n", "1\n2 oops\n", "\n1\n\n2  x \n",
+        # a block with no ":" but one bare token, then a block that parses
+        "\n".join(["1", ""] * 127 + ["2 oops", "3", "1 1:1"]) + "\n",
+    ], ids=["one-line", "after-label-only", "after-blank-lines", "first-of-two-blocks"])
+    def test_bare_token_without_any_colon_in_its_block(self, text):
+        want = libsvm_outcome(per_token, text)
+        assert want[0] == "error" and "expected idx:val" in want[1]
+        assert libsvm_outcome(parse_libsvm, text) == want
+
+    # each too large for numpy to allocate its dense row, whatever the memory
+    @pytest.mark.parametrize("idx", [2**62, 2**63 - 1, 2**63, 10**20, 2**64 + 5])
+    def test_large_index_alone(self, idx):
+        # numpy reads an index past int64 as 2**63 - 1; the error must still
+        # say so when the index's column does not fit in int64
+        text = f"1 1:0.5 {idx}:1\n"
+        want = libsvm_outcome(per_token, text)
+        assert want[0] == "error"
+        assert ("does not fit in 64 bits" in want[1]) == (idx - 1 >= 2**63)
+        assert libsvm_outcome(parse_libsvm, text) == want
+
+    def test_line_of_the_largest_index(self):
+        # blank and label-only lines before it, and the largest index twice:
+        # the dense-size error names the first line that holds it
+        lines = ["1 1:0.5 3:2"] * (datasets._BLOCK_LINES + 40)
+        n = datasets._BLOCK_LINES
+        lines[n + 3], lines[n + 5], lines[n + 6] = "", "   ", "2"
+        lines[n + 9] = lines[n + 20] = f"2 1:1 {2**40}:1"
+        bulk = datasets._read_libsvm_blocks(lines)
+        assert bulk is not None and bulk[4:] == (2**40, n + 10)
+        # one past the largest index the bulk reader takes goes to the loop
+        lines[n + 30] = f"2 {2**40 + 1}:1"
+        assert datasets._read_libsvm_blocks(lines) is None
+
+    def test_peak_memory(self, tmp_path):
+        # a file shaped like the benchmark's: 6000 rows, 20 features of which
+        # 15 are 80% zeros, 3 Gaussian classes, values written as repr(float)
+        rng = np.random.default_rng(1)
+        rows, features, classes = 6000, 20, 3
+        y = rng.integers(0, classes, rows)
+        X = rng.standard_normal((rows, features))
+        X[np.arange(rows), y] += 2.0
+        X[:, classes + 2:] *= rng.random((rows, features - classes - 2)) < 0.2
+        path = tmp_path / "data.libsvm"
+        with open(path, "w", encoding="utf-8") as fh:
+            for r in range(rows):
+                fh.write(" ".join([str(y[r] + 1)] + [f"{j + 1}:{float(X[r, j])!r}"
+                                                      for j in np.flatnonzero(X[r])]) + "\n")
+        with open(path, "r", encoding="utf-8") as fh:  # as the run command opens it
+            tracemalloc.start()
+            try:
+                ds = parse_libsvm(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(ds.features, X)
+        # the dense matrix is 0.96 MB; the text's lines 1.4 MB
+        assert peak <= 3.2e6
+
+
     def test_fixture_parses(self, fixtures_dir):
         with open(fixtures_dir / "blobs3.libsvm") as fh:
             ds = parse_libsvm(fh)
@@ -127,6 +292,54 @@ class TestParseLibsvm:
         raw = [float(line.split()[0]) for line in (fixtures_dir / "blobs3.libsvm").open()
                if line.strip()]
         assert [ds.extra["label_values"][c - 1] for c in ds.targets] == raw
+
+
+# the characters str.splitlines() breaks at, besides the three a text-mode
+# file breaks at
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    """A str and a file opened as the run command opens it split into the
+    same lines: at \\n, \\r\\n and \\r only."""
+
+    @staticmethod
+    def both(parse, text, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for source in (text, None):
+            try:
+                if source is None:
+                    with open(path, "r", encoding="utf-8") as fh:
+                        outcomes.append(parse(fh))
+                else:
+                    outcomes.append(parse(source))
+            except ParseError as err:
+                outcomes.append(("error", str(err), err.line))
+        return outcomes
+
+    @pytest.mark.parametrize("brk", OTHER_BREAKS + ["\r", "\r\n"])
+    def test_libsvm(self, brk, tmp_path):
+        text = f"1 1:2.0{brk} 2:3.0\n2 1:1.0\r\n3{brk}\r1 2:4{brk}\n"
+        from_str, from_file = self.both(lambda src: libsvm_outcome(parse_libsvm, src),
+                                        text, tmp_path)
+        assert from_str == from_file
+
+    @pytest.mark.parametrize("brk", OTHER_BREAKS + ["\r", "\r\n"])
+    def test_csv(self, brk, tmp_path):
+        text = f"a,b\n1,2{brk}\r\n3,4\r5{brk},6\n"
+
+        def parse(src):
+            ds = parse_csv_regression(src, ["b"])
+            return ds.features.tolist(), ds.targets.tolist(), ds.extra["dropped_rows"]
+
+        from_str, from_file = self.both(parse, text, tmp_path)
+        assert from_str == from_file
+
+    def test_form_feed_is_not_a_line_break(self):
+        ds = parse_libsvm("1 1:2.0\x0c 2:3.0\n2 1:1.0\n")
+        assert ds.features.tolist() == [[2.0, 3.0], [1.0, 0.0]]
 
 
 class TestStandardize:

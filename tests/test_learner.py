@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaksgd import learner
 from weaksgd.datasets import gen_sin_regression, parse_csv_regression, parse_libsvm, sin_target
@@ -445,6 +448,79 @@ class TestSignRule:
         if name == "coordinate" and ridge:
             seen = np.array(seen)
             assert (np.signbit(seen) & (seen == 0.0)).any()
+
+
+def scalar_rule(run):
+    """The bit rule a driver hands to ``_descend``, captured without running
+    a step."""
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_descend", lambda *args, **kw: captured.append(args[6]))
+        run()
+    return captured[0]
+
+
+# bounded so that f(x) and the residual stay finite; signed zeros included
+small = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+
+
+class TestScalarRules:
+    """With one output the least-squares threshold and the full-sgd move are
+    Python-float products; they equal the length-1 dots bit for bit, or give
+    the same oracle answer where only a zero's sign differs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kcol=st.lists(small, min_size=1, max_size=3), data=st.data(),
+           u=st.sampled_from([1.0, -1.0]))
+    def test_least_squares_threshold(self, kcol, data, u):
+        kcol = np.array(kcol)
+        a = np.array(data.draw(st.lists(small, min_size=kcol.size, max_size=kcol.size)))[:, None]
+        model = zero_model(np.zeros((kcol.size, 1)))
+        model.coefficients[:] = a
+        seed, bound = 5, 1.0
+        draw = np.random.default_rng(seed)
+        sample_sphere_batch(draw, 1, 1)
+        v = draw.uniform(0.0, 2.0 * bound, 1)
+        u = np.array([u])
+        if data.draw(st.booleans(), label="zero threshold"):  # f(x) u = v exactly
+            kcol, a = np.ones(1), np.array([[v[0] * u[0]]])
+            model = zero_model(np.zeros((1, 1)))
+            model.coefficients[:] = a
+        want = float(kcol.dot(a).dot(u)) - v[0]
+        # the label ties with the threshold, or with its negative, or is free
+        y = data.draw(st.one_of(st.just(want * u[0]), st.just(-want * u[0]), small), label="y")
+        oracle = QueryOracle.for_regression([y], budget=1, mode="resampling")
+        asked = []
+        oracle.threshold_query = lambda i, u, c: asked.append(c) or int(y * u.item(0) < c)
+        rule = scalar_rule(lambda: run_least_squares_sgd(
+            np.zeros((1, 1)), oracle, StepSchedule.decaying(1.0), model,
+            np.random.default_rng(seed), bound))
+        sign = rule(0, 0, kcol, u)
+        got = asked[0]
+        assert same_bits(got, want) or (got == want == 0.0)
+        assert sign == -int(y * u[0] < want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kcol=st.lists(small, min_size=1, max_size=3), data=st.data(),
+           gamma=st.floats(1e-3, 1e3))
+    def test_full_sgd_move(self, kcol, data, gamma):
+        kcol = np.array(kcol)
+        a = np.array(data.draw(st.lists(small, min_size=kcol.size, max_size=kcol.size)))[:, None]
+        model = zero_model(np.zeros((kcol.size, 1)))
+        model.coefficients[:] = a
+        f = kcol.dot(a)[0]
+        y = data.draw(st.one_of(st.just(f), st.just(-f), small), label="y")  # ties too
+        Y = np.array([[y]])
+        rule = scalar_rule(lambda: run_full_sgd(
+            np.zeros((1, 1)), Y, StepSchedule.decaying(1.0), model))
+        got = rule(0, 0, kcol, gamma)
+        r = kcol.dot(a) - Y[0]
+        nr = math.sqrt(r.dot(r))
+        if nr > 0.0:
+            assert same_bits(got[0], -(gamma / nr))
+            assert same_bits(got[1], r[0])
+        else:
+            assert got is None
 
 
 class TestBudgetExactness:
