@@ -199,7 +199,7 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
     if strategy not in allowed:
         raise ConfigError(f"unknown strategy {given!r}; expected one of {allowed}")
     n = len(labels)
-    indices = np.arange(budget) % n
+    indices = learner.Cycle(n, budget)  # built a block of steps at a time
     if strategy == "full-sgd":
         return learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)
     mode = "streaming" if budget <= n else "resampling"

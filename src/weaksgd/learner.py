@@ -7,8 +7,9 @@ step reads. So the loop records each step's move and sums the iterates a
 window of steps at a time, in one product with the window's kernel rows. A
 window closes at every multiple of 256 steps, at every checkpoint and at the
 end of every Gram block; 256 divides ``CHUNK_ROWS``, so the average does not
-depend on where the blocks are cut. A driver draws its randomness up front and
-supplies only a *bit rule*, one oracle call per step, of one of two kinds:
+depend on where the blocks are cut. A driver draws its randomness a block of
+steps at a time, as the loop reaches the block, and supplies only a *bit rule*,
+one oracle call per step, of one of two kinds:
 
 * a *sign rule* (median, least squares, passive), whose direction is drawn
   before the bit: the driver hands the loop its direction rows, and the rule
@@ -30,16 +31,26 @@ What each driver draws from its generator, in order, once per trial:
 * passive (:func:`run_passive_median`): V;
 * full-sgd (:func:`run_full_sgd`): nothing;
 * infimum-loss (:func:`weaksgd.surrogate.infimum_loss_sgd`): the class-set rows.
+
+Drawn a block at a time, each stream gives the same values, and leaves the
+generator in the same state, as one draw for the whole run: normals, uniforms
+and integers read the generator value by value. Least squares reaches V's
+start on a copy of the generator, which first draws and discards every block
+of U. One case differs: :func:`~weaksgd.geometry.sample_sphere_batch` redraws
+a normal row that is exactly zero at the end of its batch, here the end of the
+row's block, so the directions after such a row differ from one whole draw's.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import sample_sphere_batch
+from .geometry import _normals, sample_sphere_batch
 from .kernel import CHUNK_ROWS, KernelModel, _as_rows, kernel_matrix
 from .oracle import QueryOracle
 
@@ -65,11 +76,15 @@ class StepSchedule:
     def decaying(cls, gamma0: float) -> "StepSchedule":
         return cls("decaying", float(gamma0))
 
-    def gammas(self, steps: int) -> np.ndarray:
-        """Step sizes (gamma(1), ..., gamma(steps))."""
+    def gammas(self, start: int, stop: int | None = None) -> np.ndarray:
+        """Step sizes (gamma(start + 1), ..., gamma(stop)), or (gamma(1), ...,
+        gamma(start)) when ``stop`` is omitted, as ``range`` reads its bounds.
+        A step's size is the same bits in whichever block it is built."""
+        if stop is None:
+            start, stop = 0, start
         if self.kind == "constant":
-            return np.full(steps, self.gamma0, dtype=float)
-        return self.gamma0 / np.sqrt(np.arange(1, steps + 1))
+            return np.full(stop - start, self.gamma0, dtype=float)
+        return self.gamma0 / np.sqrt(np.arange(start + 1, stop + 1))
 
 
 @dataclass
@@ -87,13 +102,33 @@ class TrainReport:
     queries_used: int
 
 
+@dataclass(frozen=True)
+class Cycle:
+    """The step indices of a walk over ``n`` rows that starts again at row 0
+    after the last: 0, 1, ..., n - 1, 0, 1, ... for ``steps`` steps. A slice
+    ``cycle[lo:hi]`` builds only its own indices, so a run holds none for the
+    steps outside its current block."""
+
+    n: int
+    steps: int
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.steps)
+        return np.arange(lo, hi) % self.n
+
+
 def _prepare(X, budget: int, checkpoint_grid, indices):
-    """Inputs as an (n, d) array, the indices of the steps to take, and the
+    """Inputs as an (n, d) array, the indices of the steps to take (an array,
+    or a :class:`Cycle`; each row once when ``indices`` is None), and the
     validated checkpoint grid."""
     X = _as_rows(X)
+    n = X.shape[0]
     if indices is None:
-        indices = np.arange(X.shape[0])
-    else:
+        indices = Cycle(n, n)
+    elif not isinstance(indices, Cycle):
         indices = np.asarray(indices, dtype=int)
     steps = min(int(budget), len(indices))
     if checkpoint_grid is None:
@@ -106,9 +141,13 @@ def _prepare(X, budget: int, checkpoint_grid, indices):
             raise ValueError(
                 f"checkpoint {grid[-1]} exceeds the {steps} steps this run can take"
             )
-    used = indices[:steps]
-    n = X.shape[0]
-    if steps and not 0 <= used.min() <= used.max() < n:
+    if isinstance(indices, Cycle):
+        used = Cycle(indices.n, steps)
+        least, most = 0, min(steps, indices.n) - 1
+    else:
+        used = indices[:steps]
+        least, most = (used.min(), used.max()) if steps else (0, 0)
+    if steps and not 0 <= least <= most < n:
         # checked up front: the loop gathers rows a block at a time, and a bad
         # index (the oracle answers no negative one) must fail before any
         # query is spent
@@ -151,13 +190,18 @@ def _tail_sums(shrink: np.ndarray) -> np.ndarray:
 
 
 def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate, rule,
-             queries: int, directions=None) -> TrainReport:
+             queries: int, directions=None, draw=None) -> TrainReport:
     """The step loop shared by every driver.
 
-    Step t (1-based) reads row ``X[used[t - 1]]`` through its kernel column
-    ``kcol``, built with the rest of its block of ``CHUNK_ROWS`` rows, and
-    shrinks the coefficients by ``1 - gamma * ridge`` before it moves them.
-    The rule, which reads the current coefficients, is one of two kinds.
+    The loop runs in blocks of ``CHUNK_ROWS`` steps, and holds the state of one
+    block at a time. At the start of the block of steps lo to hi - 1 it builds
+    their kernel rows, their step sizes and, from ``used[lo:hi]``, their sample
+    indices, and the driver draws the block's randomness: ``directions(lo,
+    hi)`` returns the direction rows of a sign rule, and ``draw(lo, hi)``
+    draws what a move rule reads. Step t (1-based) reads row ``X[used[t - 1]]``
+    through its kernel column ``kcol`` and shrinks the coefficients by
+    ``1 - gamma * ridge`` before it moves them. The rule, which reads the
+    current coefficients, is one of two kinds.
 
     * A *move rule* (``directions`` None; full-sgd and infimum-loss, whose
       direction is read from f(x)) is called as ``rule(t - 1, i, kcol,
@@ -169,14 +213,14 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     * A *sign rule* (median, least squares and passive, whose direction is
       drawn before the bit) is called as ``rule(t - 1, i, kcol, u)`` with the
       step's direction row u and returns the sign of the move: 1, -1 or 0.
-      ``directions(lo, hi)`` gives the direction rows of steps lo to hi - 1,
-      a window at a time, into D. Before the steps of a slice of ``_SLICE``
-      steps run, the loop scales their rows ``(k * d) * gamma`` into one
-      buffer, in two ufunc calls, so a step is one add or one subtract of its
-      row. The bits are those of a move rule returning ``(sign * gamma, u)``:
-      ``x * -g == -(x * g)`` and ``y - x == y + -x`` exactly in IEEE
-      arithmetic, signed zeros included. C is set at the window's end to
-      ``sign * gamma``, which is ``+-gamma`` or 0 as a move rule records.
+      The block's direction rows are copied into D a window at a time. Before
+      the steps of a slice of ``_SLICE`` steps run, the loop scales their rows
+      ``(k * d) * gamma`` into one buffer, in two ufunc calls, so a step is
+      one add or one subtract of its row. The bits are those of a move rule
+      returning ``(sign * gamma, u)``: ``x * -g == -(x * g)`` and
+      ``y - x == y + -x`` exactly in IEEE arithmetic, signed zeros included.
+      C is set at the window's end to ``sign * gamma``, which is ``+-gamma``
+      or 0 as a move rule records.
 
     With one output the update runs on 1-D operands, the coefficient column
     ``a[:, 0]`` and the row ``kcol``, so no step pays for a (rank, 1)
@@ -200,10 +244,6 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     C = np.empty(_WINDOW)
     D = np.zeros((_WINDOW, model.output_dim))
     steps = len(used)
-    gammas = schedule.gammas(steps)
-    shrink = 1.0 - gammas * model.ridge if model.ridge != 0.0 else None
-    bounds = sorted({0, steps, *grid, *range(_WINDOW, steps, _WINDOW),
-                     *range(CHUNK_ROWS, steps, CHUNK_ROWS)})
     due = set(grid)
     records = []
     multiply = np.multiply
@@ -219,72 +259,85 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
         # budget, where a whole window's rows would add 256 * rank * m floats
         moves = np.empty((min(steps, _SLICE),) + target.shape)
         dirs = D if scalar else D[:, None, :]  # a direction per step, against (rank[, m])
-        scales = gammas.reshape((-1,) + (1,) * target.ndim)
         us = list(D)
         signs = [0] * _WINDOW
     # every block is built into one buffer, so only one is held at a time and
     # its pages are reused rather than faulted in afresh for each block
     gram = np.empty((min(steps, CHUNK_ROWS), model.rank))
-    lo = hi = 0
-    for wlo, whi in zip(bounds, bounds[1:]):
-        if wlo == hi:
-            lo, hi = wlo, min(wlo + CHUNK_ROWS, steps)
-            K = kernel_matrix(model.spec, X[used[lo:hi]], model.representers,
-                              out=gram[:hi - lo])
-        Kw = K[wlo - lo:whi - lo]
-        n = whi - wlo
-        # row * direction is outer(kcol, direction): with one output a 1-D row,
-        # otherwise the row as a (rank, 1) column
-        rows = Kw if scalar else Kw[:, :, None]
-        # Python numbers a window at a time: a whole budget of them would hold
-        # 32-36 bytes per step where the arrays hold 8
-        factors = shrink[wlo:whi].tolist() if shrink is not None else None
-        if directions is None:
-            for j, s, i, kcol, row, gamma, c, d in zip(range(n), range(wlo, whi),
-                                                       used[wlo:whi].tolist(), Kw, rows,
-                                                       gammas[wlo:whi].tolist(), cs, ds):
-                move = rule(s, i, kcol, gamma)
-                if factors is not None:
-                    target *= factors[j]
-                if move is None:
-                    C[j] = 0.0
-                else:
-                    C[j], D[j] = move
-                    multiply(row, d, out=buf)
-                    buf *= c
-                    target += buf
-        else:
-            D[:n] = directions(wlo, whi)
-            for jlo in range(0, n, _SLICE):
-                jhi = min(jlo + _SLICE, n)
-                scaled = moves[:jhi - jlo]
-                multiply(rows[jlo:jhi], dirs[jlo:jhi], out=scaled)
-                scaled *= scales[wlo + jlo:wlo + jhi]
-                for j, s, i, kcol, u, move in zip(range(jlo, jhi), range(wlo + jlo, wlo + jhi),
-                                                  used[wlo + jlo:wlo + jhi].tolist(),
-                                                  Kw[jlo:jhi], us[jlo:jhi], scaled):
-                    sign = rule(s, i, kcol, u)
+    for lo in range(0, steps, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, steps)
+        samples = used[lo:hi]
+        K = kernel_matrix(model.spec, X[samples], model.representers, out=gram[:hi - lo])
+        gammas = schedule.gammas(lo, hi)
+        shrink = 1.0 - gammas * model.ridge if model.ridge != 0.0 else None
+        if directions is not None:
+            U = directions(lo, hi)
+            scales = gammas.reshape((-1,) + (1,) * target.ndim)
+        elif draw is not None:
+            draw(lo, hi)
+        # window ends: multiples of _WINDOW, checkpoints and the block's end
+        cuts = sorted({lo, hi, *range(lo // _WINDOW * _WINDOW + _WINDOW, hi, _WINDOW),
+                       *grid[bisect_right(grid, lo):bisect_left(grid, hi)]})
+        for wlo, whi in zip(cuts, cuts[1:]):
+            n = whi - wlo
+            off = wlo - lo  # the window's first row in the block
+            Kw = K[off:off + n]
+            # row * direction is outer(kcol, direction): with one output a 1-D
+            # row, otherwise the row as a (rank, 1) column
+            rows = Kw if scalar else Kw[:, :, None]
+            # Python numbers a window at a time: a block of them would hold
+            # 32-36 bytes per step where the arrays hold 8
+            index = samples[off:off + n].tolist()
+            factors = shrink[off:off + n].tolist() if shrink is not None else None
+            if directions is None:
+                for j, s, i, kcol, row, gamma, c, d in zip(range(n), range(wlo, whi), index,
+                                                           Kw, rows,
+                                                           gammas[off:off + n].tolist(),
+                                                           cs, ds):
+                    move = rule(s, i, kcol, gamma)
                     if factors is not None:
                         target *= factors[j]
-                    if sign > 0:
-                        target += move
-                    elif sign:
-                        target -= move
-                    signs[j] = sign
-            multiply(signs[:n], gammas[wlo:whi], out=C[:n])
-        if shrink is None:
-            w = np.arange(n, 0.0, -1.0)
-            lead = n
-        else:
-            w = _tail_sums(shrink[wlo:whi])
-            lead = shrink[wlo] * w[0]
-        w *= C[:n]
-        total += lead * start
-        total += Kw.T @ (w[:, None] * D[:n])
-        start[:] = a
-        if whi in due:
-            snap = model.with_coefficients(total / whi)
-            records.append((whi, evaluate(snap) if evaluate is not None else snap.coefficients))
+                    if move is None:
+                        C[j] = 0.0
+                    else:
+                        C[j], D[j] = move
+                        multiply(row, d, out=buf)
+                        buf *= c
+                        target += buf
+            else:
+                D[:n] = U[off:off + n]
+                for jlo in range(0, n, _SLICE):
+                    jhi = min(jlo + _SLICE, n)
+                    scaled = moves[:jhi - jlo]
+                    multiply(rows[jlo:jhi], dirs[jlo:jhi], out=scaled)
+                    scaled *= scales[off + jlo:off + jhi]
+                    for j, s, i, kcol, u, move in zip(range(jlo, jhi),
+                                                      range(wlo + jlo, wlo + jhi),
+                                                      index[jlo:jhi], Kw[jlo:jhi],
+                                                      us[jlo:jhi], scaled):
+                        sign = rule(s, i, kcol, u)
+                        if factors is not None:
+                            target *= factors[j]
+                        if sign > 0:
+                            target += move
+                        elif sign:
+                            target -= move
+                        signs[j] = sign
+                multiply(signs[:n], gammas[off:off + n], out=C[:n])
+            if shrink is None:
+                w = np.arange(n, 0.0, -1.0)
+                lead = n
+            else:
+                w = _tail_sums(shrink[off:off + n])
+                lead = shrink[off] * w[0]
+            w *= C[:n]
+            total += lead * start
+            total += Kw.T @ (w[:, None] * D[:n])
+            start[:] = a
+            if whi in due:
+                snap = model.with_coefficients(total / whi)
+                records.append((whi, evaluate(snap) if evaluate is not None
+                                else snap.coefficients))
     mean = total / steps if steps else total
     return TrainReport(model, model.with_coefficients(mean), records, queries)
 
@@ -309,21 +362,15 @@ def run_median_sgd(
     coordinate strategy for classification).
     """
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
-    steps = len(used)
     m = model.output_dim
     if direction == "sphere":
-        U = sample_sphere_batch(rng, m, steps)
-
         def directions(lo, hi):
-            return U[lo:hi]
+            return sample_sphere_batch(rng, m, hi - lo)
     elif direction == "coordinate":
-        # the basis vector of each step is built a window at a time from its
-        # index, so the run holds 8 bytes per step rather than 8 * m
-        picks = rng.integers(0, m, steps)
         basis = np.eye(m)
 
         def directions(lo, hi):
-            return basis[picks[lo:hi]]
+            return basis[rng.integers(0, m, hi - lo)]
     else:
         raise ValueError(f"unknown direction scheme {direction!r}")
     a = model.coefficients
@@ -332,7 +379,7 @@ def run_median_sgd(
     def rule(s, i, kcol, u):
         return query(i, kcol.dot(a), u)
 
-    return _descend(model, X, used, schedule, grid, evaluate, rule, steps, directions)
+    return _descend(model, X, used, schedule, grid, evaluate, rule, len(used), directions)
 
 
 def run_least_squares_sgd(
@@ -356,21 +403,34 @@ def run_least_squares_sgd(
         raise ValueError(f"bound must be finite and > 0 with 2 * bound finite, got {bound}")
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     steps = len(used)
-    U = sample_sphere_batch(rng, model.output_dim, steps)
-    V = rng.uniform(0.0, 2.0 * bound, steps)
+    m = model.output_dim
+    # V is drawn after the whole of U: a copy of the generator draws and
+    # discards U's blocks to reach V's start, then draws V a block at a time
+    ahead = copy.deepcopy(rng)
+    for lo in range(0, steps, CHUNK_ROWS):
+        _normals(ahead, m, min(CHUNK_ROWS, steps - lo))
+    V, base = None, 0  # the thresholds of the block that starts at step base
+
+    def directions(lo, hi):
+        nonlocal V, base
+        V, base = ahead.uniform(0.0, 2.0 * bound, hi - lo), lo
+        return sample_sphere_batch(rng, m, hi - lo)
+
     a = model.coefficients
     query = oracle.threshold_query
 
-    if model.output_dim == 1:
+    if m == 1:
         # <f(x), u> as one product of Python floats, not a length-1 dot
         def rule(s, i, kcol, u):
-            return -query(i, u, kcol.dot(a).item(0) * u.item(0) - V.item(s))
+            return -query(i, u, kcol.dot(a).item(0) * u.item(0) - V.item(s - base))
     else:
         def rule(s, i, kcol, u):
-            return -query(i, u, float(kcol.dot(a).dot(u)) - V.item(s))
+            return -query(i, u, float(kcol.dot(a).dot(u)) - V.item(s - base))
 
-    return _descend(model, X, used, schedule, grid, evaluate, rule, steps,
-                    lambda lo, hi: U[lo:hi])
+    report = _descend(model, X, used, schedule, grid, evaluate, rule, steps, directions)
+    # the state that drawing all of U, then all of V, leaves the caller's generator in
+    rng.bit_generator.state = ahead.bit_generator.state
+    return report
 
 
 def run_full_sgd(
@@ -430,14 +490,19 @@ def run_passive_median(
     if model.output_dim != 1:
         raise ValueError("the passive threshold strategy is defined for scalar outputs")
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
-    steps = len(used)
-    V = rng.standard_normal(steps)
+    V, base = None, 0  # the thresholds of the block that starts at step base
+
+    def directions(lo, hi):
+        # every step's direction is the one output's unit vector
+        nonlocal V, base
+        V, base = rng.standard_normal(hi - lo), lo
+        return np.ones((hi - lo, 1))
+
     a0 = model.coefficients[:, 0]
     query = oracle.threshold_query
-    one = np.ones(1)
 
     def rule(s, i, kcol, u):
-        v = V.item(s)
+        v = V.item(s - base)
         above = 1 - query(i, u, v)  # 1{Y > v} up to the null event Y = v
         z = float(kcol.dot(a0))
         if above == 1 and z < v:
@@ -446,7 +511,4 @@ def run_passive_median(
             return -1
         return 0
 
-    # every step's direction is the one output's unit vector: one row serves
-    # every window, so the run holds no direction per step
-    return _descend(model, X, used, schedule, grid, evaluate, rule, steps,
-                    lambda lo, hi: one)
+    return _descend(model, X, used, schedule, grid, evaluate, rule, len(used), directions)

@@ -65,21 +65,26 @@ def infimum_loss_sgd(
 ) -> TrainReport:
     """Best-case-loss SGD from one membership bit per step.
 
-    Every step's proper random set S is drawn up front. Per step: learn the
-    bit 1{Y in S}, restrict to S when the bit is 1 and to its complement
-    otherwise, pick
+    Every step's proper random set S is drawn with the rest of its block of
+    steps, before the block's first step. Per step: learn the bit 1{Y in S},
+    restrict to S when the bit is 1 and to its complement otherwise, pick
     y* = argmax_{y in set} g(x)_y, and descend along
     (g(x) - e_{y*}) / ||g(x) - e_{y*}|| (no-op at the kink g(x) = e_{y*}).
     """
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
     m = model.output_dim
-    sets = random_proper_subsets(rng, m, len(used))
+    sets, base = None, 0  # the class sets of the block that starts at step base
+
+    def draw(lo, hi):
+        nonlocal sets, base
+        sets, base = random_proper_subsets(rng, m, hi - lo), lo
+
     a = model.coefficients
     query = oracle.membership_query
     ids = np.arange(1, m + 1)
 
     def rule(s, i, kcol, gamma):
-        row = sets[s]
+        row = sets[s - base]
         if not query(i, ids[row].tolist()):
             row = ~row  # the complement holds the class
         cand = row.nonzero()[0]  # 0-based candidates, ascending
@@ -88,7 +93,7 @@ def infimum_loss_sgd(
         nr = math.sqrt(r.dot(r))
         return (-gamma, r / nr) if nr > 0.0 else None
 
-    return _descend(model, X, used, schedule, grid, evaluate, rule, len(used))
+    return _descend(model, X, used, schedule, grid, evaluate, rule, len(used), draw=draw)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import re
 import tempfile
 import tracemalloc
@@ -705,7 +706,9 @@ def random_model(rank, d, m, seed, bandwidth=1.0):
 class TestBlockedPredict:
     CHUNK = kernel.CHUNK_ROWS
 
-    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 517])
+    # row counts at and around block boundaries
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 517,
+                                   2047, 2048, 2049, 3 * 2048 + 517])
     def test_bits_match_a_per_block_product(self, matrix_calls, n):
         model = random_model(37, 3, 2, seed=n)
         X = np.random.default_rng(n + 1).standard_normal((n, 3))
@@ -734,7 +737,8 @@ class TestBlockedPredict:
             plain.coefficients += 0.5
             assert pinned.predict_batch(points).tobytes() == \
                 plain.predict_batch(points).tobytes()
-        assert len(matrix_calls) == built + 2 * 3  # the unpinned model's three blocks each
+        # the unpinned model's blocks, for each of the two predictions
+        assert len(matrix_calls) == built + 2 * math.ceil(5000 / self.CHUNK)
 
     def test_memory_does_not_grow_with_the_row_count(self):
         # one whole 50000 x 256 block would be 102 MB, and kernel_matrix holds

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from weaksgd import learner
 from weaksgd.datasets import gen_sin_regression, parse_csv_regression, parse_libsvm, sin_target
 from weaksgd.evaluation import excess_risk_noiseless
+from weaksgd.experiments import train
 from weaksgd.geometry import c1_constant, sample_sphere_batch
 from weaksgd.kernel import KernelModel, KernelSpec, kernel_matrix, nystrom_representers
 from weaksgd.learner import (
@@ -452,12 +453,16 @@ class TestSignRule:
 
 def scalar_rule(run):
     """The bit rule a driver hands to ``_descend``, captured without running
-    a step."""
+    a step. A sign rule reads the draws of its step's block, so the first
+    block, of one step, is drawn through the driver's ``directions``."""
     captured = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(learner, "_descend", lambda *args, **kw: captured.append(args[6]))
+        mp.setattr(learner, "_descend", lambda *args, **kw: captured.append(args))
         run()
-    return captured[0]
+    args = captured[0]
+    if len(args) > 8:
+        args[8](0, 1)
+    return args[6]
 
 
 # bounded so that f(x) and the residual stay finite; signed zeros included
@@ -546,17 +551,21 @@ class TestBudgetExactness:
 
 
 CHUNK = learner.CHUNK_ROWS
-CHUNKED_STEPS = 3 * CHUNK + 517  # three whole blocks and a partial tail
+TAIL = CHUNK // 2 + 5  # a partial block, cut by a window end
+CHUNKED_STEPS = 3 * CHUNK + TAIL  # three whole blocks and a partial tail
 
 
 def chunked_run(name, chunk_rows, monkeypatch):
     """One seeded run of driver ``name`` over ``CHUNKED_STEPS`` resampled steps
     (1000 distinct rows) with ``chunk_rows`` Gram rows per block; returns the
-    report and the row count of every block the loop built."""
+    report, the row count of every block the loop built, and the steps it
+    recorded (least-squares-3 only: each step's direction, threshold and
+    iterate before the step) with the generator's states before and after."""
     rng = np.random.default_rng(21)
-    n, m = 1000, {"median": 2, "coordinate": 3, "infimum-loss": 3}.get(name, 1)
+    n, m = 1000, {"median": 2, "coordinate": 3, "least-squares-3": 3,
+                  "infimum-loss": 3}.get(name, 1)
     X = rng.standard_normal((n, 3))
-    if m == 3:
+    if name in ("coordinate", "infimum-loss"):
         classes = rng.integers(1, 4, n)
         oracle = QueryOracle.for_classification(classes, 3, CHUNKED_STEPS, "resampling")
     else:
@@ -573,13 +582,21 @@ def chunked_run(name, chunk_rows, monkeypatch):
         blocks.append(len(rows))
         return kernel_matrix(spec, rows, reps, out=out)
 
+    asked = []
+    if name == "least-squares-3":
+        def ask(i, u, c, query=oracle.threshold_query, a=model.coefficients):
+            asked.append((u.copy(), c, a.copy()))
+            return query(i, u, c)
+
+        oracle.threshold_query = ask
     monkeypatch.setattr(learner, "CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(learner, "kernel_matrix", counted)
+    before = rng.bit_generator.state
     if name == "median":
         report = run_median_sgd(X, oracle, sched, model, rng, **kw)
     elif name == "coordinate":
         report = run_median_sgd(X, oracle, sched, model, rng, direction="coordinate", **kw)
-    elif name == "least-squares":
+    elif name.startswith("least-squares"):
         report = run_least_squares_sgd(X, oracle, sched, model, rng, 2.0, **kw)
     elif name == "passive":
         report = run_passive_median(X, oracle, sched, model, rng, **kw)
@@ -587,7 +604,7 @@ def chunked_run(name, chunk_rows, monkeypatch):
         report = run_full_sgd(X, Y, sched, model, **kw)
     else:
         report = infimum_loss_sgd(X, oracle, sched, model, rng, **kw)
-    return report, blocks
+    return report, blocks, (asked, before, rng.bit_generator.state)
 
 
 class TestChunkedGram:
@@ -609,12 +626,13 @@ class TestChunkedGram:
             block = kernel_matrix(spec, X[lo:lo + CHUNK], Z)
             assert block.tobytes() == whole[lo:lo + CHUNK].tobytes()
 
-    @pytest.mark.parametrize("name", ["median", "coordinate", "least-squares", "passive",
-                                      "full", "infimum-loss"])
+    @pytest.mark.parametrize("name", ["median", "coordinate", "least-squares",
+                                      "least-squares-3", "passive", "full", "infimum-loss"])
     def test_run_equals_one_whole_block(self, name, monkeypatch):
-        chunked, blocks = chunked_run(name, CHUNK, monkeypatch)
-        whole, whole_blocks = chunked_run(name, CHUNKED_STEPS, monkeypatch)
-        assert blocks == [CHUNK, CHUNK, CHUNK, 517]
+        chunked, blocks, (asked, before, state) = chunked_run(name, CHUNK, monkeypatch)
+        whole, whole_blocks, (whole_asked, _, whole_state) = chunked_run(name, CHUNKED_STEPS,
+                                                                         monkeypatch)
+        assert blocks == [CHUNK, CHUNK, CHUNK, TAIL]
         assert whole_blocks == [CHUNKED_STEPS]
         assert [t for t, _ in chunked.checkpoints] == [CHUNK, CHUNK + 1, CHUNKED_STEPS]
         for (t, got), (_, want) in zip(chunked.checkpoints, whole.checkpoints):
@@ -623,6 +641,21 @@ class TestChunkedGram:
             got = getattr(chunked, attr).coefficients
             assert got.tobytes() == getattr(whole, attr).coefficients.tobytes(), attr
         assert np.abs(chunked.final_model.coefficients).max() > 0
+        # drawn a block at a time, the draws are those of one whole draw: the
+        # same U, the same V (read through the thresholds), the same iterates,
+        # and the caller's generator ends in the same state
+        assert len(asked) == len(whole_asked) == (CHUNKED_STEPS if name == "least-squares-3"
+                                                  else 0)
+        for t, (got, want) in enumerate(zip(asked, whole_asked)):
+            assert all(same_bits(x, y) for x, y in zip(got, want)), t
+        assert state == whole_state
+        if name == "least-squares-3":  # and those of drawing all of U, then all of V
+            draw = np.random.default_rng()
+            draw.bit_generator.state = before
+            U = sample_sphere_batch(draw, 3, CHUNKED_STEPS)
+            draw.uniform(0.0, 4.0, CHUNKED_STEPS)
+            assert same_bits(np.array([u for u, _, _ in asked]), U)
+            assert state == draw.bit_generator.state
 
     def test_bad_index_in_a_later_block_fails_before_any_query(self):
         rng = np.random.default_rng(23)
@@ -677,3 +710,32 @@ class TestChunkedGram:
         # whole budget would add 32-36 bytes a step, and coordinate rows 8 * m
         growth = self.traced_peak(name, 2**16, 100) - self.traced_peak(name, 2**15, 100)
         assert growth <= 32 * 2**15
+
+    @staticmethod
+    def train_peak(strategy, budget):
+        """Peak traced bytes of one ``train`` run resampled over 1000 rows, at
+        rank 8 and m = 10 (m = 1 for passive): inputs made before tracing."""
+        rng = np.random.default_rng(24)
+        n, m = 1000, 1 if strategy == "passive" else 10
+        classify = strategy in ("coordinate-passive", "infimum-loss")
+        X = rng.standard_normal((n, 2))
+        labels = rng.integers(1, m + 1, n) if classify else np.sin(X[:, :1] + np.arange(m))
+        model = KernelModel.zeros(nystrom_representers(X, 8, rng), m, KernelSpec(1.0))
+        tracemalloc.start()
+        try:
+            report = train(strategy, X, labels, model, StepSchedule.decaying(0.3), rng, budget,
+                           n_classes=m if classify else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.queries_used == budget
+        return peak
+
+    @pytest.mark.parametrize("strategy", ["active-median", "active-least-squares", "passive",
+                                          "coordinate-passive", "infimum-loss"])
+    def test_train_memory_does_not_grow_with_the_budget(self, strategy):
+        # resampled, so nothing sized by the row count grows with the budget;
+        # a run that drew every step's randomness, step size and index up front
+        # grew by 28-184 bytes a step, 1.4-9.0 MB here
+        growth = self.train_peak(strategy, 2**16) - self.train_peak(strategy, 2**14)
+        assert growth <= 64 * 1024

@@ -59,7 +59,8 @@ def test_run_curve_charges_each_strategy_its_steps(tracer, task, strategy):
     assert charged_steps(tracer, mark) == {strategy: 2 * 16}
 
 
-@pytest.mark.parametrize("chunk_rows", [learner.CHUNK_ROWS, 6])
+# the default block size, a larger one and a small one
+@pytest.mark.parametrize("chunk_rows", [learner.CHUNK_ROWS, 2048, 6])
 @pytest.mark.parametrize("task,strategy", PAIRS)
 def test_run_curve_call_counts(tracer, monkeypatch, task, strategy, chunk_rows):
     # each checkpoint evaluates through one prediction against the trial's pinned
@@ -104,7 +105,7 @@ def test_estimator_charges_its_strategy_its_steps(tracer, estimator, name, strat
     assert charged_steps(tracer, mark) == {strategy: 30}
 
 
-@pytest.mark.parametrize("chunk_rows", [kernel.CHUNK_ROWS, 7])
+@pytest.mark.parametrize("chunk_rows", [kernel.CHUNK_ROWS, 2048, 7])
 @pytest.mark.parametrize("estimator", [WeakSGDRegressor, WeakSGDClassifier])
 def test_estimator_predict_call_counts(tracer, monkeypatch, estimator, chunk_rows):
     # a prediction builds its kernel block one CHUNK_ROWS-row block at a time
@@ -114,7 +115,7 @@ def test_estimator_predict_call_counts(tracer, monkeypatch, estimator, chunk_row
     y = (np.sin(4 * X[:, 0]) if estimator is WeakSGDRegressor
          else (X[:, 0] > X[:, 1]).astype(int))
     model = estimator(bandwidth=0.3, budget=30, rank=8).fit(X, y)
-    n = 4099  # two full blocks of 2048 rows and three rows more
+    n = 4099  # whole blocks and a partial one, at each block size
     mark = tracer.mark()
     model.predict(rng.random((n, 2)))
     view = tracer.view(mark)

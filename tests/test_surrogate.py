@@ -168,7 +168,7 @@ class TestInfimumLoss:
         with pytest.raises(ValueError):
             random_proper_subsets(np.random.default_rng(0), 1, 4)
 
-    @pytest.mark.parametrize("count", [0, CHUNK_ROWS + 700])
+    @pytest.mark.parametrize("count", [0, CHUNK_ROWS + 700, 2048 + 700])
     @pytest.mark.parametrize("m", [2, 3, 10])
     def test_batched_draw_reads_the_per_step_stream(self, m, count):
         # one rng.integers(0, 2, m) per set, redrawn until proper: the rule as it
