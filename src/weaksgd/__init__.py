@@ -23,7 +23,7 @@ from .geometry import (
     geometric_median,
     sample_sphere,
 )
-from .kernel import KernelModel, KernelSpec, load_model, save_model
+from .kernel import KernelModel, KernelSpec
 from .learner import (
     StepSchedule,
     TrainReport,
@@ -67,7 +67,6 @@ __all__ = [
     "gen_sin_regression",
     "geometric_median",
     "infimum_loss_sgd",
-    "load_model",
     "loglog_slope",
     "parse_csv_regression",
     "parse_libsvm",
@@ -76,7 +75,6 @@ __all__ = [
     "run_median_sgd",
     "run_passive_median",
     "sample_sphere",
-    "save_model",
     "solve_game",
     "split",
     "standardize",

@@ -199,6 +199,8 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
     if strategy not in allowed:
         raise ConfigError(f"unknown strategy {given!r}; expected one of {allowed}")
     n = len(labels)
+    if len(X) != n:
+        raise ValueError(f"X has {len(X)} rows but there are {n} labels")
     indices = learner.Cycle(n, budget)  # built a block of steps at a time
     if strategy == "full-sgd":
         return learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)

@@ -192,107 +192,3 @@ def nystrom_representers(X, rank: int, rng: np.random.Generator) -> np.ndarray:
     idx = rng.choice(n, size=rank, replace=False)
     return X[np.sort(idx)].copy()
 
-
-_CHECKPOINT_HEADER = "weaksgd-kernel-model 1"
-
-
-def save_model(model: KernelModel, path) -> None:
-    """Write a textual checkpoint; floats use shortest round-trip repr, so a
-    load restores the model bit for bit. Layout::
-
-        weaksgd-kernel-model 1
-        rank <p>
-        output_dim <m>
-        feature_dim <d>
-        bandwidth <float>
-        ridge <float>
-        representers
-        <d floats per line, p lines>
-        coefficients
-        <m floats per line, p lines>
-
-    A non-finite value, which :func:`load_model` would reject, raises
-    ``ValueError`` naming its field before the file is opened.
-    """
-    for name, values in (("bandwidth", model.spec.bandwidth), ("ridge", model.ridge),
-                         ("representers", model.representers),
-                         ("coefficients", model.coefficients)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"cannot save a non-finite {name}")
-    lines = [
-        _CHECKPOINT_HEADER,
-        f"rank {model.rank}",
-        f"output_dim {model.output_dim}",
-        f"feature_dim {model.representers.shape[1]}",
-        f"bandwidth {float(model.spec.bandwidth)!r}",
-        f"ridge {float(model.ridge)!r}",
-        "representers",
-    ]
-    lines += [" ".join(repr(float(v)) for v in row) for row in model.representers]
-    lines.append("coefficients")
-    lines += [" ".join(repr(float(v)) for v in row) for row in model.coefficients]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> KernelModel:
-    """Read a checkpoint written by :func:`save_model`.
-
-    A file that ends early, a field or row that does not parse, a row with the
-    wrong number of values, a non-finite value, or a non-blank line after the
-    last row raises ``ValueError`` naming the path and the 1-based line.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _CHECKPOINT_HEADER:
-        raise ValueError(f"{path}: not a kernel model checkpoint")
-
-    def fail(i, message):
-        raise ValueError(f"{path}, line {i + 1}: {message}")
-
-    def line(i):
-        if i >= len(lines):
-            fail(i, "the file ends early")
-        return lines[i]
-
-    def floats(i, text, count):
-        try:
-            values = [float(v) for v in text.split()]
-        except ValueError:
-            fail(i, f"not a number in {lines[i]!r}")
-        if len(values) != count:
-            fail(i, f"expected {count} values, got {len(values)}")
-        if not np.all(np.isfinite(values)):
-            fail(i, f"non-finite value in {lines[i]!r}")
-        return values
-
-    def field(i, name):
-        key, _, val = line(i).partition(" ")
-        if key != name:
-            fail(i, f"expected field {name!r}, got {lines[i]!r}")
-        return val
-
-    def size(i, name):
-        val = field(i, name)
-        try:
-            n = int(val)
-        except ValueError:
-            n = 0
-        if n < 1:
-            fail(i, f"{name} must be a positive integer, got {val!r}")
-        return n
-
-    def block(i, name, rows, cols):
-        if line(i) != name:
-            fail(i, f"expected {name!r}, got {lines[i]!r}")
-        return np.array([floats(i + 1 + r, line(i + 1 + r), cols) for r in range(rows)])
-
-    p, m, d = size(1, "rank"), size(2, "output_dim"), size(3, "feature_dim")
-    bandwidth = floats(4, field(4, "bandwidth"), 1)[0]
-    ridge = floats(5, field(5, "ridge"), 1)[0]
-    reps = block(6, "representers", p, d)
-    coef = block(7 + p, "coefficients", p, m)
-    for i in range(8 + 2 * p, len(lines)):
-        if lines[i].strip():
-            fail(i, f"unexpected line after the coefficients: {lines[i]!r}")
-    return KernelModel(reps, coef, KernelSpec(bandwidth), ridge)

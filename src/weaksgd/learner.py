@@ -76,12 +76,9 @@ class StepSchedule:
     def decaying(cls, gamma0: float) -> "StepSchedule":
         return cls("decaying", float(gamma0))
 
-    def gammas(self, start: int, stop: int | None = None) -> np.ndarray:
-        """Step sizes (gamma(start + 1), ..., gamma(stop)), or (gamma(1), ...,
-        gamma(start)) when ``stop`` is omitted, as ``range`` reads its bounds.
-        A step's size is the same bits in whichever block it is built."""
-        if stop is None:
-            start, stop = 0, start
+    def gammas(self, start: int, stop: int) -> np.ndarray:
+        """Step sizes (gamma(start + 1), ..., gamma(stop)). A step's size is
+        the same bits in whichever block it is built."""
         if self.kind == "constant":
             return np.full(stop - start, self.gamma0, dtype=float)
         return self.gamma0 / np.sqrt(np.arange(start + 1, stop + 1))

@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +14,8 @@ from weaksgd.estimators import (
     check_array,
 )
 from weaksgd.oracle import QueryOracle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sin_data(n=256, seed=0):
@@ -217,6 +225,40 @@ class TestClassifier:
         y = np.where(np.arange(40) % 3, 1.0, bad)  # np.unique would make bad a class
         with pytest.raises(ValueError, match="non-finite"):
             WeakSGDClassifier(budget=40, rank=8).fit(X, y)
+
+
+# unpickles (regressor, classifier, X) from stdin and pickles back their answers
+UNPICKLE = """
+import pickle, sys
+reg, clf, X = pickle.load(sys.stdin.buffer)
+answers = [reg.predict(X), reg.model_.coefficients, reg.final_model_.coefficients,
+           reg.n_queries_, clf.predict(X), clf.decision_function(X), clf.model_.coefficients,
+           clf.final_model_.coefficients, clf.n_queries_, clf.classes_]
+pickle.dump(answers, sys.stdout.buffer)
+"""
+
+
+def test_a_pickled_estimator_answers_with_the_same_bits_in_a_new_interpreter():
+    rng = np.random.default_rng(12)
+    X = rng.random((200, 2))
+    reg = WeakSGDRegressor(bandwidth=0.3, gamma0=0.5, budget=400, rank=20, ridge=0.01,
+                           seed=6).fit(X, np.sin(X @ rng.random((2, 3))))
+    Xb, yb = blob_data()
+    clf = WeakSGDClassifier(gamma0=2.0, budget=400, rank=20, seed=7).fit(Xb, yb)
+    X_new = rng.random((1100, 2))  # more rows than one 512-row prediction block
+    out = subprocess.run([sys.executable, "-c", UNPICKLE], capture_output=True, check=True,
+                         input=pickle.dumps((reg, clf, X_new)),
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    want = [reg.predict(X_new), reg.model_.coefficients, reg.final_model_.coefficients,
+            reg.n_queries_, clf.predict(X_new), clf.decision_function(X_new),
+            clf.model_.coefficients, clf.final_model_.coefficients, clf.n_queries_,
+            clf.classes_]
+    assert want[0].shape == (1100, 3)
+    assert want[-1].tolist() == ["down", "up"]
+    got = pickle.loads(out)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestParamsProtocol:

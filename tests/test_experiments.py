@@ -9,9 +9,12 @@ from weaksgd.experiments import (
     config_from_mapping,
     config_to_mapping,
     run_curve,
+    train,
     validate_config,
 )
+from weaksgd.kernel import KernelModel, KernelSpec
 from weaksgd.learner import StepSchedule
+from weaksgd.oracle import QueryOracle
 
 
 class TestConfigResolution:
@@ -78,6 +81,25 @@ class TestConfigResolution:
     def test_mapping_round_trip(self):
         cfg = ExperimentConfig(task="sin-regression", budget=64, gamma0=0.25).resolved()
         assert config_from_mapping(config_to_mapping(cfg)) == cfg
+
+
+class TestTrainRowCounts:
+    @pytest.mark.parametrize("rows", [50, 10], ids=["X longer", "X shorter"])
+    @pytest.mark.parametrize("strategy,n_classes", [
+        ("active-median", None), ("infimum-loss", 3), ("full-sgd", None)])
+    def test_a_row_count_mismatch_is_refused_before_a_bit(self, monkeypatch, strategy,
+                                                          n_classes, rows):
+        def charge(*args):
+            raise AssertionError("a bit was spent")
+
+        monkeypatch.setattr(QueryOracle, "_charge", charge)
+        rng = np.random.default_rng(0)
+        X = rng.random((rows, 2))
+        labels = rng.integers(1, 4, 30) if n_classes else rng.random((30, 1))
+        model = KernelModel.zeros(X[:5], n_classes or 1, KernelSpec(0.3))
+        with pytest.raises(ValueError, match=f"X has {rows} rows but there are 30 labels"):
+            train(strategy, X, labels, model, StepSchedule.decaying(0.5), rng, 40, n_classes)
+        assert not model.coefficients.any()
 
 
 class TestRunCurve:

@@ -1,14 +1,11 @@
 import math
 import re
-import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from weaksgd import kernel, learner
 from weaksgd.datasets import (
@@ -34,9 +31,7 @@ from weaksgd.kernel import (
     KernelSpec,
     kernel_eval,
     kernel_matrix,
-    load_model,
     nystrom_representers,
-    save_model,
 )
 from weaksgd.learner import StepSchedule, _descend, run_median_sgd
 from weaksgd.oracle import QueryOracle
@@ -396,135 +391,6 @@ class TestAveragedModel:
         assert np.array_equal(report.averaged_model.coefficients, np.zeros((2, 1)))
 
 
-class TestCheckpointSerialization:
-    def test_round_trip_bit_stable(self, tmp_path, spec):
-        rng = np.random.default_rng(5)
-        model = KernelModel(rng.standard_normal((4, 2)), rng.standard_normal((4, 3)),
-                            spec, ridge=1e-6)
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.representers.tobytes() == model.representers.tobytes()
-        assert back.coefficients.tobytes() == model.coefficients.tobytes()
-        assert back.spec.bandwidth == model.spec.bandwidth
-        assert back.ridge == model.ridge
-        # a second save of the loaded model is byte-identical
-        path2 = tmp_path / "model2.txt"
-        save_model(back, path2)
-        assert path.read_bytes() == path2.read_bytes()
-
-    @pytest.mark.parametrize("field", ["coefficients", "representers", "bandwidth", "ridge"])
-    def test_non_finite_model_is_refused_before_writing(self, tmp_path, field):
-        # load_model rejects such a file, so save_model must not write one
-        model = KernelModel(np.array([[0.5], [1.5]]), np.arange(6.0).reshape(2, 3),
-                            KernelSpec(0.5), 0.25)
-        if field == "bandwidth":
-            # KernelSpec refuses it, so only a frozen-field write gets one through
-            object.__setattr__(model.spec, "bandwidth", np.inf)
-        elif field == "ridge":
-            model.ridge = np.inf
-        else:
-            getattr(model, field)[1, 0] = np.nan
-        path = tmp_path / "model.txt"
-        with pytest.raises(ValueError, match=f"non-finite {field}"):
-            save_model(model, path)
-        assert not path.exists()
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), rank=st.integers(1, 6), output_dim=st.integers(1, 4),
-           feature_dim=st.integers(1, 5),
-           bandwidth=st.floats(min_value=5e-324, max_value=1e300),
-           ridge=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300)))
-    def test_round_trip_property(self, data, rank, output_dim, feature_dim, bandwidth, ridge):
-        # any finite value, with subnormals and negative zero drawn on purpose
-        value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                          st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072e-309]))
-
-        def matrix(rows, cols):
-            return np.array(data.draw(st.lists(value, min_size=rows * cols,
-                                               max_size=rows * cols))).reshape(rows, cols)
-
-        model = KernelModel(matrix(rank, feature_dim), matrix(rank, output_dim),
-                            KernelSpec(bandwidth), ridge)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "model.txt"
-            save_model(model, path)
-            back = load_model(path)
-        assert back.representers.tobytes() == model.representers.tobytes()
-        assert back.coefficients.tobytes() == model.coefficients.tobytes()
-        assert back.representers.shape == model.representers.shape
-        assert back.coefficients.shape == model.coefficients.shape
-        assert repr(back.spec.bandwidth) == repr(bandwidth)
-        assert repr(back.ridge) == repr(ridge)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a checkpoint\n")
-        with pytest.raises(ValueError):
-            load_model(path)
-
-    def saved_lines(self, tmp_path):
-        """The lines of a saved rank-2 model with 3 outputs and 1 feature:
-        coefficient rows are lines 11 and 12, 1-based."""
-        model = KernelModel(np.array([[0.5], [1.5]]), np.arange(6.0).reshape(2, 3),
-                            KernelSpec(0.5), 0.25)
-        save_model(model, tmp_path / "model.txt")
-        return (tmp_path / "model.txt").read_text().splitlines()
-
-    def load_lines(self, tmp_path, lines):
-        path = tmp_path / "edited.txt"
-        path.write_text("\n".join(lines) + "\n")
-        return re.escape(str(path)), lambda: load_model(path)
-
-    @pytest.mark.parametrize("keep,line", [(11, 12), (10, 11), (9, 10), (7, 8), (3, 4)])
-    def test_short_file_names_the_missing_line(self, tmp_path, keep, line):
-        path, load = self.load_lines(tmp_path, self.saved_lines(tmp_path)[:keep])
-        with pytest.raises(ValueError, match=rf"^{path}, line {line}: the file ends early"):
-            load()
-
-    @pytest.mark.parametrize("row", ["0.0 1.0", "0.0 1.0 2.0 3.0", ""])
-    def test_row_of_the_wrong_length(self, tmp_path, row):
-        lines = self.saved_lines(tmp_path)
-        lines[10] = row
-        path, load = self.load_lines(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"^{path}, line 11: expected 3 values"):
-            load()
-
-    def test_representer_row_of_the_wrong_length(self, tmp_path):
-        lines = self.saved_lines(tmp_path)
-        lines[7] = "0.5 0.5"
-        path, load = self.load_lines(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"^{path}, line 8: expected 1 values"):
-            load()
-
-    def test_trailing_lines(self, tmp_path):
-        lines = self.saved_lines(tmp_path)
-        path, load = self.load_lines(tmp_path, lines + ["", "   "])
-        assert np.array_equal(load().coefficients, np.arange(6.0).reshape(2, 3))
-        path, load = self.load_lines(tmp_path, lines + ["", "6.0 7.0 8.0"])
-        with pytest.raises(ValueError, match=rf"^{path}, line 14: unexpected line"):
-            load()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("index,line", [(11, 12), (8, 9), (4, 5), (5, 6)])
-    def test_non_finite_values(self, tmp_path, value, index, line):
-        lines = self.saved_lines(tmp_path)
-        key, _, rest = lines[index].rpartition(" ")
-        lines[index] = f"{key} {value}" if key else value
-        path, load = self.load_lines(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"^{path}, line {line}: non-finite value"):
-            load()
-
-    @pytest.mark.parametrize("text,line", [("rank two", 2), ("rank 0", 2), ("ridge x", 6),
-                                           ("output_dim 3", 2), ("coefs", 10)])
-    def test_bad_fields(self, tmp_path, text, line):
-        lines = self.saved_lines(tmp_path)
-        lines[line - 1] = text
-        path, load = self.load_lines(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"^{path}, line {line}: "):
-            load()
-
-
 class TestNystromRepresenters:
     def test_subset_without_replacement(self):
         rng = np.random.default_rng(0)
@@ -660,14 +526,12 @@ class TestPinnedPoints:
         model.predict_batch(points)
         assert len(matrix_calls) == built + 1
 
-    def test_snapshots_share_the_pin_copies_and_checkpoints_do_not(self, tmp_path):
+    def test_snapshots_share_the_pin_copies(self):
         rng = np.random.default_rng(5)
         _, model = pinned_pair(rng.standard_normal((4, 1)), 2, KernelSpec(0.4),
                                midpoint_grid(64))
         snap = model.with_coefficients(np.ones((4, 2)))
         assert snap.pinned is model.pinned
-        save_model(model, tmp_path / "model.txt")
-        assert load_model(tmp_path / "model.txt").pinned is None
         assert not model.pinned.block.flags.writeable
         assert "pinned" not in repr(model)
 

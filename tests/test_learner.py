@@ -30,24 +30,24 @@ def zero_model(reps, m=1, bandwidth=0.2, ridge=0.0):
 
 class TestStepSchedule:
     def test_constant_rate(self):
-        assert (StepSchedule("constant", 0.2).gammas(100) == 0.2).all()
+        assert (StepSchedule("constant", 0.2).gammas(0, 100) == 0.2).all()
 
     def test_constant_from_gamma(self):
         # exactly gamma0: no horizon is multiplied in and divided back out
-        gammas = StepSchedule("constant", 0.1).gammas(9)
+        gammas = StepSchedule("constant", 0.1).gammas(0, 9)
         assert gammas.tolist() == [0.1] * 9
 
     def test_decaying(self):
-        gammas = StepSchedule.decaying(1.5).gammas(9)
+        gammas = StepSchedule.decaying(1.5).gammas(0, 9)
         assert gammas[0] == 1.5
         assert gammas[8] == 0.5
 
     def test_step_vector_matches_gamma_bit_for_bit(self):
         for gamma0 in (0.3, 7.0):
             expected = np.array([gamma0 / np.sqrt(t) for t in range(1, 1001)])
-            assert StepSchedule.decaying(gamma0).gammas(1000).tobytes() == expected.tobytes()
-        assert StepSchedule("decaying", 1.0).gammas(0).shape == (0,)
-        assert StepSchedule("constant", 1.0).gammas(0).shape == (0,)
+            assert StepSchedule.decaying(gamma0).gammas(0, 1000).tobytes() == expected.tobytes()
+        assert StepSchedule("decaying", 1.0).gammas(0, 0).shape == (0,)
+        assert StepSchedule("constant", 1.0).gammas(0, 0).shape == (0,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
