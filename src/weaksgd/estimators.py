@@ -73,8 +73,6 @@ class _BaseWeakSGD:
         not finite raises before any bit is spent, and a diverged fit (an
         averaged model that is not finite) raises once training ends."""
         budget = self.budget if self.budget is not None else X.shape[0]
-        if budget < 0:
-            raise ValueError("budget must be >= 0")
         schedule = StepSchedule(self.schedule, self.gamma0)
         spec = KernelSpec(self.bandwidth)
         rng = np.random.default_rng(self.seed)  # a Generator seed passes through as is

@@ -201,6 +201,8 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
     n = len(labels)
     if len(X) != n:
         raise ValueError(f"X has {len(X)} rows but there are {n} labels")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     indices = learner.Cycle(n, budget)  # built a block of steps at a time
     if strategy == "full-sgd":
         return learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)

@@ -118,15 +118,18 @@ class Cycle:
 
 
 def _prepare(X, budget: int, checkpoint_grid, indices):
-    """Inputs as an (n, d) array, the indices of the steps to take (an array,
-    or a :class:`Cycle`; each row once when ``indices`` is None), and the
-    validated checkpoint grid."""
+    """Inputs as an (n, d) array, the indices of the steps to take (an integer
+    array, or a :class:`Cycle`; each row once when ``indices`` is None), and
+    the validated checkpoint grid."""
     X = _as_rows(X)
     n = X.shape[0]
     if indices is None:
         indices = Cycle(n, n)
     elif not isinstance(indices, Cycle):
-        indices = np.asarray(indices, dtype=int)
+        indices = np.asarray(indices)
+        if indices.size and indices.dtype.kind not in "iu":  # not floats, not a mask
+            raise IndexError(f"step indices must be integers, got dtype {indices.dtype}")
+        indices = indices.astype(int, copy=False)
     steps = min(int(budget), len(indices))
     if checkpoint_grid is None:
         grid: list[int] = []

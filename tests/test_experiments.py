@@ -101,6 +101,14 @@ class TestTrainRowCounts:
             train(strategy, X, labels, model, StepSchedule.decaying(0.5), rng, 40, n_classes)
         assert not model.coefficients.any()
 
+    @pytest.mark.parametrize("strategy", ["full-sgd", "active-median"])
+    def test_a_negative_budget_is_refused_for_every_strategy(self, strategy):
+        rng = np.random.default_rng(0)
+        X = rng.random((30, 2))
+        model = KernelModel.zeros(X[:5], 1, KernelSpec(0.3))
+        with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+            train(strategy, X, rng.random((30, 1)), model, StepSchedule.decaying(0.5), rng, -1)
+
 
 class TestRunCurve:
     def test_checkpoint_grid_and_trials(self):

@@ -675,52 +675,39 @@ class TestChunkedGram:
                 run_full_sgd(X, np.sin(X), StepSchedule.decaying(0.3), zero_model(X[:4]),
                              indices=indices)
 
-    @staticmethod
-    def traced_peak(name, budget, rank):
-        """Peak traced bytes of one run: scalar active-median or passive, or
-        coordinate median at m = 10."""
-        rng = np.random.default_rng(22)
-        data = gen_sin_regression(budget, rng)
-        m = 10 if name == "coordinate" else 1
-        model = zero_model(nystrom_representers(data.features, rank, rng), m)
-        if name == "coordinate":
-            oracle = QueryOracle.for_classification(rng.integers(1, m + 1, budget), m, budget)
-        else:
-            oracle = QueryOracle.for_regression(data.targets, budget=budget)
-        sched = StepSchedule.decaying(0.3)
-        tracemalloc.start()
-        try:
-            if name == "passive":
-                report = run_passive_median(data.features, oracle, sched, model, rng)
-            else:
-                report = run_median_sgd(data.features, oracle, sched, model, rng,
-                                        direction="coordinate" if m > 1 else "sphere")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.queries_used == budget
-        return peak
+    @pytest.mark.parametrize("indices", [[0.9, 1.9, 2.9], [True, False, True],
+                                         np.array([0.0, 1.0, 2.0])],
+                             ids=["float-list", "mask", "float-array"])
+    def test_indices_that_are_not_integers_fail_before_any_query(self, indices):
+        # cast to int, floats would be truncated and a mask read as rows 1, 0, 1
+        X = np.random.default_rng(25).random((3, 1))
+        oracle = QueryOracle.for_regression(np.sin(X[:, 0]), 3, "resampling")
+        with pytest.raises(IndexError, match="integers, got dtype"):
+            run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X),
+                           np.random.default_rng(0), indices=indices)
+        assert oracle.budget_used == 0
+        with pytest.raises(IndexError, match="integers, got dtype"):
+            run_full_sgd(X, np.sin(X), StepSchedule.decaying(0.3), zero_model(X),
+                         indices=indices)
 
-    @pytest.mark.parametrize("name", ["active-median", "passive", "coordinate"])
-    def test_memory_does_not_grow_with_the_budget(self, name):
-        # the whole 2^16 x 256 Gram block alone would be 134 MB
-        assert self.traced_peak(name, 2**16, 256) < 24e6
-        # per step a run holds its directions (or, for coordinate steps, their
-        # indices), step sizes and indices, 8 bytes each; Python numbers for the
-        # whole budget would add 32-36 bytes a step, and coordinate rows 8 * m
-        growth = self.traced_peak(name, 2**16, 100) - self.traced_peak(name, 2**15, 100)
-        assert growth <= 32 * 2**15
+    def test_an_empty_index_array_takes_no_step(self):
+        X = np.random.default_rng(25).random((3, 1))
+        oracle = QueryOracle.for_regression(np.sin(X[:, 0]), 3, "resampling")
+        report = run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X),
+                                np.random.default_rng(0), indices=np.asarray([]))
+        assert report.queries_used == 0
 
     @staticmethod
-    def train_peak(strategy, budget):
-        """Peak traced bytes of one ``train`` run resampled over 1000 rows, at
-        rank 8 and m = 10 (m = 1 for passive): inputs made before tracing."""
+    def train_peak(strategy, budget, m, rank):
+        """Peak traced bytes of one ``train`` run resampled over 1000 rows, with
+        ``m`` outputs (classes for the classification strategies) and ``rank``
+        representers: inputs made before tracing."""
         rng = np.random.default_rng(24)
-        n, m = 1000, 1 if strategy == "passive" else 10
+        n = 1000
         classify = strategy in ("coordinate-passive", "infimum-loss")
         X = rng.standard_normal((n, 2))
         labels = rng.integers(1, m + 1, n) if classify else np.sin(X[:, :1] + np.arange(m))
-        model = KernelModel.zeros(nystrom_representers(X, 8, rng), m, KernelSpec(1.0))
+        model = KernelModel.zeros(nystrom_representers(X, rank, rng), m, KernelSpec(1.0))
         tracemalloc.start()
         try:
             report = train(strategy, X, labels, model, StepSchedule.decaying(0.3), rng, budget,
@@ -728,14 +715,25 @@ class TestChunkedGram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.queries_used == budget
+        assert report.queries_used == (0 if strategy == "full-sgd" else budget)
         return peak
 
-    @pytest.mark.parametrize("strategy", ["active-median", "active-least-squares", "passive",
-                                          "coordinate-passive", "infimum-loss"])
-    def test_train_memory_does_not_grow_with_the_budget(self, strategy):
-        # resampled, so nothing sized by the row count grows with the budget;
-        # a run that drew every step's randomness, step size and index up front
-        # grew by 28-184 bytes a step, 1.4-9.0 MB here
-        growth = self.train_peak(strategy, 2**16) - self.train_peak(strategy, 2**14)
-        assert growth <= 64 * 1024
+    @pytest.mark.parametrize("strategy,m", [
+        ("active-median", 1), ("active-median", 10),
+        ("active-least-squares", 1), ("active-least-squares", 10),
+        ("full-sgd", 1), ("full-sgd", 10),
+        ("passive", 1), ("coordinate-passive", 10), ("infimum-loss", 10),
+    ])
+    def test_train_memory_does_not_grow_with_the_budget(self, strategy, m):
+        # 8 to 32 blocks of 512 steps; resampled, so nothing sized by the row
+        # count grows with the budget. A run that drew every step's randomness,
+        # step size and index up front grew by 194-2139 KiB here
+        growth = self.train_peak(strategy, 2**14, m, 8) - self.train_peak(strategy, 2**12, m, 8)
+        assert growth <= 16 * 1024
+
+    @pytest.mark.parametrize("strategy,m", [
+        ("active-median", 1), ("passive", 1), ("coordinate-passive", 10),
+    ])
+    def test_train_peak_is_far_below_the_whole_gram_block(self, strategy, m):
+        # the whole 2^16 x 256 Gram block alone would be 134 MB
+        assert self.train_peak(strategy, 2**16, m, 256) < 24e6
