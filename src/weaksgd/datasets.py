@@ -4,6 +4,7 @@ splits, and the synthetic regression / classification generators."""
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import operator
 from array import array
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import _as_rows
+from .kernel import CHUNK_ROWS, _as_rows
 
 
 class ParseError(ValueError):
@@ -111,20 +112,23 @@ def standardize(dataset: LabeledDataset) -> tuple[LabeledDataset, StandardizeInf
 
 def apply_standardize(dataset: LabeledDataset, info: StandardizeInfo) -> LabeledDataset:
     """Apply a previously fitted standardization (train statistics) to new rows."""
-    out = dataset.take(slice(None))
-    out.features = (dataset.features - np.where(info.constant_columns, 0.0, info.mean)) / info.scale
-    return out
+    features = dataset.features - np.where(info.constant_columns, 0.0, info.mean)
+    features /= info.scale
+    return LabeledDataset(features, np.array(dataset.targets), dataset.n_classes,
+                          dict(dataset.extra))
 
 
 def _iter_lines(source):
+    """The lines of a str or an open text file, without their line ends, read
+    one at a time."""
     if isinstance(source, str):
         # universal newlines, as a file opened in text mode splits
         source = io.StringIO(source, newline=None)
-    return [ln.rstrip("\n") for ln in source]
+    return (ln.rstrip("\n") for ln in source)
 
 
-# lines read per block: the bulk reader's temporaries stay a few hundred kB
-# whatever the file's size
+# lines read per block: the text of one block, and the bulk reader's
+# temporaries, stay a few hundred kB whatever the file's size
 _BLOCK_LINES = 256
 # the largest index the bulk reader takes, so that a (line, index) key fits in
 # int64; a larger one, or one past int64 (which numpy reads as 2**63 - 1),
@@ -143,20 +147,29 @@ def parse_libsvm(source) -> LabeledDataset:
     are zero. Labels map to contiguous classes 1..m preserving numeric
     order; the original values are kept in ``extra["label_values"]``.
 
-    The text is read in bulk, a block of lines at a time. Where the bulk
-    reader cannot vouch for a block (a malformed or non-finite token, an
-    index that is not plain ASCII digits or is past 2**40, or indices out of
-    order), the per-token loop reads the whole text again: it raises the
-    first error with its line number, or returns the same dataset.
+    The text is read once, as a stream of blocks of ``_BLOCK_LINES`` lines,
+    and only numeric buffers outlive a block. Each block is read in bulk;
+    where the bulk reader cannot vouch for it (a malformed or non-finite
+    token, an index that is not plain ASCII digits or is past 2**40, or
+    indices out of order), the per-token loop reads that block alone: it
+    raises the block's first error with its line number, or returns the
+    block's rows.
     """
+    labels, counts, cols, vals = array("d"), array("q"), array("q"), array("d")
+    max_idx = max_line = 0
     lines = _iter_lines(source)
-    bulk = _read_libsvm_blocks(lines)
-    if bulk is None:
-        return _parse_libsvm_loop(lines)
-    del lines  # the dense matrix is built without the text
-    labels, counts, cols, vals, max_idx, max_line = bulk
-    rows = np.repeat(np.arange(len(counts)), counts)
-    return _libsvm_dataset(labels, rows, cols, vals, max_idx, max_line)
+    first = 1
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        part = _read_libsvm_block(block, first)
+        if part is None:
+            part = _read_libsvm_loop(block, first)
+        *news, top, top_line = part
+        for buf, new in zip((labels, counts, cols, vals), news):
+            buf.frombytes(memoryview(new).cast("B"))
+        if top > max_idx:
+            max_idx, max_line = top, top_line
+        first += len(block)
+    return _libsvm_dataset(labels, counts, cols, vals, max_idx, max_line)
 
 
 def _one_colon_each(text, n) -> bool:
@@ -171,78 +184,68 @@ def _one_colon_each(text, n) -> bool:
     return seps == b":" + b" :" * (n - 1)
 
 
-def _read_libsvm_blocks(lines):
-    """Bulk reading for :func:`parse_libsvm`: ``(labels, counts, cols, vals,
-    max_idx, max_line)``, with each nonblank line's label and entry count and
-    each entry's column and value, or None where the input needs the loop.
-
-    Between blocks only these numeric buffers are kept.
-    """
-    labels, counts, cols, vals = array("d"), array("q"), array("q"), array("d")
-    max_idx = max_line = 0
-    for lo in range(0, len(lines), _BLOCK_LINES):
-        heads = [ln.split(None, 1) for ln in lines[lo:lo + _BLOCK_LINES]]
-        try:
-            label = np.fromiter(map(float, [h[0] for h in heads if h]), float)
-        except ValueError:
-            return None
-        if not np.isfinite(label).all():
-            return None
-        bodies = [h[1] if len(h) == 2 else "" for h in heads if h]
-        # a line's entry count is its number of ":", once the separator
-        # check has shown that every token holds exactly one
-        count = np.fromiter(map(operator.methodcaller("count", ":"), bodies), np.int64,
-                            len(bodies))
-        n = int(count.sum())
-        text = " ".join(bodies)
-        del bodies
+def _read_libsvm_block(lines, first):
+    """The bulk reading of one block of :func:`parse_libsvm`, whose first line
+    is line ``first``: ``(labels, counts, cols, vals, top, top_line)``, with
+    each nonblank line's label and entry count, each entry's column and value,
+    and the block's largest index with the first line that holds it (0 and 0
+    for none); or None where the block needs the loop."""
+    heads = [ln.split(None, 1) for ln in lines]
+    try:
+        label = np.fromiter(map(float, [h[0] for h in heads if h]), float)
+    except ValueError:
+        return None
+    if not np.isfinite(label).all():
+        return None
+    bodies = [h[1] if len(h) == 2 else "" for h in heads if h]
+    # a line's entry count is its number of ":", once the separator
+    # check has shown that every token holds exactly one
+    count = np.fromiter(map(operator.methodcaller("count", ":"), bodies), np.int64,
+                        len(bodies))
+    n = int(count.sum())
+    text = " ".join(bodies)
+    del bodies
+    if not _one_colon_each(text, n):
+        text = " ".join(text.split())  # part the tokens by single spaces
         if not _one_colon_each(text, n):
-            text = " ".join(text.split())  # part the tokens by single spaces
-            if not _one_colon_each(text, n):
-                return None
-        labels.frombytes(label.view(np.uint8))
-        counts.frombytes(count.view(np.uint8))
-        if not n:
-            continue
-        parts = text.replace(":", " ").split(" ")
-        del text
-        idx_text = " ".join(parts[::2])
-        if idx_text.encode("ascii").translate(None, b"0123456789 "):
             return None
-        # an empty index drops out of the read, which the size check finds
-        idx = np.fromstring(idx_text, dtype=np.int64, sep=" ")
-        del idx_text
-        try:
-            val = np.fromiter(map(float, parts[1::2]), float, n)
-        except ValueError:
-            return None
-        del parts
-        if idx.size != n or idx.min() < 1 or not np.isfinite(val).all():
-            return None
-        top = idx.argmax()  # the first entry, so the first line, holding the largest
-        if idx[top] > _MAX_INDEX:
-            return None
-        row = np.repeat(np.arange(count.size), count)
-        key = (row << 41) + idx  # (line, index) in row-major order, as one int64
-        if not (key[1:] > key[:-1]).all():
-            return None
-        if idx[top] > max_idx:
-            max_idx = int(idx[top])
-            max_line = lo + 1 + [j for j, h in enumerate(heads) if h][row[top]]
-        idx -= 1
-        cols.frombytes(idx.view(np.uint8))
-        vals.frombytes(val.view(np.uint8))
-    return labels, counts, cols, vals, max_idx, max_line
+    if not n:
+        return label, count, array("q"), array("d"), 0, 0
+    parts = text.replace(":", " ").split(" ")
+    del text
+    idx_text = " ".join(parts[::2])
+    if idx_text.encode("ascii").translate(None, b"0123456789 "):
+        return None
+    # an empty index drops out of the read, which the size check finds
+    idx = np.fromstring(idx_text, dtype=np.int64, sep=" ")
+    del idx_text
+    try:
+        val = np.fromiter(map(float, parts[1::2]), float, n)
+    except ValueError:
+        return None
+    del parts
+    if idx.size != n or idx.min() < 1 or not np.isfinite(val).all():
+        return None
+    top = idx.argmax()  # the first entry, so the first line, holding the largest
+    if idx[top] > _MAX_INDEX:
+        return None
+    row = np.repeat(np.arange(count.size), count)
+    key = (row << 41) + idx  # (line, index) in row-major order, as one int64
+    if not (key[1:] > key[:-1]).all():
+        return None
+    top_line = first + [j for j, h in enumerate(heads) if h][row[top]]
+    top = int(idx[top])
+    idx -= 1
+    return label, count, idx, val, top, top_line
 
 
-def _parse_libsvm_loop(lines) -> LabeledDataset:
-    """The per-token reading of :func:`parse_libsvm`: the reference for the
-    bulk reader, and the reporter of the first bad line."""
-    labels: list[float] = []
-    # each entry's row, column and value, unboxed: no Python object per entry
-    rows, cols, vals = array("q"), array("q"), array("d")
-    max_idx = max_line = 0
-    for ln_no, raw in enumerate(lines, start=1):
+def _read_libsvm_loop(lines, first):
+    """The per-token reading of :func:`parse_libsvm` of the lines from line
+    ``first`` on: the same tuple as :func:`_read_libsvm_block`, or the first
+    bad line's error. The reference for the bulk reader."""
+    labels, counts, cols, vals = array("d"), array("q"), array("q"), array("d")
+    top = top_line = 0
+    for ln_no, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line:
             continue
@@ -274,27 +277,42 @@ def _parse_libsvm_loop(lines) -> LabeledDataset:
                 cols.append(idx - 1)
             except OverflowError:
                 raise ParseError(ln_no, f"feature index {idx} does not fit in 64 bits") from None
-            rows.append(len(labels))
             vals.append(val)
-        if prev > max_idx:
-            max_idx, max_line = prev, ln_no
+        if prev > top:
+            top, top_line = prev, ln_no
         labels.append(label)
-    return _libsvm_dataset(labels, rows, cols, vals, max_idx, max_line)
+        counts.append(len(tokens) - 1)
+    return labels, counts, cols, vals, top, top_line
 
 
-def _libsvm_dataset(labels, rows, cols, vals, max_idx, max_line) -> LabeledDataset:
-    """The dataset with each entry's row, column and value set; ``max_line``
-    is the first line that holds the largest index, ``max_idx``."""
+def _parse_libsvm_loop(lines) -> LabeledDataset:
+    """:func:`parse_libsvm` by the per-token loop alone, over the whole text."""
+    return _libsvm_dataset(*_read_libsvm_loop(lines, 1))
+
+
+def _libsvm_dataset(labels, counts, cols, vals, max_idx, max_line) -> LabeledDataset:
+    """The dataset from the unboxed buffers of every nonblank line's label and
+    entry count and every entry's column and value; ``max_line`` is the first
+    line that holds the largest index, ``max_idx``."""
     if not len(labels):
         raise ParseError(1, "no samples found")
+    values, codes = np.unique(np.frombuffer(labels, float), return_inverse=True)
+    codes += 1
     try:
         X = np.zeros((len(labels), max_idx))
     except (MemoryError, ValueError):  # numpy's ValueError: a size past the address space
         raise ParseError(max_line, f"feature index {max_idx} needs a dense {len(labels)} x "
                                    f"{max_idx} array, too large to allocate") from None
-    X[rows, cols] = vals
-    values, codes = np.unique(labels, return_inverse=True)
-    return LabeledDataset(X, codes + 1, len(values), extra={"label_values": values.tolist()})
+    # filled one block of lines at a time from views of the buffers: no copy
+    # of them, and no row index as long as the entries
+    counts = np.frombuffer(counts, np.int64)
+    cols, vals = np.frombuffer(cols, np.int64), np.frombuffer(vals, float)
+    end = 0
+    for lo in range(0, counts.size, _BLOCK_LINES):
+        count = counts[lo:lo + _BLOCK_LINES]
+        start, end = end, end + int(count.sum())
+        X[np.repeat(np.arange(lo, lo + count.size), count), cols[start:end]] = vals[start:end]
+    return LabeledDataset(X, codes, len(values), extra={"label_values": values.tolist()})
 
 
 def serialize_libsvm(dataset: LabeledDataset) -> str:
@@ -321,7 +339,7 @@ def parse_csv_regression(source, target_columns) -> LabeledDataset:
     are dropped and counted in ``extra["dropped_rows"]``. Comma delimiter,
     ``.`` decimal point, no quoting.
     """
-    lines = _iter_lines(source)
+    lines = list(_iter_lines(source))
     if not lines or not lines[0].strip():
         raise ParseError(1, "missing header row")
     header = [h.strip() for h in lines[0].split(",")]
@@ -441,8 +459,12 @@ def gen_anchor_classification(n: int, n_classes: int, band_halfwidth: float,
         cand = cand[anchor_support_mask(cand, band_halfwidth)]
         xs = np.concatenate([xs, cand])
     xs = xs[:n]
-    probs = anchor_conditional(xs, n_classes)
-    cum = np.cumsum(probs, axis=1)
-    draws = rng.random(n)
-    y = (draws[:, None] >= cum).sum(axis=1) + 1
+    # the class law, its cumulative sum and the label draws one block of
+    # CHUNK_ROWS samples at a time: the same draws, and so the same labels, as
+    # one draw for all n
+    y = np.empty(n, dtype=int)
+    for lo in range(0, n, CHUNK_ROWS):
+        cum = np.cumsum(anchor_conditional(xs[lo:lo + CHUNK_ROWS], n_classes), axis=1)
+        draws = rng.random(cum.shape[0])
+        y[lo:lo + CHUNK_ROWS] = (draws[:, None] >= cum).sum(axis=1) + 1
     return LabeledDataset(xs[:, None], y, n_classes)

@@ -142,11 +142,14 @@ class QueryOracle:
         return int(value < float(c))
 
     def membership_query(self, i: int, S) -> int:
-        """Bit 1{class(Y_i) in S} for a proper nonempty class subset ``S``."""
+        """Bit 1{class(Y_i) in S} for a proper nonempty class subset ``S``.
+
+        The ids in ``S`` are compared with the class ids as they are: 2.0
+        names class 2, but 1.5 and "2" name no class."""
         if self._classes is None:
             raise ValueError("membership queries require a classification oracle")
         used = self._precheck(i)
-        S = frozenset(map(int, S))
+        S = frozenset(S)
         if not S <= self._class_ids:
             raise ValueError(f"classes in S must lie in 1..{self._m}")
         if len(S) == 0 or len(S) == self._m:

@@ -23,6 +23,7 @@ from weaksgd.datasets import (
     split,
     standardize,
 )
+from weaksgd.kernel import CHUNK_ROWS
 
 
 def libsvm_outcome(parse, text):
@@ -37,6 +38,25 @@ def libsvm_outcome(parse, text):
 
 def per_token(text):
     return datasets._parse_libsvm_loop(datasets._iter_lines(text))
+
+
+def in_bulk(monkeypatch, text):
+    """What :func:`parse_libsvm` makes of ``text`` with the per-token loop
+    barred: it fails the test if a block falls back to it."""
+    def no_loop(lines, first):
+        raise AssertionError(f"the block from line {first} fell back to the loop")
+
+    with monkeypatch.context() as m:
+        m.setattr(datasets, "_read_libsvm_loop", no_loop)
+        return libsvm_outcome(parse_libsvm, text)
+
+
+def loop_blocks(monkeypatch):
+    """The first line of each block the per-token loop reads, as it reads them."""
+    firsts, loop = [], datasets._read_libsvm_loop
+    monkeypatch.setattr(datasets, "_read_libsvm_loop",
+                        lambda lines, first: firsts.append(first) or loop(lines, first))
+    return firsts
 
 
 # pieces the bulk reader must treat exactly as the per-token loop does
@@ -188,23 +208,21 @@ class TestParseLibsvm:
     def test_bulk_reader_matches_the_per_token_loop(self, text):
         assert libsvm_outcome(parse_libsvm, text) == libsvm_outcome(per_token, text)
 
-    def test_bulk_reader_vouches_for_plain_files(self, fixtures_dir):
+    def test_bulk_reader_vouches_for_plain_files(self, fixtures_dir, monkeypatch):
         # tabs, runs of spaces, label-only and blank lines stay on the bulk path
         text = (fixtures_dir / "blobs3.libsvm").read_text()
         text = text.replace(" ", "\t", 5).replace(" ", "   ", 5) + "\n2\n  \n3 1:1\n"
-        assert datasets._read_libsvm_blocks(datasets._iter_lines(text)) is not None
-        assert libsvm_outcome(parse_libsvm, text) == libsvm_outcome(per_token, text)
+        assert in_bulk(monkeypatch, text) == libsvm_outcome(per_token, text)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_block_edges(self, extra):
+    def test_block_edges(self, extra, monkeypatch):
         rng = np.random.default_rng(extra + 7)
         n = datasets._BLOCK_LINES + extra
         lines = [f"{rng.integers(1, 4)} " + " ".join(
             f"{j}:{rng.standard_normal()!r}" for j in sorted(rng.choice(30, 5, replace=False) + 1))
             for _ in range(n)]
         text = "\n".join(lines) + "\n"
-        assert datasets._read_libsvm_blocks(datasets._iter_lines(text)) is not None
-        assert libsvm_outcome(parse_libsvm, text) == libsvm_outcome(per_token, text)
+        assert in_bulk(monkeypatch, text) == libsvm_outcome(per_token, text)
         # the largest index on the last line: its line goes into the dense-size error
         last = text + f"1 {2**62}:1\n"
         want = libsvm_outcome(per_token, last)
@@ -242,18 +260,23 @@ class TestParseLibsvm:
         assert ("does not fit in 64 bits" in want[1]) == (idx - 1 >= 2**63)
         assert libsvm_outcome(parse_libsvm, text) == want
 
-    def test_line_of_the_largest_index(self):
+    def test_line_of_the_largest_index(self, monkeypatch):
         # blank and label-only lines before it, and the largest index twice:
         # the dense-size error names the first line that holds it
         lines = ["1 1:0.5 3:2"] * (datasets._BLOCK_LINES + 40)
         n = datasets._BLOCK_LINES
         lines[n + 3], lines[n + 5], lines[n + 6] = "", "   ", "2"
         lines[n + 9] = lines[n + 20] = f"2 1:1 {2**40}:1"
-        bulk = datasets._read_libsvm_blocks(lines)
+        assert datasets._read_libsvm_block(lines[:n], 1)[4:] == (3, 1)
+        bulk = datasets._read_libsvm_block(lines[n:], n + 1)
         assert bulk is not None and bulk[4:] == (2**40, n + 10)
+        text = "\n".join(lines)
+        want = libsvm_outcome(per_token, text)
+        assert want[0] == "error" and want[2] == n + 10
+        assert in_bulk(monkeypatch, text) == want
         # one past the largest index the bulk reader takes goes to the loop
         lines[n + 30] = f"2 {2**40 + 1}:1"
-        assert datasets._read_libsvm_blocks(lines) is None
+        assert datasets._read_libsvm_block(lines[n:], n + 1) is None
 
     def test_peak_memory(self, tmp_path):
         # a file shaped like the benchmark's: 6000 rows, 20 features of which
@@ -277,8 +300,71 @@ class TestParseLibsvm:
             finally:
                 tracemalloc.stop()
         assert np.array_equal(ds.features, X)
-        # the dense matrix is 0.96 MB; the text's lines 1.4 MB
-        assert peak <= 3.2e6
+        # the dense matrix is 0.96 MB and the numeric buffers 0.86 MB; the
+        # parse read 2.7 MB when it also held the text's lines (1.4 MB)
+        assert peak <= 2.4e6
+
+    def test_peak_memory_of_narrow_lines(self, tmp_path):
+        # 50000 lines of one feature each: the text (1.2 MB) is larger than its
+        # dense matrix (0.4 MB). The parse holds 32 B of numeric buffers per
+        # line and, at the end, np.unique's temporaries: 3.7 MB in all. A parse
+        # that also held every line as a str (72 B each here) read 5.8 MB.
+        rows = 50_000
+        x = np.random.default_rng(2).random(rows)
+        path = tmp_path / "narrow.libsvm"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{r % 3 + 1} 1:{float(x[r])!r}\n" for r in range(rows))
+        with open(path, "r", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                ds = parse_libsvm(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert ds.features[:, 0].tobytes() == x.tobytes()
+        assert peak <= 4.4e6
+
+    def test_streamed_from_an_open_file(self, tmp_path, monkeypatch):
+        # four blocks and a part: block 2 holds a valid line that the bulk
+        # reader leaves to the loop; then block 3 holds the first error and
+        # block 4 a later one
+        n = datasets._BLOCK_LINES
+        rng = np.random.default_rng(5)
+        lines = [f"{rng.integers(1, 4)} 1:{rng.standard_normal()!r} 7:{rng.standard_normal()!r}"
+                 for _ in range(4 * n + 50)]
+        lines[n + 20] = "2 +3:1.5 8:2"  # int() reads "+3"; the bulk reader wants plain digits
+        assert datasets._read_libsvm_block(lines[n:2 * n], n + 1) is None
+        valid = "\n".join(lines) + "\n"
+        lines[2 * n + 40], lines[3 * n + 5] = "1 1:0.5 7:x", "x 1:1"
+        invalid = "\n".join(lines) + "\n"
+        wants = [libsvm_outcome(per_token, text) for text in (valid, invalid)]
+        assert wants[0][0] == (4 * n + 50, 8)
+        assert wants[1] == ("error", f"line {2 * n + 41}: bad feature token '7:x'", 2 * n + 41)
+        path = tmp_path / "data.libsvm"
+        for text, want, blocks in zip((valid, invalid), wants, ([n + 1], [n + 1, 2 * n + 1])):
+            path.write_text(text, encoding="utf-8")
+            firsts = loop_blocks(monkeypatch)
+            with open(path, "r", encoding="utf-8") as fh:
+                assert libsvm_outcome(parse_libsvm, fh) == want
+            assert firsts == blocks  # the loop read those blocks alone
+            monkeypatch.undo()
+
+    def test_undecodable_byte_after_a_bad_line(self, tmp_path):
+        # the stream reads the bad line's block before it decodes the byte, 16 kB on
+        lines = ["1 1:0.5"] * (8 * datasets._BLOCK_LINES)
+        lines[3] = "2 1:x"
+        text = "\n".join(lines).encode("utf-8") + b"\n"
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(text + b"1 1:\xff\n")
+        with open(path, "r", encoding="utf-8") as fh:
+            with pytest.raises(ParseError, match="bad feature token '1:x'") as err:
+                parse_libsvm(fh)
+        assert err.value.line == 4
+        # a byte before it is reported as undecodable
+        path.write_bytes(b"1 1:\xff\n" + text)
+        with open(path, "r", encoding="utf-8") as fh:
+            with pytest.raises(UnicodeDecodeError):
+                parse_libsvm(fh)
 
 
     def test_fixture_parses(self, fixtures_dir):
@@ -413,6 +499,20 @@ class TestSinGenerator:
             gen_harmonic_regression(64, 0, np.random.default_rng(7))
 
 
+def whole_array_anchor_sample(n, n_classes, band_halfwidth, rng):
+    """The anchored sample's inputs and labels as one draw for all n: the
+    reference for the generator's blocks."""
+    xs = np.empty(0)
+    while xs.size < n:
+        cand = rng.random(2 * (n - xs.size) + 8)
+        cand = cand[anchor_support_mask(cand, band_halfwidth)]
+        xs = np.concatenate([xs, cand])
+    xs = xs[:n]
+    cum = np.cumsum(anchor_conditional(xs, n_classes), axis=1)
+    draws = rng.random(n)
+    return xs, (draws[:, None] >= cum).sum(axis=1) + 1
+
+
 class TestAnchorTask:
     def test_dirac_anchors(self):
         assert anchor_conditional(0.0, 5).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
@@ -459,6 +559,39 @@ class TestAnchorTask:
                             lambda x, m: calls.append(np.size(x)) or law(x, m))
         gen_anchor_classification(500, 4, 0.05, np.random.default_rng(3))
         assert calls == [500]
+
+    def test_generator_evaluates_the_law_once_per_block(self, monkeypatch):
+        calls = []
+        law = datasets.anchor_conditional
+        monkeypatch.setattr(datasets, "anchor_conditional",
+                            lambda x, m: calls.append(np.size(x)) or law(x, m))
+        gen_anchor_classification(2 * CHUNK_ROWS + 1, 4, 0.05, np.random.default_rng(3))
+        assert calls == [CHUNK_ROWS, CHUNK_ROWS, 1]
+
+    @pytest.mark.parametrize("classes", [3, 10])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1537])
+    def test_blocks_draw_the_labels_of_one_whole_draw(self, n, classes):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        ds = gen_anchor_classification(n, classes, 0.05, rng)
+        xs, y = whole_array_anchor_sample(n, classes, 0.05, ref)
+        assert ds.features[:, 0].tobytes() == xs.tobytes()
+        assert ds.targets.dtype == y.dtype and ds.targets.tobytes() == y.tobytes()
+        assert rng.random().hex() == ref.random().hex()  # the generator's state
+
+    def test_peak_memory_does_not_grow_with_the_classes(self):
+        # one block's law at 30 classes is 0.12 MB; the law of all 2^14
+        # samples, its cumulative sum and the comparison were 10 MiB more
+        # than at 3 classes
+        def peak(classes):
+            rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                gen_anchor_classification(2**14, classes, 0.05, rng)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(30) - peak(3) <= 2**20
 
     def test_band_exclusion(self):
         ds = gen_anchor_classification(2000, 3, 0.05, np.random.default_rng(8))

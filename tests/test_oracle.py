@@ -110,6 +110,23 @@ class TestMembershipQuery:
         with pytest.raises(ValueError):
             self.orc.membership_query(0, {0, 2})
 
+    @pytest.mark.parametrize("S", [{1.5}, {"2"}, {2, 2.5}, ["1", 3]],
+                             ids=["fraction", "str", "fraction-beside-a-class", "str-in-list"])
+    def test_class_ids_are_not_converted(self, S):
+        # int() would read 1.5 as class 1 and "2" as class 2
+        orc = QueryOracle.for_classification([2, 5, 1], 5, budget=10, mode="resampling",
+                                             record_log=True)
+        orc.membership_query(1, {5})
+        with pytest.raises(ValueError, match=r"classes in S must lie in 1\.\.5"):
+            orc.membership_query(0, S)
+        assert orc.budget_used == 1
+        assert orc.query_log == [(1, 1, "membership", 1)]
+
+    def test_ids_equal_to_a_class_name_it(self):
+        assert self.orc.membership_query(0, {2.0}) == 1
+        assert self.orc.membership_query(0, np.array([5, 1])) == 0
+        assert self.orc.membership_query(1, [np.int64(5)]) == 1
+
     def test_regression_oracle_has_no_membership(self):
         orc = regression_oracle()
         with pytest.raises(ValueError):

@@ -112,6 +112,10 @@ FAILURES = {
                  lambda o: o.membership_query(0, {1, 2, 3}), TrivialSetError),
     "class-out-of-range": (_classification, "resampling",
                            lambda o: o.membership_query(0, {1, 4}), ValueError),
+    "fractional-class": (_classification, "resampling",
+                         lambda o: o.membership_query(0, {1.5}), ValueError),
+    "class-as-str": (_classification, "resampling",
+                     lambda o: o.membership_query(0, {"2"}), ValueError),
     "membership-on-regression": (_regression, "resampling",
                                  lambda o: o.membership_query(0, {1}), ValueError),
 }
