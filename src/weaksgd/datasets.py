@@ -3,10 +3,10 @@ splits, and the synthetic regression / classification generators."""
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import operator
+import re
 from array import array
 from dataclasses import dataclass, field
 
@@ -122,9 +122,14 @@ def _iter_lines(source):
     """The lines of a str or an open text file, without their line ends, read
     one at a time."""
     if isinstance(source, str):
-        # universal newlines, as a file opened in text mode splits
-        source = io.StringIO(source, newline=None)
+        # split at \n, \r\n and \r, as a file opened in text mode splits, and
+        # read in place: a StringIO would copy the text at 4 bytes a character
+        return (ln.group().rstrip("\r\n") for ln in re.finditer(_LINE, source))
     return (ln.rstrip("\n") for ln in source)
+
+
+# a line and its end, or a last line that has none
+_LINE = r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+"
 
 
 # lines read per block: the text of one block, and the bulk reader's

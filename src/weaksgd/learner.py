@@ -175,6 +175,15 @@ _WINDOW = 256
 # Steps per slice of a window whose moves a sign rule's loop scales up front.
 _SLICE = 64
 
+# The most outputs for which a sign rule's slice is scaled one output column at
+# a time. One broadcast (slice, rank, 1) x (slice, 1, m) product runs numpy's
+# inner loop only m elements long; m products of (slice, rank) run it rank
+# long. At rank 100 the slice cost 1.09, 1.25, 1.29, 1.29 us per step for
+# m = 2..5 broadcast and 0.37, 0.77, 0.78, 1.15 us column by column; from
+# m = 6 (1.69 against 1.48, then 1.63 against 1.79 at m = 7) the m calls cost
+# as much as they save. Ranks 64 and 256 cross at the same m.
+_COLUMNS_MAX = 5
+
 
 def _tail_sums(shrink: np.ndarray) -> np.ndarray:
     """Weights w with w[-1] = 1 and w[j] = 1 + shrink[j + 1] * w[j + 1]: the
@@ -215,8 +224,10 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
       step's direction row u and returns the sign of the move: 1, -1 or 0.
       The block's direction rows are copied into D a window at a time. Before
       the steps of a slice of ``_SLICE`` steps run, the loop scales their rows
-      ``(k * d) * gamma`` into one buffer, in two ufunc calls, so a step is
-      one add or one subtract of its row. The bits are those of a move rule
+      ``(k * d) * gamma`` into one buffer, so a step is one add or one
+      subtract of its row: the products ``k * d`` in one broadcast ufunc call,
+      or, with 2 to ``_COLUMNS_MAX`` outputs, one call per output column, then
+      one call that scales them by gamma. The bits are those of a move rule
       returning ``(sign * gamma, u)``: ``x * -g == -(x * g)`` and
       ``y - x == y + -x`` exactly in IEEE arithmetic, signed zeros included.
       C is set at the window's end to ``sign * gamma``, which is ``+-gamma``
@@ -259,6 +270,8 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
         # budget, where a whole window's rows would add 256 * rank * m floats
         moves = np.empty((min(steps, _SLICE),) + target.shape)
         dirs = D if scalar else D[:, None, :]  # a direction per step, against (rank[, m])
+        # with a few outputs, one (slice, rank) product per output column
+        columns = range(model.output_dim) if 2 <= model.output_dim <= _COLUMNS_MAX else None
         us = list(D)
         signs = [0] * _WINDOW
     # every block is built into one buffer, so only one is held at a time and
@@ -309,7 +322,11 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
                 for jlo in range(0, n, _SLICE):
                     jhi = min(jlo + _SLICE, n)
                     scaled = moves[:jhi - jlo]
-                    multiply(rows[jlo:jhi], dirs[jlo:jhi], out=scaled)
+                    if columns is None:
+                        multiply(rows[jlo:jhi], dirs[jlo:jhi], out=scaled)
+                    else:
+                        for q in columns:
+                            multiply(Kw[jlo:jhi], D[jlo:jhi, q:q + 1], out=scaled[:, :, q])
                     scaled *= scales[off + jlo:off + jhi]
                     for j, s, i, kcol, u, move in zip(range(jlo, jhi),
                                                       range(wlo + jlo, wlo + jhi),

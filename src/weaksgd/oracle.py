@@ -41,9 +41,7 @@ class QueryOracle:
         ``labels``: (n, m) real targets, or (n,) classes 1..n_classes."""
         if mode not in ("streaming", "resampling"):
             raise ValueError(f"unknown mode {mode!r}")
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
-        self.budget_total = int(budget)
+        self.budget_total = _whole_budget(budget)
         self.budget_used = 0
         self.mode = mode
         self.query_log: list[tuple[int, int, str, int]] | None = [] if record_log else None
@@ -58,6 +56,7 @@ class QueryOracle:
             self._targets, self._classes, self._m = None, labels, int(n_classes)
             self._scalars = None
             self._class_ids = frozenset(range(1, self._m + 1))
+        self._shape = (self._m,)  # the shape of a query operand
 
     @classmethod
     def for_regression(cls, targets, budget: int, mode: str = "streaming",
@@ -85,8 +84,8 @@ class QueryOracle:
     def budget_remaining(self) -> int:
         return self.budget_total - self.budget_used
 
-    def _precheck(self, i: int) -> int:
-        """Raise if query ``i`` may not be asked now; return the ledger count."""
+    def _precheck(self, i: int) -> None:
+        """Raise if query ``i`` may not be asked now."""
         used = self.budget_used
         if used >= self.budget_total:
             raise BudgetExhausted(
@@ -98,48 +97,58 @@ class QueryOracle:
             raise StreamingViolation(
                 f"streaming query {used + 1} must address sample {used}, got {i}"
             )
-        return used
-
-    def _charge(self, used: int, i: int, kind: str) -> None:
-        self.budget_used = used + 1
-        if self.query_log is not None:
-            self.query_log.append((used + 1, i, kind, 1))
-
-    def _label_dot(self, i: int, u: np.ndarray) -> float:
-        if self._classes is not None:
-            return float(u[self._classes[i] - 1])
-        return float(self._targets[i].dot(u))
 
     def halfspace_query(self, i: int, z, u) -> int:
         """Which side of the hyperplane through ``z`` orthogonal to ``u`` the
         hidden label lies on: sign(<Y_i - z, u>) with sign(0) = +1."""
-        used = self._precheck(i)
-        z = _vector(z)
-        u = _vector(u)
-        if z.size != self._m or u.size != self._m:
-            raise ValueError(
-                f"query dimensions ({z.size}, {u.size}) != label dim {self._m}"
-            )
+        used = self.budget_used
+        # one test of the common call: a bit to spend on a sample that may be
+        # asked now, and both operands already flat float arrays of the label
+        # dimension; any other call is checked, and converted, step by step
+        if not (used < self.budget_total and 0 <= i < self._n
+                and (i == used or self.mode != "streaming")
+                and type(z) is np.ndarray and z.dtype is _FLOAT and z.shape == self._shape
+                and type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == self._shape):
+            self._precheck(i)
+            z = _vector(z)
+            u = _vector(u)
+            if z.size != self._m or u.size != self._m:
+                raise ValueError(
+                    f"query dimensions ({z.size}, {u.size}) != label dim {self._m}"
+                )
         if self._scalars is not None:
             u0 = u.item(0)
             value = self._scalars.item(i) * u0 - z.item(0) * u0
+        elif self._classes is not None:
+            value = u.item(self._classes.item(i) - 1) - float(z.dot(u))
         else:
-            value = self._label_dot(i, u) - float(z.dot(u))
-        self._charge(used, i, "halfspace")
+            value = float(self._targets[i].dot(u)) - float(z.dot(u))
+        self.budget_used = used + 1
+        if self.query_log is not None:
+            self.query_log.append((used + 1, i, "halfspace", 1))
         return 1 if value >= 0.0 else -1
 
     def threshold_query(self, i: int, u, c: float) -> int:
         """Bit 1{<Y_i, u> < c} (strict inequality)."""
-        used = self._precheck(i)
-        u = _vector(u)
-        if u.size != self._m:
-            raise ValueError(f"query dimension {u.size} != label dim {self._m}")
+        used = self.budget_used
+        if not (used < self.budget_total and 0 <= i < self._n
+                and (i == used or self.mode != "streaming")
+                and type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == self._shape):
+            self._precheck(i)
+            u = _vector(u)
+            if u.size != self._m:
+                raise ValueError(f"query dimension {u.size} != label dim {self._m}")
         if self._scalars is not None:
             value = self._scalars.item(i) * u.item(0)
+        elif self._classes is not None:
+            value = u.item(self._classes.item(i) - 1)
         else:
-            value = self._label_dot(i, u)
-        self._charge(used, i, "threshold")
-        return int(value < float(c))
+            value = float(self._targets[i].dot(u))
+        answer = int(value < float(c))
+        self.budget_used = used + 1
+        if self.query_log is not None:
+            self.query_log.append((used + 1, i, "threshold", 1))
+        return answer
 
     def membership_query(self, i: int, S) -> int:
         """Bit 1{class(Y_i) in S} for a proper nonempty class subset ``S``.
@@ -148,14 +157,19 @@ class QueryOracle:
         names class 2, but 1.5 and "2" name no class."""
         if self._classes is None:
             raise ValueError("membership queries require a classification oracle")
-        used = self._precheck(i)
+        used = self.budget_used
+        if not (used < self.budget_total and 0 <= i < self._n
+                and (i == used or self.mode != "streaming")):
+            self._precheck(i)
         S = frozenset(S)
         if not S <= self._class_ids:
             raise ValueError(f"classes in S must lie in 1..{self._m}")
         if len(S) == 0 or len(S) == self._m:
             raise TrivialSetError("membership set must be a proper nonempty subset")
-        answer = int(int(self._classes[i]) in S)
-        self._charge(used, i, "membership")
+        answer = int(self._classes.item(i) in S)
+        self.budget_used = used + 1
+        if self.query_log is not None:
+            self.query_log.append((used + 1, i, "membership", 1))
         return answer
 
     def export_query_log(self, path) -> None:
@@ -171,8 +185,16 @@ class QueryOracle:
 _FLOAT = np.dtype(float)
 
 
+def _whole_budget(budget) -> int:
+    """``budget`` as an int, after checking that it is a whole number (a
+    Python or numpy integer, not a bool) and not negative."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+        raise TypeError(f"budget must be an integer, got {budget!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return int(budget)
+
+
 def _vector(v) -> np.ndarray:
-    """``v`` as a flat float array, without a copy when it already is one."""
-    if type(v) is np.ndarray and v.ndim == 1 and v.dtype is _FLOAT:
-        return v
+    """``v`` as a flat float array."""
     return np.asarray(v, dtype=float).ravel()

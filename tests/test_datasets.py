@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,34 @@ def libsvm_texts(draw):
         line += "".join(sep + tok for sep, tok in zip(seps[1:], tokens))
         text.append(line + seps[-1] * draw(st.integers(0, 1)))
     return "".join(ln + draw(st.sampled_from(["\n", "\r\n", "\r"])) for ln in text)
+
+
+def benchmark_shaped_file(tmp_path):
+    """A libsvm file shaped like the benchmark's: 6000 rows, 20 features of
+    which 15 are 80% zeros, 3 Gaussian classes, values written as
+    repr(float). Returns its dense features and its path."""
+    rng = np.random.default_rng(1)
+    rows, features, classes = 6000, 20, 3
+    y = rng.integers(0, classes, rows)
+    X = rng.standard_normal((rows, features))
+    X[np.arange(rows), y] += 2.0
+    X[:, classes + 2:] *= rng.random((rows, features - classes - 2)) < 0.2
+    path = tmp_path / "data.libsvm"
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in range(rows):
+            fh.write(" ".join([str(y[r] + 1)] + [f"{j + 1}:{float(X[r, j])!r}"
+                                                  for j in np.flatnonzero(X[r])]) + "\n")
+    return X, path
+
+
+def traced_parse(source):
+    """``parse_libsvm(source)`` and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        ds = parse_libsvm(source)
+        return ds, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestParseLibsvm:
@@ -279,30 +308,26 @@ class TestParseLibsvm:
         assert datasets._read_libsvm_block(lines[n:], n + 1) is None
 
     def test_peak_memory(self, tmp_path):
-        # a file shaped like the benchmark's: 6000 rows, 20 features of which
-        # 15 are 80% zeros, 3 Gaussian classes, values written as repr(float)
-        rng = np.random.default_rng(1)
-        rows, features, classes = 6000, 20, 3
-        y = rng.integers(0, classes, rows)
-        X = rng.standard_normal((rows, features))
-        X[np.arange(rows), y] += 2.0
-        X[:, classes + 2:] *= rng.random((rows, features - classes - 2)) < 0.2
-        path = tmp_path / "data.libsvm"
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in range(rows):
-                fh.write(" ".join([str(y[r] + 1)] + [f"{j + 1}:{float(X[r, j])!r}"
-                                                      for j in np.flatnonzero(X[r])]) + "\n")
+        X, path = benchmark_shaped_file(tmp_path)
         with open(path, "r", encoding="utf-8") as fh:  # as the run command opens it
-            tracemalloc.start()
-            try:
-                ds = parse_libsvm(fh)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            ds, peak = traced_parse(fh)
         assert np.array_equal(ds.features, X)
         # the dense matrix is 0.96 MB and the numeric buffers 0.86 MB; the
         # parse read 2.7 MB when it also held the text's lines (1.4 MB)
         assert peak <= 2.4e6
+
+    def test_peak_memory_of_a_str(self, tmp_path):
+        # the same text as a str is read in place: a parse that copied it into
+        # a StringIO (4 bytes a character) peaked at 5.6 MB against 2.0 MB
+        X, path = benchmark_shaped_file(tmp_path)
+        with open(path, "r", encoding="utf-8") as fh:
+            from_file, file_peak = traced_parse(fh)
+        text = path.read_text(encoding="utf-8")
+        assert len(text) > 1e6
+        ds, peak = traced_parse(text)
+        assert ds.features.tobytes() == from_file.features.tobytes()
+        assert np.array_equal(ds.features, X)
+        assert peak <= file_peak + 0.25e6
 
     def test_peak_memory_of_narrow_lines(self, tmp_path):
         # 50000 lines of one feature each: the text (1.2 MB) is larger than its
@@ -422,6 +447,13 @@ class TestLineBreaks:
 
         from_str, from_file = self.both(parse, text, tmp_path)
         assert from_str == from_file
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet=["a", " ", "\n", "\r", *OTHER_BREAKS]))
+    def test_str_lines_are_a_text_files_lines(self, text):
+        # a str is split in place; a StringIO splits it as a text-mode file does
+        want = [ln.rstrip("\n") for ln in io.StringIO(text, newline=None)]
+        assert list(datasets._iter_lines(text)) == want
 
     def test_form_feed_is_not_a_line_break(self):
         ds = parse_libsvm("1 1:2.0\x0c 2:3.0\n2 1:1.0\n")

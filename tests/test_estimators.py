@@ -13,7 +13,6 @@ from weaksgd.estimators import (
     WeakSGDRegressor,
     check_array,
 )
-from weaksgd.oracle import QueryOracle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -157,11 +156,7 @@ class TestRegressor:
     (WeakSGDClassifier, {"gamma0": np.inf}, "gamma0"),
     (WeakSGDRegressor, {"strategy": "least-squares", "bound": 1e308}, "bound"),
 ])
-def test_non_finite_setting_spends_no_bit(monkeypatch, cls, params, name):
-    def charge(*args):
-        raise AssertionError("a bit was spent")
-
-    monkeypatch.setattr(QueryOracle, "_charge", charge)
+def test_non_finite_setting_spends_no_bit(no_bits, cls, params, name):
     X, y = sin_data(n=50) if cls is WeakSGDRegressor else blob_data(n=50)
     with pytest.raises(ValueError, match=name):
         cls(budget=50, rank=5, **params).fit(X, y)
@@ -216,11 +211,7 @@ class TestClassifier:
         assert clf.classes_.tolist() == [3, 7]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_labels(self, monkeypatch, bad):
-        def charge(*args):
-            raise AssertionError("a bit was spent")
-
-        monkeypatch.setattr(QueryOracle, "_charge", charge)
+    def test_rejects_non_finite_labels(self, no_bits, bad):
         X, _ = sin_data(n=40)
         y = np.where(np.arange(40) % 3, 1.0, bad)  # np.unique would make bad a class
         with pytest.raises(ValueError, match="non-finite"):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -87,12 +88,8 @@ class TestTrainRowCounts:
     @pytest.mark.parametrize("rows", [50, 10], ids=["X longer", "X shorter"])
     @pytest.mark.parametrize("strategy,n_classes", [
         ("active-median", None), ("infimum-loss", 3), ("full-sgd", None)])
-    def test_a_row_count_mismatch_is_refused_before_a_bit(self, monkeypatch, strategy,
+    def test_a_row_count_mismatch_is_refused_before_a_bit(self, no_bits, strategy,
                                                           n_classes, rows):
-        def charge(*args):
-            raise AssertionError("a bit was spent")
-
-        monkeypatch.setattr(QueryOracle, "_charge", charge)
         rng = np.random.default_rng(0)
         X = rng.random((rows, 2))
         labels = rng.integers(1, 4, 30) if n_classes else rng.random((30, 1))
@@ -108,6 +105,37 @@ class TestTrainRowCounts:
         model = KernelModel.zeros(X[:5], 1, KernelSpec(0.3))
         with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
             train(strategy, X, rng.random((30, 1)), model, StepSchedule.decaying(0.5), rng, -1)
+
+    @pytest.mark.parametrize("budget", [2.5, 100.0, np.float64(8.0), True, np.bool_(True),
+                                        "8", None],
+                             ids=["2.5", "100.0", "float64", "True", "bool_", "str", "None"])
+    @pytest.mark.parametrize("strategy", ["full-sgd", "active-median"])
+    def test_a_budget_that_is_not_an_integer_is_refused(self, monkeypatch, no_bits, strategy,
+                                                        budget):
+        def build(*args):
+            raise AssertionError("an oracle was built")
+
+        monkeypatch.setattr(QueryOracle, "__init__", build)
+        rng = np.random.default_rng(0)
+        X = rng.random((30, 2))
+        model = KernelModel.zeros(X[:5], 1, KernelSpec(0.3))
+        with pytest.raises(TypeError,
+                           match=re.escape(f"budget must be an integer, got {budget!r}")):
+            train(strategy, X, rng.random((30, 1)), model, StepSchedule.decaying(0.5), rng,
+                  budget)
+        assert not model.coefficients.any()
+
+    @pytest.mark.parametrize("budget", [40, np.int64(40), np.int32(40), np.uint16(40)],
+                             ids=["int", "int64", "int32", "uint16"])
+    @pytest.mark.parametrize("strategy", ["full-sgd", "active-median"])
+    def test_python_and_numpy_integers_are_budgets(self, strategy, budget):
+        rng = np.random.default_rng(0)
+        X = rng.random((30, 2))
+        model = KernelModel.zeros(X[:5], 1, KernelSpec(0.3))
+        report = train(strategy, X, rng.random((30, 1)), model, StepSchedule.decaying(0.5),
+                       rng, budget, grid=[40])
+        assert [t for t, _ in report.checkpoints] == [40]
+        assert report.queries_used == (0 if strategy == "full-sgd" else 40)
 
 
 class TestRunCurve:

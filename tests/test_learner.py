@@ -425,12 +425,16 @@ class TestSignRule:
     ``(k * u) * (sign * gamma)`` update."""
 
     @pytest.mark.parametrize("name,m,ridge", [
-        ("median", 1, 0.0), ("median", 3, 0.0), ("median", 3, 3.0),
+        # up to learner._COLUMNS_MAX = 5 outputs a slice is scaled one output
+        # column at a time, from 6 in one broadcast product: both sides are held
+        ("median", 1, 0.0), ("median", 2, 0.0), ("median", 3, 0.0), ("median", 3, 3.0),
+        ("median", 5, 3.0), ("median", 6, 0.0),
         # zero components of the basis vector give signed-zero products; with a
         # negative first shrink factor (gamma0 * ridge = 1.5) they give -0.0
         # coefficients
-        ("coordinate", 4, 0.0), ("coordinate", 4, 3.0),
-        ("least-squares", 1, 0.0), ("least-squares", 3, 3.0),
+        ("coordinate", 4, 0.0), ("coordinate", 4, 3.0), ("coordinate", 5, 3.0),
+        ("coordinate", 6, 3.0),
+        ("least-squares", 1, 0.0), ("least-squares", 3, 3.0), ("least-squares", 5, 0.0),
         ("passive", 1, 0.0), ("passive", 1, 3.0),
     ])
     def test_bits_equal_the_move_rule(self, name, m, ridge):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,74 @@ class TestBudgetLedger:
         orc = regression_oracle(budget=0)
         with pytest.raises(BudgetExhausted):
             orc.threshold_query(0, [1.0, 0.0], 0.0)
+
+    @pytest.mark.parametrize("budget", [2.5, 2.0, np.float64(2.0), True, False,
+                                        np.bool_(True), "2", None],
+                             ids=["2.5", "2.0", "float64", "True", "False", "bool_", "str",
+                                  "None"])
+    def test_a_budget_that_is_not_an_integer_is_refused(self, budget):
+        for make in (lambda: regression_oracle(budget=budget),
+                     lambda: QueryOracle.for_classification([1, 2], 2, budget)):
+            with pytest.raises(TypeError,
+                               match=re.escape(f"budget must be an integer, got {budget!r}")):
+                make()
+
+    @pytest.mark.parametrize("budget", [3, np.int64(3), np.int32(3), np.uint8(3)],
+                             ids=["int", "int64", "int32", "uint8"])
+    def test_python_and_numpy_integers_are_budgets(self, budget):
+        orc = regression_oracle(budget=budget)
+        assert type(orc.budget_total) is int and orc.budget_total == 3
+        for q in range(3):
+            orc.threshold_query(q, [1.0, 0.0], 0.0)
+        with pytest.raises(BudgetExhausted):
+            orc.threshold_query(0, [1.0, 0.0], 0.0)
+
+
+# the operand forms a query converts, each beside the flat float64 operand it
+# stands for: values that every form holds exactly
+OPERAND_FORMS = {
+    "list": lambda v: v.tolist(),
+    "int-dtype": lambda v: v.astype(np.int64),
+    "float32": lambda v: v.astype(np.float32),
+    "row": lambda v: v[None, :],
+}
+
+
+class TestOperandForms:
+    """Operands that are not flat float64 arrays are converted: the answers,
+    the ledger and the log are those of the flat float64 operands."""
+
+    @staticmethod
+    def oracles(classify, mode):
+        if classify:
+            return [QueryOracle.for_classification([2, 1, 3, 3, 1, 2] * 4, 3, 40, mode,
+                                                   record_log=True) for _ in range(2)]
+        labels = np.array([[1.0, 0.0, -2.0], [0.5, 0.5, 1.0], [-1.0, 2.0, 0.0],
+                           [3.0, -1.0, 1.5], [0.0, 0.0, 0.0], [2.0, 1.0, -1.0]] * 4)
+        return [QueryOracle.for_regression(labels, 40, mode, record_log=True)
+                for _ in range(2)]
+
+    @pytest.mark.parametrize("form", sorted(OPERAND_FORMS))
+    @pytest.mark.parametrize("mode", ["streaming", "resampling"])
+    @pytest.mark.parametrize("classify", [False, True], ids=["regression", "classes"])
+    def test_same_answers_ledger_and_log(self, form, mode, classify):
+        convert = OPERAND_FORMS[form]
+        rng = np.random.default_rng(1)
+        flat, other = self.oracles(classify, mode)
+        answers = ([], [])
+        for t in range(24):
+            i = t if mode == "streaming" else int(rng.integers(0, 24))
+            z, u = rng.integers(-3, 4, (2, 3)).astype(float)
+            c = float(rng.integers(-3, 4))
+            assert z.dtype == u.dtype == np.float64 and z.shape == u.shape == (3,)
+            for orc, got, (zz, uu) in zip((flat, other), answers,
+                                          ((z, u), (convert(z), convert(u)))):
+                got.append(orc.halfspace_query(i, zz, uu) if t % 2
+                           else orc.threshold_query(i, uu, c))
+        assert answers[0] == answers[1]
+        assert set(answers[0][1::2]) == {-1, 1} and set(answers[0][::2]) == {0, 1}
+        assert other.budget_used == flat.budget_used == 24
+        assert other.query_log == flat.query_log
 
 
 class TestStreamingProtocol:

@@ -106,6 +106,8 @@ FAILURES = {
     "threshold-wrong-dimension": (_regression, "resampling",
                                   lambda o: o.threshold_query(0, [1.0, 0.0, 0.0], 0.0),
                                   ValueError),
+    "threshold-not-a-number": (_regression, "resampling",
+                               lambda o: o.threshold_query(0, np.ones(2), "x"), ValueError),
     "empty-set": (_classification, "resampling",
                   lambda o: o.membership_query(0, set()), TrivialSetError),
     "full-set": (_classification, "resampling",
@@ -118,6 +120,26 @@ FAILURES = {
                      lambda o: o.membership_query(0, {"2"}), ValueError),
     "membership-on-regression": (_regression, "resampling",
                                  lambda o: o.membership_query(0, {1}), ValueError),
+    # flat float64 operands of the label dimension, the form the drivers pass:
+    # the query is refused by the same checks as a list's
+    "array-exhausted-budget": (_regression, "resampling",
+                               lambda o: o.halfspace_query(0, np.zeros(2), np.ones(2)),
+                               BudgetExhausted),
+    "array-index-below-range": (_classification, "resampling",
+                                lambda o: o.halfspace_query(-1, np.zeros(3), np.ones(3)),
+                                ValueError),
+    "array-index-above-range": (_regression, "resampling",
+                                lambda o: o.threshold_query(3, np.ones(2), 0.0), ValueError),
+    "array-streaming-violation": (_classification, "streaming",
+                                  lambda o: o.halfspace_query((o.budget_used + 1) % 3,
+                                                              np.zeros(3), np.ones(3)),
+                                  StreamingViolation),
+    "array-halfspace-one-longer": (_classification, "resampling",
+                                   lambda o: o.halfspace_query(0, np.zeros(4), np.ones(3)),
+                                   ValueError),
+    "array-threshold-one-longer": (_regression, "resampling",
+                                   lambda o: o.threshold_query(0, np.ones(3), 0.0),
+                                   ValueError),
 }
 
 
@@ -125,8 +147,18 @@ FAILURES = {
 @given(failure=st.sampled_from(sorted(FAILURES)), spent=st.integers(0, 3),
        slack=st.integers(0, 3))
 def test_failed_query_leaves_the_ledger_unchanged(failure, spent, slack):
+    check_failure(failure, spent, slack)
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+def test_each_failure_leaves_the_ledger_unchanged(failure):
+    # every entry once, which the sampled test above does not promise
+    check_failure(failure, 2, 1)
+
+
+def check_failure(failure, spent, slack):
     make, mode, call, error = FAILURES[failure]
-    budget = spent if failure == "exhausted-budget" else spent + 1 + slack
+    budget = spent if failure.endswith("exhausted-budget") else spent + 1 + slack
     oracle = make(budget, mode)
     for t in range(spent):  # a few good queries first, in streaming order
         oracle.threshold_query(t, np.eye(LABEL_DIM[make])[0], 0.5)
