@@ -109,6 +109,13 @@ class Cycle:
     n: int
     steps: int
 
+    def __post_init__(self):
+        for name, value in (("n", self.n), ("steps", self.steps)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"Cycle {name} must be a whole number >= 0, got {value!r}")
+        if self.steps and not self.n:
+            raise ValueError(f"a Cycle of {self.steps} steps has no row to walk")
+
     def __len__(self) -> int:
         return self.steps
 
@@ -117,20 +124,23 @@ class Cycle:
         return np.arange(lo, hi) % self.n
 
 
-def _prepare(X, budget: int, checkpoint_grid, indices):
-    """Inputs as an (n, d) array, the indices of the steps to take (an integer
-    array, or a :class:`Cycle`; each row once when ``indices`` is None), and
-    the validated checkpoint grid."""
+def _prepare(X, budget: int, checkpoint_grid, indices, labels: tuple):
+    """Inputs as an (n, d) array, the walk of the steps to take (``indices``, a
+    :class:`Cycle` over the n rows, cut to ``budget`` steps; each row once
+    when ``indices`` is None), and the validated checkpoint grid. ``labels``
+    is the shape of the labels the steps read, one row per input row. Every
+    check runs before any query."""
     X = _as_rows(X)
     n = X.shape[0]
+    if labels[0] != n:
+        raise ValueError(f"labels of shape {labels} do not match X of shape {X.shape}")
     if indices is None:
         indices = Cycle(n, n)
     elif not isinstance(indices, Cycle):
-        indices = np.asarray(indices)
-        if indices.size and indices.dtype.kind not in "iu":  # not floats, not a mask
-            raise IndexError(f"step indices must be integers, got dtype {indices.dtype}")
-        indices = indices.astype(int, copy=False)
-    steps = min(int(budget), len(indices))
+        raise TypeError(f"indices must be None or a learner.Cycle, got {type(indices).__name__}")
+    elif indices.n != n:
+        raise ValueError(f"a Cycle over {indices.n} rows cannot walk X of shape {X.shape}")
+    steps = min(int(budget), indices.steps)
     if checkpoint_grid is None:
         grid: list[int] = []
     else:
@@ -141,18 +151,7 @@ def _prepare(X, budget: int, checkpoint_grid, indices):
             raise ValueError(
                 f"checkpoint {grid[-1]} exceeds the {steps} steps this run can take"
             )
-    if isinstance(indices, Cycle):
-        used = Cycle(indices.n, steps)
-        least, most = 0, min(steps, indices.n) - 1
-    else:
-        used = indices[:steps]
-        least, most = (used.min(), used.max()) if steps else (0, 0)
-    if steps and not 0 <= least <= most < n:
-        # checked up front: the loop gathers rows a block at a time, and a bad
-        # index (the oracle answers no negative one) must fail before any
-        # query is spent
-        raise IndexError(f"step indices must lie in [0, {n})")
-    return X, used, grid
+    return X, Cycle(n, steps), grid
 
 
 def default_checkpoints(budget: int) -> list[int]:
@@ -377,8 +376,10 @@ def run_median_sgd(
     gamma(t) * eps * (U_j k(x, x_i)). ``direction="coordinate"`` draws U
     uniformly from the canonical basis instead of the sphere (the passive
     coordinate strategy for classification).
+    ``indices`` is None, which walks the rows of X once, or ``Cycle(n, steps)``.
     """
-    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
+    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices,
+                             (oracle.n_samples,))
     m = model.output_dim
     if direction == "sphere":
         def directions(lo, hi):
@@ -415,10 +416,12 @@ def run_least_squares_sgd(
     Per step: draw U on the sphere and V uniform on [0, 2*bound], query
     b = 1{<Y, U> < <f(x), U> - V}, and descend by gamma(t) * b * (U_j k(x, x_i)).
     The caller asserts ||f(x) - Y|| <= 2*bound; the oracle cannot check it.
+    ``indices`` is None, which walks the rows of X once, or ``Cycle(n, steps)``.
     """
     if not 0 < 2.0 * bound < np.inf:
         raise ValueError(f"bound must be finite and > 0 with 2 * bound finite, got {bound}")
-    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
+    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices,
+                             (oracle.n_samples,))
     steps = len(used)
     m = model.output_dim
     # V is drawn after the whole of U: a copy of the generator draws and
@@ -462,14 +465,19 @@ def run_full_sgd(
     """Fully supervised subgradient baseline on the absolute-deviation loss.
 
     Uses the labels directly (no oracle, no budget): descends along
-    (f(x) - y)/||f(x) - y||, with subgradient 0 at f(x) = y.
+    (f(x) - y)/||f(x) - y||, with subgradient 0 at f(x) = y. ``Y`` holds one
+    row per row of X and one column per output.
+    ``indices`` is None, which walks the rows of X once, or ``Cycle(n, steps)``.
     """
     Y = _as_rows(Y)
     X, used, grid = _prepare(X, len(Y) if indices is None else len(indices),
-                             checkpoint_grid, indices)
+                             checkpoint_grid, indices, Y.shape)
+    if Y.shape[1] != model.output_dim:
+        raise ValueError(f"labels of shape {Y.shape} do not fit X of shape {X.shape} "
+                         f"and a model of {model.output_dim} outputs")
     a = model.coefficients
 
-    if Y.shape[1] == model.output_dim == 1:
+    if model.output_dim == 1:
         y = Y[:, 0]  # a view: no per-row copy, so memory does not grow with n
 
         # the residual as a Python float, where the (1,) arrays pay for a
@@ -503,10 +511,12 @@ def run_passive_median(
     the subgradient of the best-case loss over the revealed half-line
     inf_{y in S} |f(x) - y|: move up if b = 1 and f(x) < v, down if b = 0 and
     f(x) > v, and leave the coefficients alone when f(x) already sits in S.
+    ``indices`` is None, which walks the rows of X once, or ``Cycle(n, steps)``.
     """
     if model.output_dim != 1:
         raise ValueError("the passive threshold strategy is defined for scalar outputs")
-    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
+    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices,
+                             (oracle.n_samples,))
     V, base = None, 0  # the thresholds of the block that starts at step base
 
     def directions(lo, hi):

@@ -9,6 +9,8 @@ order, so no sample is ever asked twice.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .kernel import _as_rows
@@ -84,32 +86,46 @@ class QueryOracle:
     def budget_remaining(self) -> int:
         return self.budget_total - self.budget_used
 
-    def _precheck(self, i: int) -> None:
-        """Raise if query ``i`` may not be asked now."""
+    @property
+    def n_samples(self) -> int:
+        """The number of samples whose labels the oracle holds."""
+        return self._n
+
+    def _precheck(self, i) -> int:
+        """Sample index ``i`` as an int; raise if query ``i`` may not be asked now."""
         used = self.budget_used
         if used >= self.budget_total:
             raise BudgetExhausted(
                 f"budget of {self.budget_total} queries already spent"
             )
+        try:
+            index = operator.index(i)  # a Python or numpy integer; not a float
+        except TypeError:
+            index = None
+        if index is None or isinstance(i, bool):
+            raise TypeError(f"sample index {i!r} is not an integer")
+        i = index
         if not 0 <= i < self._n:
             raise ValueError(f"sample index {i} out of range [0, {self._n})")
         if i != used and self.mode == "streaming":
             raise StreamingViolation(
                 f"streaming query {used + 1} must address sample {used}, got {i}"
             )
+        return i
 
     def halfspace_query(self, i: int, z, u) -> int:
         """Which side of the hyperplane through ``z`` orthogonal to ``u`` the
         hidden label lies on: sign(<Y_i - z, u>) with sign(0) = +1."""
         used = self.budget_used
-        # one test of the common call: a bit to spend on a sample that may be
-        # asked now, and both operands already flat float arrays of the label
-        # dimension; any other call is checked, and converted, step by step
-        if not (used < self.budget_total and 0 <= i < self._n
+        # one test of the common call: a bit to spend on an int sample index
+        # that may be asked now, and both operands already flat float arrays of
+        # the label dimension; any other call is checked, and converted, step
+        # by step
+        if not (used < self.budget_total and type(i) is int and 0 <= i < self._n
                 and (i == used or self.mode != "streaming")
                 and type(z) is np.ndarray and z.dtype is _FLOAT and z.shape == self._shape
                 and type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == self._shape):
-            self._precheck(i)
+            i = self._precheck(i)
             z = _vector(z)
             u = _vector(u)
             if z.size != self._m or u.size != self._m:
@@ -131,10 +147,10 @@ class QueryOracle:
     def threshold_query(self, i: int, u, c: float) -> int:
         """Bit 1{<Y_i, u> < c} (strict inequality)."""
         used = self.budget_used
-        if not (used < self.budget_total and 0 <= i < self._n
+        if not (used < self.budget_total and type(i) is int and 0 <= i < self._n
                 and (i == used or self.mode != "streaming")
                 and type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == self._shape):
-            self._precheck(i)
+            i = self._precheck(i)
             u = _vector(u)
             if u.size != self._m:
                 raise ValueError(f"query dimension {u.size} != label dim {self._m}")
@@ -158,9 +174,9 @@ class QueryOracle:
         if self._classes is None:
             raise ValueError("membership queries require a classification oracle")
         used = self.budget_used
-        if not (used < self.budget_total and 0 <= i < self._n
+        if not (used < self.budget_total and type(i) is int and 0 <= i < self._n
                 and (i == used or self.mode != "streaming")):
-            self._precheck(i)
+            i = self._precheck(i)
         S = frozenset(S)
         if not S <= self._class_ids:
             raise ValueError(f"classes in S must lie in 1..{self._m}")

@@ -70,8 +70,10 @@ def infimum_loss_sgd(
     restrict to S when the bit is 1 and to its complement otherwise, pick
     y* = argmax_{y in set} g(x)_y, and descend along
     (g(x) - e_{y*}) / ||g(x) - e_{y*}|| (no-op at the kink g(x) = e_{y*}).
+    ``indices`` is None, which walks the rows of X once, or ``Cycle(n, steps)``.
     """
-    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices)
+    X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices,
+                             (oracle.n_samples,))
     m = model.output_dim
     sets, base = None, 0  # the class sets of the block that starts at step base
 

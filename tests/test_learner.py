@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -22,6 +23,8 @@ from weaksgd.learner import (
 )
 from weaksgd.oracle import QueryOracle, StreamingViolation
 from weaksgd.surrogate import infimum_loss_sgd
+
+import reference
 
 
 def zero_model(reps, m=1, bandwidth=0.2, ridge=0.0):
@@ -143,13 +146,18 @@ class TestMedianSGD:
         assert all(isinstance(v, float) for _, v in report.checkpoints)
 
     def test_streaming_violation_propagates(self):
+        # a second walk from row 0 on a streaming oracle that has answered rows
+        # 0-2 asks row 0 again; the refused query spends no bit
         rng = np.random.default_rng(5)
         data = gen_sin_regression(8, rng)
         model = zero_model(data.features)
         oracle = QueryOracle.for_regression(data.targets, budget=8, mode="streaming")
+        run_median_sgd(data.features, oracle, StepSchedule.decaying(0.3), model, rng,
+                       indices=learner.Cycle(8, 3))
+        assert oracle.budget_used == 3
         with pytest.raises(StreamingViolation):
-            run_median_sgd(data.features, oracle, StepSchedule.decaying(0.3), model,
-                           rng, indices=np.array([3, 0, 1]))
+            run_median_sgd(data.features, oracle, StepSchedule.decaying(0.3), model, rng)
+        assert oracle.budget_used == 3
 
     def test_default_checkpoints_shape(self):
         assert default_checkpoints(30) == [1, 2, 4, 8, 16, 30]
@@ -409,7 +417,7 @@ def sign_and_move_runs(name, m, ridge):
         signs.append(sign)
         return (sign * gamma, u) if sign else None
 
-    X, used, grid = learner._prepare(X, SIGN_STEPS, SIGN_GRID, None)
+    X, used, grid = learner._prepare(X, SIGN_STEPS, SIGN_GRID, None, Y.shape)
     want = learner._descend(models[1], X, used, sched, grid, None, rule, SIGN_STEPS)
     return got, want, iterates, signs
 
@@ -532,6 +540,128 @@ class TestScalarRules:
             assert got is None
 
 
+class TestLabelsMatchX:
+    """A driver refuses labels that do not match its inputs before any step."""
+
+    def test_full_sgd_labels_with_fewer_rows(self):
+        X = np.random.default_rng(26).random((10, 1))
+        model = zero_model(X[:3])
+        with pytest.raises(ValueError, match=r"\(5, 1\) do not match X of shape \(10, 1\)"):
+            run_full_sgd(X, np.sin(X[:5]), StepSchedule.decaying(0.3), model,
+                         indices=learner.Cycle(10, 10))
+        assert not model.coefficients.any()
+
+    def test_full_sgd_labels_with_more_columns_than_outputs(self):
+        X = np.random.default_rng(27).random((10, 1))
+        model = zero_model(X[:3])
+        with pytest.raises(ValueError, match=r"\(10, 2\) do not fit X of shape \(10, 1\)"):
+            run_full_sgd(X, np.hstack([np.sin(X), np.cos(X)]), StepSchedule.decaying(0.3), model)
+        assert not model.coefficients.any()
+
+    @pytest.mark.parametrize("name", ["median", "least-squares", "passive", "infimum-loss"])
+    def test_an_oracle_with_fewer_samples(self, name):
+        # a budget for all 10 rows: the tenth query would fail after nine bits
+        rng = np.random.default_rng(28)
+        X = rng.random((10, 1))
+        sched = StepSchedule.decaying(0.3)
+        with pytest.raises(ValueError, match=r"\(9,\) do not match X of shape \(10, 1\)"):
+            if name == "infimum-loss":
+                oracle = QueryOracle.for_classification(rng.integers(1, 4, 9), 3, 10)
+                infimum_loss_sgd(X, oracle, sched, zero_model(X[:3], 3), rng)
+            else:
+                oracle = QueryOracle.for_regression(np.sin(X[:9]), 10)
+                if name == "median":
+                    run_median_sgd(X, oracle, sched, zero_model(X[:3]), rng)
+                elif name == "least-squares":
+                    run_least_squares_sgd(X, oracle, sched, zero_model(X[:3]), rng, 1.0)
+                else:
+                    run_passive_median(X, oracle, sched, zero_model(X[:3]), rng)
+        assert oracle.budget_used == 0
+
+
+def reference_case(data, strategy):
+    """One drawn driver run and its plain reference run (``tests/reference.py``):
+    the report, the reference's last and averaged iterates and checkpoints,
+    and both oracles (None for full-sgd) and generators."""
+    m = 1 if strategy == "passive" else data.draw(
+        st.integers(2 if strategy == "infimum-loss" else 1, 7), label="m")
+    classify = strategy == "infimum-loss" or (
+        strategy in ("median", "coordinate") and m >= 2 and data.draw(st.booleans(),
+                                                                      label="classify"))
+    ridge = data.draw(st.sampled_from([0.0, 1e-3, 2.5]), label="ridge")  # 2.5 * gamma0 > 1
+    schedule = StepSchedule(data.draw(st.sampled_from(StepSchedule.KINDS), label="schedule"),
+                            data.draw(st.sampled_from([0.5, 0.7]), label="gamma0"))
+    walk = data.draw(st.integers(0, 3 * CHUNK + 40), label="walk")
+    resampling = data.draw(st.booleans(), label="resampling")
+    if resampling:
+        n = data.draw(st.integers(1, CHUNK + 100), label="n")
+        indices, steps = learner.Cycle(n, walk), walk
+    else:
+        n = walk + data.draw(st.integers(0 if walk else 1, 3), label="unwalked rows")
+        indices, steps = None, n
+    budget = data.draw(st.integers(max(0, steps - 3), steps + 3), label="budget")
+    if strategy != "full-sgd":
+        steps = min(budget, steps)
+    grid = data.draw(st.lists(st.integers(1, max(steps, 1)), unique=True, max_size=6)
+                     .map(sorted), label="grid") if steps else []
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = rng.standard_normal((n, 2))
+    reps = rng.standard_normal((data.draw(st.integers(1, 8), label="rank"), 2))
+    labels = rng.integers(1, m + 1, n) if classify else (
+        np.sin(X[:, :1] + np.arange(m)) + 0.3 * rng.standard_normal((n, m)))
+    mode = "resampling" if resampling else "streaming"
+
+    def make_oracle():
+        if strategy == "full-sgd":
+            return None
+        if classify:
+            return QueryOracle.for_classification(labels, m, budget, mode, record_log=True)
+        return QueryOracle.for_regression(labels, budget, mode, record_log=True)
+
+    model = KernelModel.zeros(reps, m, KernelSpec(1.0), ridge)
+    oracle, ref_oracle = make_oracle(), make_oracle()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="driver seed"))
+    ref_rng, bound = copy.deepcopy(rng), 2.0
+    # the reference first: it steps a copy of the coefficients the driver moves
+    want = reference.run(strategy, X, labels if strategy == "full-sgd" else ref_oracle,
+                         schedule, model, ref_rng, [t % n for t in range(steps)], grid, bound)
+    kw = dict(checkpoint_grid=grid, indices=indices)
+    if strategy == "full-sgd":
+        report = run_full_sgd(X, labels, schedule, model, **kw)
+    elif strategy == "least-squares":
+        report = run_least_squares_sgd(X, oracle, schedule, model, rng, bound, **kw)
+    elif strategy == "passive":
+        report = run_passive_median(X, oracle, schedule, model, rng, **kw)
+    elif strategy == "infimum-loss":
+        report = infimum_loss_sgd(X, oracle, schedule, model, rng, **kw)
+    else:
+        direction = "sphere" if strategy == "median" else strategy
+        report = run_median_sgd(X, oracle, schedule, model, rng, direction=direction, **kw)
+    return report, want, (oracle, ref_oracle), (rng, ref_rng)
+
+
+def close(got, want):
+    """Equal within 1e-12 of the largest magnitude of ``want``."""
+    return got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= (
+        1e-12 * np.abs(want).max(initial=0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategy=st.sampled_from(reference.STRATEGIES), data=st.data())
+def test_every_driver_steps_as_the_plain_reference(strategy, data):
+    report, (last, mean, checkpoints), (oracle, ref_oracle), (rng, ref_rng) = reference_case(
+        data, strategy)
+    assert same_bits(report.final_model.coefficients, last)
+    assert close(report.averaged_model.coefficients, mean)
+    assert [t for t, _ in report.checkpoints] == [t for t, _ in checkpoints]
+    for (t, got), (_, want) in zip(report.checkpoints, checkpoints):
+        assert close(got, want), t
+    if oracle is not None:
+        assert report.queries_used == oracle.budget_used == ref_oracle.budget_used
+        assert oracle.query_log == ref_oracle.query_log
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestBudgetExactness:
     @pytest.mark.parametrize("budget,n,expected", [(20, 32, 20), (32, 32, 32), (50, 32, 32)])
     def test_every_oracle_driver(self, budget, n, expected):
@@ -578,7 +708,7 @@ def chunked_run(name, chunk_rows, monkeypatch):
     model = KernelModel.zeros(nystrom_representers(X, 40, rng), m, KernelSpec(1.5),
                               ridge=1e-3)
     kw = dict(checkpoint_grid=[CHUNK, CHUNK + 1, CHUNKED_STEPS],
-              indices=np.arange(CHUNKED_STEPS) % n)
+              indices=learner.Cycle(n, CHUNKED_STEPS))
     sched = StepSchedule.decaying(0.4)
     blocks = []
 
@@ -661,45 +791,46 @@ class TestChunkedGram:
             assert same_bits(np.array([u for u, _, _ in asked]), U)
             assert state == draw.bit_generator.state
 
-    def test_bad_index_in_a_later_block_fails_before_any_query(self):
-        rng = np.random.default_rng(23)
-        X = rng.random((CHUNK + 10, 1))
-        # one past the last row, in the second block; and a negative index, which
-        # numpy would gather but the oracle does not answer
-        for position, bad in ((-1, CHUNK + 10), (5, -1)):
-            oracle = QueryOracle.for_regression(np.sin(X[:, 0]), CHUNK + 10, "resampling")
-            indices = np.arange(CHUNK + 10)
-            indices[position] = bad
-            with pytest.raises(IndexError, match=rf"\[0, {CHUNK + 10}\)"):
-                run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X[:4]),
-                               rng, indices=indices)
-            assert oracle.budget_used == 0
-            # full-sgd reads the labels directly, and takes the same indices
-            with pytest.raises(IndexError):
-                run_full_sgd(X, np.sin(X), StepSchedule.decaying(0.3), zero_model(X[:4]),
-                             indices=indices)
-
-    @pytest.mark.parametrize("indices", [[0.9, 1.9, 2.9], [True, False, True],
-                                         np.array([0.0, 1.0, 2.0])],
-                             ids=["float-list", "mask", "float-array"])
-    def test_indices_that_are_not_integers_fail_before_any_query(self, indices):
-        # cast to int, floats would be truncated and a mask read as rows 1, 0, 1
+    @pytest.mark.parametrize("indices", [np.arange(3), [0, 1, 2], [True, False, True]],
+                             ids=["array", "list", "mask"])
+    def test_an_index_array_is_refused_before_any_query(self, indices):
         X = np.random.default_rng(25).random((3, 1))
         oracle = QueryOracle.for_regression(np.sin(X[:, 0]), 3, "resampling")
-        with pytest.raises(IndexError, match="integers, got dtype"):
-            run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X),
-                           np.random.default_rng(0), indices=indices)
+        for run in (lambda: run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X),
+                                           np.random.default_rng(0), indices=indices),
+                    lambda: run_full_sgd(X, np.sin(X), StepSchedule.decaying(0.3),
+                                         zero_model(X), indices=indices)):
+            with pytest.raises(TypeError, match=f"None or a learner.Cycle, got {type(indices).__name__}"):
+                run()
         assert oracle.budget_used == 0
-        with pytest.raises(IndexError, match="integers, got dtype"):
-            run_full_sgd(X, np.sin(X), StepSchedule.decaying(0.3), zero_model(X),
-                         indices=indices)
 
-    def test_an_empty_index_array_takes_no_step(self):
+    def test_a_cycle_over_another_row_count_is_refused_before_any_query(self):
+        # one row more than X, the row the last step of a block would read
+        X = np.random.default_rng(23).random((CHUNK + 10, 1))
+        walk = learner.Cycle(CHUNK + 11, CHUNK + 11)
+        oracle = QueryOracle.for_regression(np.sin(X[:, 0]), CHUNK + 11, "resampling")
+        with pytest.raises(ValueError, match=f"Cycle over {CHUNK + 11} rows"):
+            run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X[:4]),
+                           np.random.default_rng(0), indices=walk)
+        assert oracle.budget_used == 0
+        with pytest.raises(ValueError, match=f"Cycle over {CHUNK + 11} rows"):
+            run_full_sgd(X, np.sin(X), StepSchedule.decaying(0.3), zero_model(X[:4]),
+                         indices=walk)
+
+    @pytest.mark.parametrize("n,steps", [(1.0, 3), (3, 2.5), (True, 3), (3, -1), (-1, 3),
+                                         (0, 5)])
+    def test_a_cycle_walks_whole_steps_over_whole_rows(self, n, steps):
+        with pytest.raises(ValueError, match="Cycle (n|steps) must be a whole|no row to walk"):
+            learner.Cycle(n, steps)
+
+    def test_an_empty_cycle_takes_no_step(self):
         X = np.random.default_rng(25).random((3, 1))
         oracle = QueryOracle.for_regression(np.sin(X[:, 0]), 3, "resampling")
-        report = run_median_sgd(X, oracle, StepSchedule.decaying(0.3), zero_model(X),
-                                np.random.default_rng(0), indices=np.asarray([]))
-        assert report.queries_used == 0
+        model = zero_model(X)
+        report = run_median_sgd(X, oracle, StepSchedule.decaying(0.3), model,
+                                np.random.default_rng(0), indices=learner.Cycle(3, 0))
+        assert report.queries_used == oracle.budget_used == 0
+        assert not model.coefficients.any()
 
     @staticmethod
     def train_peak(strategy, budget, m, rank):

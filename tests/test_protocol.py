@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weaksgd.kernel import KernelModel, KernelSpec
 from weaksgd.learner import (
+    Cycle,
     StepSchedule,
     run_least_squares_sgd,
     run_median_sgd,
@@ -59,7 +60,7 @@ def test_driver_spends_exactly_min_budget_steps(name, n, budget, resampling, wal
     mode = "resampling" if resampling else "streaming"
     run, X, oracle, model, rng = _setup(name, n, budget, mode, seed)
     # resampling walks the rows cyclically for ``walk`` steps; streaming walks them once
-    indices = np.arange(walk) % n if resampling else None
+    indices = Cycle(n, walk) if resampling else None
     steps = walk if resampling else n
     report = run(X, oracle, StepSchedule.decaying(0.5), model, rng, indices)
     assert report.queries_used == oracle.budget_used == min(budget, steps)
@@ -81,13 +82,22 @@ def _regression(budget, mode):
     return QueryOracle.for_regression(labels, budget, mode, record_log=True)
 
 
+def _scalar_regression(budget, mode):
+    return QueryOracle.for_regression([1.0, 0.5, -1.0], budget, mode, record_log=True)
+
+
 def _classification(budget, mode):
     return QueryOracle.for_classification([2, 1, 3], 3, budget, mode, record_log=True)
 
 
-LABEL_DIM = {_regression: 2, _classification: 3}
+LABEL_DIM = {_regression: 2, _scalar_regression: 1, _classification: 3}
 
-# failure -> (oracle factory, mode, the failing call, expected exception)
+# the message of a sample index that is not an integer, where numpy's own
+# error would not name the index
+NOT_AN_INDEX = "sample index .* is not an integer"
+
+# failure -> (oracle factory, mode, the failing call, expected exception[,
+# message pattern])
 FAILURES = {
     "exhausted-budget": (_regression, "resampling",
                          lambda o: o.halfspace_query(0, [0.0, 0.0], [1.0, 0.0]),
@@ -120,6 +130,19 @@ FAILURES = {
                      lambda o: o.membership_query(0, {"2"}), ValueError),
     "membership-on-regression": (_regression, "resampling",
                                  lambda o: o.membership_query(0, {1}), ValueError),
+    "index-half": (_scalar_regression, "resampling",
+                   lambda o: o.halfspace_query(0.5, np.zeros(1), np.ones(1)),
+                   TypeError, NOT_AN_INDEX),
+    # a float equal to the streaming step would pass an equality test
+    "index-float-at-its-step": (_regression, "streaming",
+                                lambda o: o.halfspace_query(float(o.budget_used), np.zeros(2),
+                                                            np.ones(2)),
+                                TypeError, NOT_AN_INDEX),
+    "index-bool": (_regression, "resampling",
+                   lambda o: o.threshold_query(True, np.ones(2), 0.0), TypeError, NOT_AN_INDEX),
+    "index-one-and-a-half": (_regression, "resampling",
+                             lambda o: o.halfspace_query(1.5, np.zeros(2), np.ones(2)),
+                             TypeError, NOT_AN_INDEX),
     # flat float64 operands of the label dimension, the form the drivers pass:
     # the query is refused by the same checks as a list's
     "array-exhausted-budget": (_regression, "resampling",
@@ -157,13 +180,32 @@ def test_each_failure_leaves_the_ledger_unchanged(failure):
 
 
 def check_failure(failure, spent, slack):
-    make, mode, call, error = FAILURES[failure]
+    make, mode, call, error, *message = FAILURES[failure]
     budget = spent if failure.endswith("exhausted-budget") else spent + 1 + slack
     oracle = make(budget, mode)
     for t in range(spent):  # a few good queries first, in streaming order
         oracle.threshold_query(t, np.eye(LABEL_DIM[make])[0], 0.5)
     used, log = oracle.budget_used, list(oracle.query_log)
-    with pytest.raises(error):
+    with pytest.raises(error, match=message[0] if message else None):
         call(oracle)
     assert oracle.budget_used == used == spent
     assert oracle.query_log == log
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "threshold", "membership"])
+@pytest.mark.parametrize("mode", ["streaming", "resampling"])
+def test_a_numpy_integer_index_is_asked_as_an_int(kind, mode):
+    def ask(oracle, i):
+        if kind == "halfspace":
+            return oracle.halfspace_query(i, np.full(3, 0.5), np.array([1.0, -1.0, 0.5]))
+        if kind == "threshold":
+            return oracle.threshold_query(i, np.array([0.0, 1.0, 0.0]), 0.5)
+        return oracle.membership_query(i, {2})
+
+    runs = []
+    for index in (int, np.int64):
+        oracle = _classification(3, mode)
+        answers = [ask(oracle, index(i)) for i in range(3)]
+        runs.append((answers, oracle.budget_used, oracle.query_log))
+    assert runs[0] == runs[1]
+    assert all(type(i) is int for _, i, _, _ in runs[1][2])
