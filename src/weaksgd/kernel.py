@@ -120,6 +120,8 @@ class KernelModel:
             )
         if self.representers.shape[0] < 1:
             raise ValueError("need at least one representer")
+        if not np.isfinite(self.representers).all():
+            raise ValueError("representers contain non-finite values")
         if not 0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 

@@ -6,22 +6,33 @@ step. Checkpoint risks are evaluated on the average of the iterates, which no
 step reads. So the loop records each step's move and sums the iterates a
 window of steps at a time, in one product with the window's kernel rows. A
 window closes at every multiple of 256 steps, at every checkpoint and at the
-end of every Gram block; 256 divides ``CHUNK_ROWS``, so the average does not
-depend on where the blocks are cut. A driver draws its randomness a block of
-steps at a time, as the loop reaches the block, and supplies only a *bit rule*,
-one oracle call per step, of one of two kinds:
+end of every Gram block; 256 divides ``CHUNK_ROWS``, so the windows do not
+depend on where the blocks are cut, and given the same kernel rows neither
+does the average. The kernel rows themselves may: a row's last bits can
+depend on how many rows its block holds (BLAS takes another path for a
+one-row block, and at d = 64 blocks of 2 to 88 rows round otherwise too), so
+a run of B steps is not always a bit-exact prefix of a longer run. A driver
+draws its randomness a block of steps at a time, as the loop reaches the
+block, and supplies only a *bit rule*, one oracle call per step, of one of two
+kinds:
 
 * a *sign rule* (median, least squares, passive), whose direction is drawn
   before the bit: the driver hands the loop its direction rows, and the rule
   returns only the sign of the move. The loop scales the kernel rows of a
   slice of steps by their directions and step sizes up front, so a step is
-  one add or one subtract;
+  one add or one subtract. Two drivers step along a basis vector, the
+  coordinate median and passive (one output, column 0): they hand the loop
+  each step's picked output column as an integer instead, and the loop
+  writes ``k * gamma`` into that column only;
 * a *move rule* (full-sgd, infimum-loss), whose direction is read from f(x):
   the rule returns the step's coefficient and direction.
 
-Both give the same bits: each element moves by ``(k * d) * gamma``, added or
-subtracted, which is ``(k * d) * (+-gamma)`` added, exactly. A driver
-consumes exactly ``min(budget, len(sequence))`` queries.
+All give the same bits: each element moves by ``(k * d) * gamma``, added or
+subtracted, which is ``(k * d) * (+-gamma)`` added, exactly. For a basis
+direction, ``(k * 1.0) * gamma == k * gamma`` and ``(k * 0.0) * gamma`` is
++0.0, the value the other columns hold, for any finite kernel value k >= +0
+and gamma > 0. A driver consumes exactly ``min(budget, len(sequence))``
+queries.
 
 What each driver draws from its generator, in order, once per trial:
 
@@ -129,8 +140,11 @@ def _prepare(X, budget: int, checkpoint_grid, indices, labels: tuple):
     :class:`Cycle` over the n rows, cut to ``budget`` steps; each row once
     when ``indices`` is None), and the validated checkpoint grid. ``labels``
     is the shape of the labels the steps read, one row per input row. Every
-    check runs before any query."""
+    check runs before any query, and ``X`` is checked to be finite once per
+    run, not per block."""
     X = _as_rows(X)
+    if not np.isfinite(X).all():
+        raise ValueError("X contains non-finite values")
     n = X.shape[0]
     if labels[0] != n:
         raise ValueError(f"labels of shape {labels} do not match X of shape {X.shape}")
@@ -168,14 +182,16 @@ def default_checkpoints(budget: int) -> list[int]:
 
 
 # Steps per averaging window. It divides CHUNK_ROWS, so a window never spans
-# two Gram blocks and the average does not depend on where the blocks are cut.
+# two Gram blocks, and for the same kernel rows the average does not depend on
+# where the blocks are cut. A row's last bits may depend on its block's row
+# count (see the module docstring), which this rule does not change.
 _WINDOW = 256
 
 # Steps per slice of a window whose moves a sign rule's loop scales up front.
 _SLICE = 64
 
-# The most outputs for which a sign rule's slice is scaled one output column at
-# a time. One broadcast (slice, rank, 1) x (slice, 1, m) product runs numpy's
+# The most outputs for which a sphere direction's slice is scaled one output
+# column at a time; basis directions write only their picked column. One broadcast (slice, rank, 1) x (slice, 1, m) product runs numpy's
 # inner loop only m elements long; m products of (slice, rank) run it rank
 # long. At rank 100 the slice cost 1.09, 1.25, 1.29, 1.29 us per step for
 # m = 2..5 broadcast and 0.37, 0.77, 0.78, 1.15 us column by column; from
@@ -231,10 +247,26 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
       ``y - x == y + -x`` exactly in IEEE arithmetic, signed zeros included.
       C is set at the window's end to ``sign * gamma``, which is ``+-gamma``
       or 0 as a move rule records.
+    * A sign rule whose direction is a basis vector (the coordinate median,
+      and passive with its one output) has ``directions(lo, hi)`` return the
+      index of each step's picked output column, as an integer array. The
+      loop builds D and each ``u`` from ``np.eye(m)[picks]``, as before, but
+      fills a slice by writing ``k * gamma`` into the picked column of a
+      buffer that is zeroed once, and zeroes those entries again after the
+      slice; with one output the slice is ``Kw * gamma``. These are the
+      bits of the broadcast fill: ``(k * 1.0) * gamma == k * gamma``, and
+      ``(k * 0.0) * gamma`` is the buffer's +0.0, for finite k >= +0 and
+      gamma > 0. The step's add or subtract of the whole row is unchanged.
 
     With one output the update runs on 1-D operands, the coefficient column
     ``a[:, 0]`` and the row ``kcol``, so no step pays for a (rank, 1)
     broadcast.
+
+    :func:`_prepare` refuses an ``X`` that is not finite, so every kernel
+    value is finite, or the fills above would differ: a NaN row spreads NaN
+    to every output column in the broadcast fill, but only to the picked one
+    in the basis fill. Finite inputs of about 1e200, whose squared distances
+    overflow, still give NaN kernel rows; nothing here guards that case.
 
     The average is summed a window of steps at a time. A window closes at every
     multiple of ``_WINDOW`` (which divides ``CHUNK_ROWS``), at every checkpoint
@@ -266,11 +298,15 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
         ds = [D[j, 0, ...] for j in range(_WINDOW)] if scalar else list(D)
     else:
         # the scaled rows of one slice: a buffer that does not grow with the
-        # budget, where a whole window's rows would add 256 * rank * m floats
-        moves = np.empty((min(steps, _SLICE),) + target.shape)
+        # budget, where a whole window's rows would add 256 * rank * m floats.
+        # Zeroed once: a basis fill writes only its picked entries and zeroes
+        # them again after the slice
+        moves = np.zeros((min(steps, _SLICE),) + target.shape)
         dirs = D if scalar else D[:, None, :]  # a direction per step, against (rank[, m])
         # with a few outputs, one (slice, rank) product per output column
         columns = range(model.output_dim) if 2 <= model.output_dim <= _COLUMNS_MAX else None
+        basis = np.eye(model.output_dim)
+        order = np.arange(_SLICE)  # a slice's step positions, for the basis fill
         us = list(D)
         signs = [0] * _WINDOW
     # every block is built into one buffer, so only one is held at a time and
@@ -284,6 +320,9 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
         shrink = 1.0 - gammas * model.ridge if model.ridge != 0.0 else None
         if directions is not None:
             U = directions(lo, hi)
+            picks = None
+            if U.dtype.kind in "iu":  # each step's picked output column
+                picks, U = U, basis[U]
             scales = gammas.reshape((-1,) + (1,) * target.ndim)
         elif draw is not None:
             draw(lo, hi)
@@ -321,12 +360,19 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
                 for jlo in range(0, n, _SLICE):
                     jhi = min(jlo + _SLICE, n)
                     scaled = moves[:jhi - jlo]
-                    if columns is None:
-                        multiply(rows[jlo:jhi], dirs[jlo:jhi], out=scaled)
+                    picked = None  # the entries a basis fill wrote
+                    if picks is None:
+                        if columns is None:
+                            multiply(rows[jlo:jhi], dirs[jlo:jhi], out=scaled)
+                        else:
+                            for q in columns:
+                                multiply(Kw[jlo:jhi], D[jlo:jhi, q:q + 1], out=scaled[:, :, q])
+                        scaled *= scales[off + jlo:off + jhi]
+                    elif scalar:
+                        multiply(Kw[jlo:jhi], scales[off + jlo:off + jhi], out=scaled)
                     else:
-                        for q in columns:
-                            multiply(Kw[jlo:jhi], D[jlo:jhi, q:q + 1], out=scaled[:, :, q])
-                    scaled *= scales[off + jlo:off + jhi]
+                        picked = (order[:jhi - jlo], slice(None), picks[off + jlo:off + jhi])
+                        scaled[picked] = Kw[jlo:jhi] * gammas[off + jlo:off + jhi, None]
                     for j, s, i, kcol, u, move in zip(range(jlo, jhi),
                                                       range(wlo + jlo, wlo + jhi),
                                                       index[jlo:jhi], Kw[jlo:jhi],
@@ -339,6 +385,8 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
                         elif sign:
                             target -= move
                         signs[j] = sign
+                    if picked is not None:
+                        scaled[picked] = 0.0
                 multiply(signs[:n], gammas[off:off + n], out=C[:n])
             if shrink is None:
                 w = np.arange(n, 0.0, -1.0)
@@ -385,10 +433,8 @@ def run_median_sgd(
         def directions(lo, hi):
             return sample_sphere_batch(rng, m, hi - lo)
     elif direction == "coordinate":
-        basis = np.eye(m)
-
         def directions(lo, hi):
-            return basis[rng.integers(0, m, hi - lo)]
+            return rng.integers(0, m, hi - lo)  # the index of each step's basis vector
     else:
         raise ValueError(f"unknown direction scheme {direction!r}")
     a = model.coefficients
@@ -520,10 +566,10 @@ def run_passive_median(
     V, base = None, 0  # the thresholds of the block that starts at step base
 
     def directions(lo, hi):
-        # every step's direction is the one output's unit vector
+        # every step's direction is the one output's unit vector, column 0
         nonlocal V, base
         V, base = rng.standard_normal(hi - lo), lo
-        return np.ones((hi - lo, 1))
+        return np.zeros(hi - lo, dtype=np.intp)
 
     a0 = model.coefficients[:, 0]
     query = oracle.threshold_query

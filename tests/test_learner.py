@@ -442,6 +442,9 @@ class TestSignRule:
         # coefficients
         ("coordinate", 4, 0.0), ("coordinate", 4, 3.0), ("coordinate", 5, 3.0),
         ("coordinate", 6, 3.0),
+        # a basis direction's slice writes only its picked column: one output
+        # fills the whole row, and 10 is the anchored task's class count
+        ("coordinate", 1, 0.0), ("coordinate", 2, 0.0), ("coordinate", 10, 0.0),
         ("least-squares", 1, 0.0), ("least-squares", 3, 3.0), ("least-squares", 5, 0.0),
         ("passive", 1, 0.0), ("passive", 1, 3.0),
     ])
@@ -577,6 +580,50 @@ class TestLabelsMatchX:
                 else:
                     run_passive_median(X, oracle, sched, zero_model(X[:3]), rng)
         assert oracle.budget_used == 0
+
+
+class TestNonFiniteInputs:
+    """An input that is not finite is refused before any bit: its kernel row
+    would spend every bit and leave a model that is not finite."""
+
+    @staticmethod
+    def inputs(bad):
+        # the representers are finite rows; the bad value sits in another row
+        X = np.random.default_rng(29).random((10, 2))
+        X[7, 1] = bad
+        return X, zero_model(X[:3], 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sign_rule(self, no_bits, bad):
+        X, model = self.inputs(bad)
+        oracle = QueryOracle.for_classification(np.arange(10) % 3 + 1, 3, 10)
+        with pytest.raises(ValueError, match="X contains non-finite values"):
+            run_median_sgd(X, oracle, StepSchedule.decaying(0.3), model,
+                           np.random.default_rng(0), direction="coordinate")
+        assert oracle.budget_used == 0 and not model.coefficients.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_move_rule(self, no_bits, bad):
+        X, model = self.inputs(bad)
+        oracle = QueryOracle.for_classification(np.arange(10) % 3 + 1, 3, 10)
+        with pytest.raises(ValueError, match="X contains non-finite values"):
+            infimum_loss_sgd(X, oracle, StepSchedule.decaying(0.3), model,
+                             np.random.default_rng(0))
+        assert oracle.budget_used == 0 and not model.coefficients.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_full_sgd(self, no_bits, bad):
+        X, model = self.inputs(bad)
+        with pytest.raises(ValueError, match="X contains non-finite values"):
+            run_full_sgd(X, np.zeros((10, 3)), StepSchedule.decaying(0.3), model)
+        assert not model.coefficients.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_model(self, no_bits, bad):
+        reps = np.zeros((3, 2))
+        reps[1, 0] = bad
+        with pytest.raises(ValueError, match="representers contain non-finite values"):
+            zero_model(reps, 3)
 
 
 def reference_case(data, strategy):
