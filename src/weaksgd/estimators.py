@@ -14,7 +14,7 @@ import inspect
 import numpy as np
 
 from . import experiments, surrogate
-from .kernel import KernelModel, KernelSpec, _as_rows, nystrom_representers
+from .kernel import KernelModel, KernelSpec, _as_rows, _unfit_rows, nystrom_representers
 from .learner import StepSchedule
 
 
@@ -26,8 +26,9 @@ def check_array(X) -> np.ndarray:
     X = _as_rows(X)
     if X.shape[0] < 1:
         raise ValueError("X must be a nonempty 2-D array")
-    if not np.isfinite(X).all():
-        raise ValueError("X contains non-finite values")
+    unfit = _unfit_rows(X)
+    if unfit:
+        raise ValueError(f"X contains {unfit}")
     return X
 
 

@@ -134,8 +134,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{name} must be > 0")
     if not 2.0 * cfg.bound < math.inf:  # least-squares draws V from [0, 2 * bound]
         raise ConfigError(f"bound must be > 0 with 2 * bound finite, got {cfg.bound!r}")
-    if cfg.sigma is not None and not cfg.sigma > 0:
-        raise ConfigError("sigma must be > 0")
+    if cfg.sigma is not None:
+        try:
+            KernelSpec(cfg.sigma)
+        except ValueError as exc:
+            raise ConfigError(f"sigma {cfg.sigma!r} is not a kernel bandwidth: {exc}") from None
     if cfg.ridge is not None and cfg.ridge < 0:
         raise ConfigError("ridge must be >= 0")
     if not 0.0 < cfg.train_fraction < 1.0:

@@ -30,8 +30,16 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self):
-        if not 0 < self.bandwidth < np.inf:
-            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        # the kernel divides by 2 sigma^2, computed as kernel_matrix does; a
+        # float bandwidth overflows it above about 1e154 (Python's ** raises
+        # there) and underflows it to 0 below about 1e-162
+        try:
+            two_var = 2.0 * self.bandwidth**2
+        except OverflowError:
+            two_var = np.inf
+        if not (self.bandwidth > 0 and 0 < two_var < np.inf):
+            raise ValueError(f"bandwidth must be finite and > 0, with 2 * bandwidth**2 "
+                             f"finite and > 0, got {self.bandwidth}")
 
 
 def _as_rows(X) -> np.ndarray:
@@ -55,18 +63,41 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
 
 
-def kernel_matrix(spec: KernelSpec, X, Z, out: np.ndarray | None = None) -> np.ndarray:
-    """Gram block k(X_i, Z_j) as an (n, p) array, written into ``out`` when
-    given, so that a caller building block after block can reuse one buffer."""
+def _unfit_rows(X: np.ndarray) -> str | None:
+    """Why the rows of ``X`` cannot be kernel inputs, or None when they can:
+    a value that is not finite, or a squared norm xx for which 4 xx
+    overflows. Below that bound xx + zz and 2 x.z stay finite for any two
+    such rows, so a squared distance xx + zz - 2 x.z is never inf - inf."""
+    if 4.0 * float(np.max(np.einsum("ij,ij->i", X, X), initial=0.0)) < np.inf:
+        return None
+    if not np.isfinite(X).all():
+        return "non-finite values"
+    return "a row whose squared norm is too large (4 * ||x||^2 overflows)"
+
+
+def kernel_matrix(spec: KernelSpec, X, Z, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """Gram block k(X_i, Z_j) as an (n, p) array, written into ``out``.
+
+    ``scratch``, a C-contiguous (n, p) float array, holds the product
+    2 X Z^T on the way. A caller that builds block after block passes the
+    same two buffers each time, so no block-sized array is allocated; a
+    buffer left out is allocated here. The block has the rounding of
+    ``exp(-max(xx_i + zz_j - 2 X Z^T, 0) / (2 sigma^2))``: doubling is
+    exact, so (2 X) Z^T is 2 (X Z^T) bit for bit; xx_i filled into a row and
+    zz_j added is the same IEEE sum as one broadcast add; and -x / c is
+    x / (-c). The product is ``np.dot`` for every feature count: it gives
+    the bits of ``@``, which with one feature costs about 2.5 times as much.
+    """
     X = _as_rows(X)
     Z = _as_rows(Z)
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
-    # built in place, one extra block at a time, with the rounding of
-    # exp(-max(xx + zz - 2 X Z^T, 0) / (2 sigma^2)). Doubling is exact, so
-    # (2 X) Z^T is 2 (X Z^T) bit for bit, and -x / c is x / (-c)
-    d2 = np.add((X * X).sum(axis=1)[:, None], (Z * Z).sum(axis=1)[None, :], out=out)
-    d2 -= (X * 2.0) @ Z.T
+    shape = (X.shape[0], Z.shape[0])
+    d2 = np.empty(shape) if out is None else out
+    np.copyto(d2, (X * X).sum(axis=1)[:, None])
+    d2 += (Z * Z).sum(axis=1)
+    d2 -= np.dot(X * 2.0, Z.T, out=np.empty(shape) if scratch is None else scratch)
     np.maximum(d2, 0.0, out=d2)
     np.divide(d2, -2.0 * spec.bandwidth**2, out=d2)
     return np.exp(d2, out=d2)
@@ -120,8 +151,9 @@ class KernelModel:
             )
         if self.representers.shape[0] < 1:
             raise ValueError("need at least one representer")
-        if not np.isfinite(self.representers).all():
-            raise ValueError("representers contain non-finite values")
+        unfit = _unfit_rows(self.representers)
+        if unfit:
+            raise ValueError(f"representers contain {unfit}")
         if not 0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
@@ -145,14 +177,16 @@ class KernelModel:
         n = X.shape[0]
         pin = self.pinned
         pinned = pin is not None and pin.matches(X, self.representers, self.spec)
-        # every block is built into one buffer, whose pages are reused rather
-        # than faulted in afresh for each block
-        buf = None if pinned else np.empty((min(n, CHUNK_ROWS), self.rank))
+        # every block is built into one buffer and one scratch buffer, whose
+        # pages are reused rather than faulted in afresh for each block
+        if not pinned:
+            buf, scratch = np.empty((2, min(n, CHUNK_ROWS), self.rank))
         out = np.empty((n, self.output_dim))
         for lo in range(0, n, CHUNK_ROWS):
             hi = min(lo + CHUNK_ROWS, n)
             K = (pin.block[lo:hi] if pinned else
-                 kernel_matrix(self.spec, X[lo:hi], self.representers, out=buf[:hi - lo]))
+                 kernel_matrix(self.spec, X[lo:hi], self.representers, out=buf[:hi - lo],
+                               scratch=scratch[:hi - lo]))
             out[lo:hi] = K @ self.coefficients
         return out
 
@@ -167,10 +201,12 @@ class KernelModel:
         """
         X = _as_rows(X).copy()
         reps = self.representers.copy()
-        block = np.empty((X.shape[0], reps.shape[0]))
-        for lo in range(0, X.shape[0], CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            kernel_matrix(self.spec, X[rows], reps, out=block[rows])
+        n = X.shape[0]
+        block = np.empty((n, reps.shape[0]))
+        scratch = np.empty((min(n, CHUNK_ROWS), reps.shape[0]))
+        for lo in range(0, n, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, n)
+            kernel_matrix(self.spec, X[lo:hi], reps, out=block[lo:hi], scratch=scratch[:hi - lo])
         for arr in (X, reps, block):
             arr.flags.writeable = False
         self.pinned = PinnedBlock(X, reps, self.spec, block)

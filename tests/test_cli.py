@@ -55,6 +55,8 @@ class TestExitCodes:
         (("run", "--bound", "inf", "--strategy", "active-least-squares"), "bound"),
         (("run", "--strategy", "least-squares", "--bound", "1e308"), "bound"),
         (("run", "--sigma", "inf"), "sigma"),
+        (("run", "--sigma", "1e200"), "sigma"),
+        (("run", "--sigma", "1e-170"), "sigma"),
         (("run", "--seed", "-1"), "seed"),
         (("run", "--task", "anchor-classification", "--grid-size", "2", "--epsilon", "0.2",
           "--classes", "3"), "grid_size"),
@@ -81,6 +83,7 @@ class TestExitCodes:
         (("run", "--config", "{tmp}/missing.cfg"), "cannot read config:"),
         (("game",), "game needs"),
     ], ids=["run-gamma0", "run-ridge", "run-bound", "run-bound-overflow", "run-sigma",
+            "run-sigma-overflow", "run-sigma-underflow",
             "run-seed", "run-empty-anchor-grid", "run-csv-target",
             "run-csv-no-target", "run-csv-every-column", "run-csv-repeated-target",
             "run-csv-header-twice", "run-no-training-row", "run-one-training-row",

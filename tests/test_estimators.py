@@ -155,6 +155,8 @@ class TestRegressor:
     (WeakSGDClassifier, {"ridge": np.nan}, "ridge"),
     (WeakSGDClassifier, {"gamma0": np.inf}, "gamma0"),
     (WeakSGDRegressor, {"strategy": "least-squares", "bound": 1e308}, "bound"),
+    (WeakSGDRegressor, {"bandwidth": 1e200}, "bandwidth"),
+    (WeakSGDClassifier, {"bandwidth": 1e-170}, "bandwidth"),
 ])
 def test_non_finite_setting_spends_no_bit(no_bits, cls, params, name):
     X, y = sin_data(n=50) if cls is WeakSGDRegressor else blob_data(n=50)
@@ -290,6 +292,12 @@ class TestCheckArray:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             check_array([[np.nan]])
+
+    def test_rejects_rows_whose_squared_norms_overflow(self):
+        # 4 x^2 is finite at x = 6.7e153 and overflows at 6.8e153
+        assert check_array([[6.7e153, 0.0]]).shape == (1, 2)
+        with pytest.raises(ValueError, match="X contains a row whose squared norm is too large"):
+            check_array([[1.0, 0.0], [6.8e153, 0.0]])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

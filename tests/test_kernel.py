@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -80,25 +81,57 @@ class TestKernelEval:
         # the in-place block keeps the rounding of the plain expression
         rng = np.random.default_rng(2)
         # and the shapes the drivers build: a full block at d = 1, rank 64 or
-        # 100, inputs of dimension 1 to 20
-        for n, p, d in ((1, 1, 1), (37, 11, 1), (50, 20, 7), (2048, 100, 1), (40, 64, 1),
-                        (40, 100, 4), (40, 100, 20)):
+        # 100, inputs of dimension 1 to 64, one or two rows (BLAS may take
+        # another path) and a last block's 511 rows; each with rows apart
+        # from the representers and with rows equal to them (zero distances)
+        shapes = ((1, 1, 1), (37, 11, 1), (50, 20, 7), (2048, 100, 1), (40, 64, 1),
+                  (40, 100, 4), (40, 100, 20), (40, 100, 64), (1, 100, 4), (1, 100, 64),
+                  (2, 100, 20), (2, 64, 64), (511, 100, 1), (511, 100, 20), (512, 100, 1),
+                  (512, 64, 4), (512, 100, 64))
+        for (n, p, d), same in itertools.product(shapes, (False, True)):
             X, Z = rng.standard_normal((n, d)), rng.standard_normal((p, d))
+            if same:
+                X[:min(n, p)] = Z[:min(n, p)]
             d2 = ((X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :]
                   - 2.0 * (X @ Z.T))
             expected = np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.bandwidth**2))
             assert kernel_matrix(spec, X, Z).tobytes() == expected.tobytes()
-            # the same bits when built into the leading rows of a used buffer
-            buf = np.full((n + 2, p), np.nan)
-            rows = buf[:n]
-            assert kernel_matrix(spec, X, Z, out=rows) is rows
-            assert rows.tobytes() == expected.tobytes()
-            assert np.isnan(buf[n:]).all()
+            # the same bits when built into the leading rows of used buffers,
+            # with and without the scratch buffer
+            scratch = np.full((n + 3, p), np.nan)
+            for buffers in ({}, {"scratch": scratch[:n]}):
+                buf = np.full((n + 2, p), np.nan)
+                rows = buf[:n]
+                assert kernel_matrix(spec, X, Z, out=rows, **buffers) is rows
+                assert rows.tobytes() == expected.tobytes()
+                assert np.isnan(buf[n:]).all()
+            assert np.isnan(scratch[n:]).all()
+            assert kernel_matrix(spec, X, Z, scratch=scratch[:n]).tobytes() == expected.tobytes()
+
+    def test_a_block_built_into_the_callers_buffers_allocates_no_block(self, spec):
+        # 512 x 100 floats are 0.41 MB; the inputs' products and norms, about
+        # 0.1 MB at d = 20, are all that is left to allocate
+        rng = np.random.default_rng(3)
+        X, Z = rng.standard_normal((512, 20)), rng.standard_normal((100, 20))
+        out, scratch = np.empty((2, 512, 100))
+        tracemalloc.start()
+        try:
+            kernel_matrix(spec, X, Z, out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25e6
 
     def test_bad_spec(self):
-        for bandwidth in (0.0, -1.0, np.inf, np.nan):
+        # 2 sigma^2 overflows at 1e200 and underflows to 0 at 1e-170
+        for bandwidth in (0.0, -1.0, np.inf, np.nan, 1e200, 1e-170):
             with pytest.raises(ValueError, match="bandwidth must be finite"):
                 KernelSpec(bandwidth=bandwidth)
+        # a subnormal 2 sigma^2 still gives finite kernel values (the last
+        # one's exponent overflows to -inf)
+        with np.errstate(over="ignore"):
+            K = kernel_matrix(KernelSpec(1e-155), [[0.0], [1e-155], [1.0]], [[0.0]])
+        assert K[:, 0].tolist() == [1.0, pytest.approx(math.exp(-0.5), rel=1e-9), 0.0]
 
     @pytest.mark.parametrize("ridge", [-1e-3, np.inf, np.nan])
     def test_bad_ridge(self, spec, ridge):

@@ -625,6 +625,54 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="representers contain non-finite values"):
             zero_model(reps, 3)
 
+    @staticmethod
+    def border():
+        """The largest x whose 4 x^2 is finite: rows [x] and [-x] are kernel
+        inputs, 4 x^2 apart, and the next float up is not."""
+        x = math.sqrt(np.finfo(float).max / 4.0)
+        while 4.0 * (x * x) < math.inf:
+            x = math.nextafter(x, math.inf)
+        while not 4.0 * (x * x) < math.inf:
+            x = math.nextafter(x, 0.0)
+        return x
+
+    @pytest.mark.parametrize("driver", ["sign-rule", "move-rule", "full-sgd"])
+    def test_a_row_past_the_squared_norm_bound(self, no_bits, driver):
+        # its squared distances to other rows would be inf - inf = NaN
+        X, model = self.inputs(math.nextafter(self.border(), math.inf))
+        oracle = QueryOracle.for_classification(np.arange(10) % 3 + 1, 3, 10)
+        schedule, rng = StepSchedule.decaying(0.3), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="X contains a row whose squared norm is too large"):
+            if driver == "sign-rule":
+                run_median_sgd(X, oracle, schedule, model, rng, direction="coordinate")
+            elif driver == "move-rule":
+                infimum_loss_sgd(X, oracle, schedule, model, rng)
+            else:
+                run_full_sgd(X, np.zeros((10, 3)), schedule, model)
+        assert oracle.budget_used == 0 and not model.coefficients.any()
+
+    def test_model_past_the_squared_norm_bound(self, no_bits):
+        reps = np.zeros((3, 2))
+        reps[1, 0] = math.nextafter(self.border(), math.inf)
+        with pytest.raises(ValueError, match="representers contain a row whose squared norm"):
+            zero_model(reps, 3)
+
+    def test_rows_at_the_squared_norm_bound_train_a_finite_model(self):
+        b = self.border()
+        X = np.array([[b], [-b], [0.0], [1.0]] * 4)
+        model = zero_model(X[:4], 3)
+        oracle = QueryOracle.for_classification(np.arange(16) % 3 + 1, 3, 16)
+        # a squared distance of 4 b^2 over 2 sigma^2 may overflow to -inf,
+        # which exp takes to 0; inf - inf would be invalid
+        with np.errstate(over="ignore", invalid="raise"):
+            K = kernel_matrix(model.spec, X[:4], model.representers)
+            report = run_median_sgd(X, oracle, StepSchedule.decaying(0.3), model,
+                                    np.random.default_rng(0), direction="coordinate")
+        assert np.diag(K).tolist() == [1.0] * 4 and K[0, 1] == K[1, 0] == 0.0
+        assert oracle.budget_used == 16
+        assert np.isfinite(report.final_model.coefficients).all()
+        assert np.isfinite(report.averaged_model.coefficients).all()
+
 
 def reference_case(data, strategy):
     """One drawn driver run and its plain reference run (``tests/reference.py``):
@@ -759,9 +807,9 @@ def chunked_run(name, chunk_rows, monkeypatch):
     sched = StepSchedule.decaying(0.4)
     blocks = []
 
-    def counted(spec, rows, reps, out=None):
+    def counted(spec, rows, reps, out=None, scratch=None):
         blocks.append(len(rows))
-        return kernel_matrix(spec, rows, reps, out=out)
+        return kernel_matrix(spec, rows, reps, out=out, scratch=scratch)
 
     asked = []
     if name == "least-squares-3":
