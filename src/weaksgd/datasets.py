@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import CHUNK_ROWS, _as_rows
+from . import kernel
 
 
 class ParseError(ValueError):
@@ -43,7 +43,7 @@ class LabeledDataset:
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
         if self.n_classes is None:
-            self.targets = _as_rows(self.targets)
+            self.targets = kernel._as_rows(self.targets)
             if self.targets.shape[0] != self.n:
                 raise ValueError("features and targets disagree on n")
             return
@@ -465,11 +465,11 @@ def gen_anchor_classification(n: int, n_classes: int, band_halfwidth: float,
         xs = np.concatenate([xs, cand])
     xs = xs[:n]
     # the class law, its cumulative sum and the label draws one block of
-    # CHUNK_ROWS samples at a time: the same draws, and so the same labels, as
-    # one draw for all n
+    # kernel.CHUNK_ROWS samples at a time: the same draws, and so the same
+    # labels, as one draw for all n
     y = np.empty(n, dtype=int)
-    for lo in range(0, n, CHUNK_ROWS):
-        cum = np.cumsum(anchor_conditional(xs[lo:lo + CHUNK_ROWS], n_classes), axis=1)
+    for lo in range(0, n, kernel.CHUNK_ROWS):
+        cum = np.cumsum(anchor_conditional(xs[lo:lo + kernel.CHUNK_ROWS], n_classes), axis=1)
         draws = rng.random(cum.shape[0])
-        y[lo:lo + CHUNK_ROWS] = (draws[:, None] >= cum).sum(axis=1) + 1
+        y[lo:lo + kernel.CHUNK_ROWS] = (draws[:, None] >= cum).sum(axis=1) + 1
     return LabeledDataset(xs[:, None], y, n_classes)

@@ -42,7 +42,7 @@ from .evaluation import (
 )
 from .kernel import KernelModel, KernelSpec, nystrom_representers
 from .learner import StepSchedule, default_checkpoints
-from .oracle import QueryOracle, _whole_budget
+from .oracle import QueryOracle, _whole
 
 FILE_TASKS = ("libsvm", "csv-regression")  # the tasks that read an input file
 TASKS = ("sin-regression", "anchor-classification") + FILE_TASKS
@@ -204,7 +204,7 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
     n = len(labels)
     if len(X) != n:
         raise ValueError(f"X has {len(X)} rows but there are {n} labels")
-    budget = _whole_budget(budget)
+    budget = _whole(budget, "budget")
     indices = learner.Cycle(n, budget)  # built a block of steps at a time
     if strategy == "full-sgd":
         return learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)

@@ -10,15 +10,16 @@ which is what makes the single-bit gradient updates exact:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Rows of a kernel block built at a time: 512 x rank floats (0.4 MB at rank
-# 100), so neither training nor prediction memory grows with the row count;
-# training also draws its randomness and builds its step sizes and sample
-# indices a block at a time. 256-row blocks lowered the estimator benchmark's
-# peak RSS by only 0.25 MB more, for twice the block calls
+# The package's one block size, read here by every module when it runs: rows
+# of a kernel block built at a time, 512 x rank floats (0.4 MB at rank 100), so
+# memory does not grow with the row count; training and the generators draw a
+# block at a time too. 256-row blocks lowered the estimator benchmark's peak
+# RSS by only 0.25 MB more, for twice the block calls
 CHUNK_ROWS = 512
 
 
@@ -99,7 +100,9 @@ def kernel_matrix(spec: KernelSpec, X, Z, out: np.ndarray | None = None,
     d2 += (Z * Z).sum(axis=1)
     d2 -= np.dot(X * 2.0, Z.T, out=np.empty(shape) if scratch is None else scratch)
     np.maximum(d2, 0.0, out=d2)
-    np.divide(d2, -2.0 * spec.bandwidth**2, out=d2)
+    # a tiny bandwidth overflows the quotient to -inf, whose exp is the right 0
+    with np.errstate(over="ignore"):
+        np.divide(d2, -2.0 * spec.bandwidth**2, out=d2)
     return np.exp(d2, out=d2)
 
 
@@ -141,14 +144,7 @@ class KernelModel:
 
     def __post_init__(self):
         self.representers = _as_rows(self.representers)
-        self.coefficients = np.ascontiguousarray(self.coefficients, dtype=float)
-        if self.coefficients.ndim != 2:
-            raise ValueError("coefficients must be a 2-D (rank, output_dim) array")
-        if self.representers.shape[0] != self.coefficients.shape[0]:
-            raise ValueError(
-                f"rank mismatch: {self.representers.shape[0]} representers, "
-                f"{self.coefficients.shape[0]} coefficient rows"
-            )
+        self.coefficients = self._checked(np.ascontiguousarray(self.coefficients, dtype=float))
         if self.representers.shape[0] < 1:
             raise ValueError("need at least one representer")
         unfit = _unfit_rows(self.representers)
@@ -211,11 +207,20 @@ class KernelModel:
             arr.flags.writeable = False
         self.pinned = PinnedBlock(X, reps, self.spec, block)
 
+    def _checked(self, coefficients: np.ndarray) -> np.ndarray:
+        """``coefficients`` after checking that they hold one row per representer."""
+        if coefficients.ndim != 2:
+            raise ValueError("coefficients must be a 2-D (rank, output_dim) array")
+        if coefficients.shape[0] != self.rank:
+            raise ValueError(f"rank mismatch: {self.rank} representers, "
+                             f"{coefficients.shape[0]} coefficient rows")
+        return coefficients
+
     def with_coefficients(self, coefficients: np.ndarray) -> "KernelModel":
-        """A model with these coefficients, sharing representers and pinned block."""
-        snap = KernelModel(self.representers, np.array(coefficients, dtype=float), self.spec,
-                           self.ridge)
-        snap.pinned = self.pinned
+        """A model with its own float copy of these coefficients, checked, that
+        shares this checked model's representers, spec, ridge and pinned block."""
+        snap = copy.copy(self)
+        snap.coefficients = self._checked(np.array(coefficients, dtype=float, order="C"))
         return snap
 
 

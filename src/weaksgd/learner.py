@@ -6,15 +6,15 @@ step. Checkpoint risks are evaluated on the average of the iterates, which no
 step reads. So the loop records each step's move and sums the iterates a
 window of steps at a time, in one product with the window's kernel rows. A
 window closes at every multiple of 256 steps, at every checkpoint and at the
-end of every Gram block; 256 divides ``CHUNK_ROWS``, so the windows do not
-depend on where the blocks are cut, and given the same kernel rows neither
-does the average. The kernel rows themselves may: a row's last bits can
-depend on how many rows its block holds (BLAS takes another path for a
-one-row block, and at d = 64 blocks of 2 to 88 rows round otherwise too), so
-a run of B steps is not always a bit-exact prefix of a longer run. A driver
-draws its randomness a block of steps at a time, as the loop reaches the
-block, and supplies only a *bit rule*, one oracle call per step, of one of two
-kinds:
+end of every Gram block; 256 divides ``kernel.CHUNK_ROWS``, the package's one
+block size, so the windows do not depend on where the blocks are cut, and
+given the same kernel rows neither does the average. The kernel rows
+themselves may: a row's last bits can depend on how many rows its block holds
+(BLAS takes another path for a one-row block, and at d = 64 blocks of 2 to 88
+rows round otherwise too), so a run of B steps is not always a bit-exact
+prefix of a longer run. A driver draws its randomness a block of steps at a
+time, as the loop reaches the block, and supplies only a *bit rule*, one
+oracle call per step, of one of two kinds:
 
 * a *sign rule* (median, least squares, passive), whose direction is drawn
   before the bit: the driver hands the loop its direction rows, and the rule
@@ -61,9 +61,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .geometry import _normals, sample_sphere_batch
-from .kernel import CHUNK_ROWS, KernelModel, _as_rows, _unfit_rows, kernel_matrix
-from .oracle import QueryOracle
+from .kernel import KernelModel, _as_rows, _unfit_rows, kernel_matrix
+from .oracle import QueryOracle, _whole
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,8 @@ class Cycle:
     steps: int
 
     def __post_init__(self):
-        for name, value in (("n", self.n), ("steps", self.steps)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValueError(f"Cycle {name} must be a whole number >= 0, got {value!r}")
+        _whole(self.n, "Cycle n")
+        _whole(self.steps, "Cycle steps")
         if self.steps and not self.n:
             raise ValueError(f"a Cycle of {self.steps} steps has no row to walk")
 
@@ -157,16 +157,11 @@ def _prepare(X, budget: int, checkpoint_grid, indices, labels: tuple):
     elif indices.n != n:
         raise ValueError(f"a Cycle over {indices.n} rows cannot walk X of shape {X.shape}")
     steps = min(int(budget), indices.steps)
-    if checkpoint_grid is None:
-        grid: list[int] = []
-    else:
-        grid = [int(c) for c in checkpoint_grid]
-        if any(c < 1 for c in grid) or sorted(set(grid)) != grid:
-            raise ValueError("checkpoint grid must be strictly increasing positive ints")
-        if grid and grid[-1] > steps:
-            raise ValueError(
-                f"checkpoint {grid[-1]} exceeds the {steps} steps this run can take"
-            )
+    grid = [] if checkpoint_grid is None else [int(c) for c in checkpoint_grid]
+    if any(c < 1 for c in grid) or sorted(set(grid)) != grid:
+        raise ValueError("checkpoint grid must be strictly increasing positive ints")
+    if grid and grid[-1] > steps:
+        raise ValueError(f"checkpoint {grid[-1]} exceeds the {steps} steps this run can take")
     return X, Cycle(n, steps), grid
 
 
@@ -183,7 +178,7 @@ def default_checkpoints(budget: int) -> list[int]:
     return grid
 
 
-# Steps per averaging window. It divides CHUNK_ROWS, so a window never spans
+# Steps per averaging window. It divides kernel.CHUNK_ROWS, so a window never spans
 # two Gram blocks, and for the same kernel rows the average does not depend on
 # where the blocks are cut. A row's last bits may depend on its block's row
 # count (see the module docstring), which this rule does not change.
@@ -219,7 +214,7 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
              queries: int, directions=None, draw=None) -> TrainReport:
     """The step loop shared by every driver.
 
-    The loop runs in blocks of ``CHUNK_ROWS`` steps, and holds the state of one
+    The loop runs in blocks of ``kernel.CHUNK_ROWS`` steps, and holds the state of one
     block at a time. At the start of the block of steps lo to hi - 1 it builds
     their kernel rows, their step sizes and, from ``used[lo:hi]``, their sample
     indices, and the driver draws the block's randomness: ``directions(lo,
@@ -272,7 +267,7 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     in the broadcast fill, but only to the picked one in the basis fill.
 
     The average is summed a window of steps at a time. A window closes at every
-    multiple of ``_WINDOW`` (which divides ``CHUNK_ROWS``), at every checkpoint
+    multiple of ``_WINDOW`` (which divides ``kernel.CHUNK_ROWS``), at every checkpoint
     and at every block end. The iterates of a window of n steps that starts
     from ``start`` sum to ``lead * start + Kw.T @ ((w * C)[:, None] * D)``,
     where ``Kw`` holds the window's kernel rows, w the :func:`_tail_sums` of its
@@ -316,10 +311,10 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     # buffer, so only one is held at a time and their pages are reused rather
     # than faulted in afresh for each block. Two arrays, not one of shape
     # (2, rows, rank): perfbench read its peak RSS 0.2-0.5 MB higher with one
-    gram = np.empty((min(steps, CHUNK_ROWS), model.rank))
+    gram = np.empty((min(steps, kernel.CHUNK_ROWS), model.rank))
     scratch = np.empty_like(gram)
-    for lo in range(0, steps, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, steps)
+    for lo in range(0, steps, kernel.CHUNK_ROWS):
+        hi = min(lo + kernel.CHUNK_ROWS, steps)
         samples = used[lo:hi]
         K = kernel_matrix(model.spec, X[samples], model.representers, out=gram[:hi - lo],
                           scratch=scratch[:hi - lo])
@@ -480,8 +475,8 @@ def run_least_squares_sgd(
     # V is drawn after the whole of U: a copy of the generator draws and
     # discards U's blocks to reach V's start, then draws V a block at a time
     ahead = copy.deepcopy(rng)
-    for lo in range(0, steps, CHUNK_ROWS):
-        _normals(ahead, m, min(CHUNK_ROWS, steps - lo))
+    for lo in range(0, steps, kernel.CHUNK_ROWS):
+        _normals(ahead, m, min(kernel.CHUNK_ROWS, steps - lo))
     V, base = None, 0  # the thresholds of the block that starts at step base
 
     def directions(lo, hi):

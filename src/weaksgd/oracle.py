@@ -43,7 +43,7 @@ class QueryOracle:
         ``labels``: (n, m) real targets, or (n,) classes 1..n_classes."""
         if mode not in ("streaming", "resampling"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.budget_total = _whole_budget(budget)
+        self.budget_total = _whole(budget, "budget")
         self.budget_used = 0
         self.mode = mode
         self.query_log: list[tuple[int, int, str, int]] | None = [] if record_log else None
@@ -201,14 +201,14 @@ class QueryOracle:
 _FLOAT = np.dtype(float)
 
 
-def _whole_budget(budget) -> int:
-    """``budget`` as an int, after checking that it is a whole number (a
-    Python or numpy integer, not a bool) and not negative."""
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
-        raise TypeError(f"budget must be an integer, got {budget!r}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return int(budget)
+def _whole(value, name: str) -> int:
+    """``value`` as an int: the one whole-number rule, for budgets and ``Cycle``
+    counts. A bool or non-integer raises ``TypeError``, a negative ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return int(value)
 
 
 def _vector(v) -> np.ndarray:

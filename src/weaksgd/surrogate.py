@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .game import class_distribution
 from .geometry import geometric_median
-from .kernel import CHUNK_ROWS, KernelModel
 from .learner import StepSchedule, TrainReport, _descend, _prepare
 from .learner import run_median_sgd  # noqa: F401  kept: perfbench/layers.py wraps this site
 from .oracle import QueryOracle
@@ -35,7 +35,7 @@ def random_proper_subsets(rng: np.random.Generator, n_classes: int, count: int) 
     array: each class is an independent fair coin flip, and a row that is
     empty or full is dropped and drawn again.
 
-    The rows are drawn in blocks of at most ``CHUNK_ROWS``, each asking only
+    The rows are drawn in blocks of at most ``kernel.CHUNK_ROWS``, each asking only
     for the rows still missing. A fair int64 coin is one 32-bit draw that the
     sampler never rejects, so the blocks read the generator exactly as one
     ``rng.integers(0, 2, n_classes)`` per row, redrawn until proper, would.
@@ -45,7 +45,7 @@ def random_proper_subsets(rng: np.random.Generator, n_classes: int, count: int) 
     sets = np.empty((count, n_classes), dtype=bool)
     filled = 0
     while filled < count:
-        block = rng.integers(0, 2, (min(count - filled, CHUNK_ROWS), n_classes)).astype(bool)
+        block = rng.integers(0, 2, (min(count - filled, kernel.CHUNK_ROWS), n_classes)) > 0
         size = np.count_nonzero(block, axis=1)
         block = block[(size > 0) & (size < n_classes)]
         sets[filled:filled + len(block)] = block
@@ -57,7 +57,7 @@ def infimum_loss_sgd(
     X,
     oracle: QueryOracle,
     schedule: StepSchedule,
-    model: KernelModel,
+    model: kernel.KernelModel,
     rng: np.random.Generator,
     checkpoint_grid=None,
     evaluate=None,

@@ -7,7 +7,7 @@ labels, for full-sgd), shrinks the coefficients by 1 - gamma(t) * ridge,
 moves them by one outer product of k with the step's direction, and adds the
 iterate to a running sum for the average. It builds the kernel rows, and
 draws its randomness with the package's samplers, one block of
-``CHUNK_ROWS`` steps at a time, in the order each driver documents: a block
+``kernel.CHUNK_ROWS`` steps at a time, in the order each driver documents: a block
 of one row takes another BLAS path than the same row in a larger block, and
 its bits can differ. It has no windows, no slices and no branch for one
 output.
@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from weaksgd.geometry import sample_sphere_batch
-from weaksgd.kernel import CHUNK_ROWS, kernel_matrix
+from weaksgd import kernel
+from weaksgd.kernel import kernel_matrix
 from weaksgd.surrogate import random_proper_subsets
 
 STRATEGIES = ("median", "coordinate", "least-squares", "passive", "full-sgd", "infimum-loss")
@@ -27,8 +28,8 @@ STRATEGIES = ("median", "coordinate", "least-squares", "passive", "full-sgd", "i
 def _blocks(steps, build):
     """One row per step, from ``build(lo, hi)`` called for each block of the
     steps lo to hi - 1 in turn."""
-    return [row for lo in range(0, steps, CHUNK_ROWS)
-            for row in build(lo, min(lo + CHUNK_ROWS, steps))]
+    return [row for lo in range(0, steps, kernel.CHUNK_ROWS)
+            for row in build(lo, min(lo + kernel.CHUNK_ROWS, steps))]
 
 
 def run(strategy, X, source, schedule, model, rng, rows, grid, bound):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from weaksgd.experiments import ConfigError, config_from_mapping
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +43,19 @@ class TestExitCodes:
     def test_malformed_command_line_is_config_error(self, capsys, argv):
         assert exit_code(*argv) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_a_tiny_valid_bandwidth_runs_without_a_warning(self, tmp_path):
+        # 2 sigma^2 = 2e-310: far pairs overflow the kernel's quotient to -inf,
+        # whose exp is the right 0. Run in a fresh interpreter, whose stderr
+        # shows any warning numpy prints
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        done = subprocess.run(
+            [sys.executable, "-m", "weaksgd.cli", "run", "--task", "sin-regression",
+             "--budget", "16", "--trials", "1", "--sigma", "1e-155",
+             "--outdir", str(tmp_path / "tiny")],
+            capture_output=True, text=True, env={**env, "PYTHONPATH": str(SRC)})
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "tiny" / "curve.csv").exists()
 
     def test_malformed_run_flag_fails_like_the_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg"

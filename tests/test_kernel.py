@@ -129,9 +129,18 @@ class TestKernelEval:
                 KernelSpec(bandwidth=bandwidth)
         # a subnormal 2 sigma^2 still gives finite kernel values (the last
         # one's exponent overflows to -inf)
-        with np.errstate(over="ignore"):
-            K = kernel_matrix(KernelSpec(1e-155), [[0.0], [1e-155], [1.0]], [[0.0]])
+        K = kernel_matrix(KernelSpec(1e-155), [[0.0], [1e-155], [1.0]], [[0.0]])
         assert K[:, 0].tolist() == [1.0, pytest.approx(math.exp(-0.5), rel=1e-9), 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_tiny_bandwidth_warns_nothing(self):
+        # 2 sigma^2 = 2e-310 is valid; every pair of distinct rows overflows its
+        # quotient to -inf, whose exp is the right 0. Whole-number rows make
+        # the diagonal's squared distances exactly 0
+        X = np.array([[0.0], [1.0], [3.0], [-2.0]])
+        K = kernel_matrix(KernelSpec(1e-155), X, X)
+        assert np.diag(K).tolist() == [1.0] * 4
+        assert not K[~np.eye(4, dtype=bool)].any()
 
     @pytest.mark.parametrize("ridge", [-1e-3, np.inf, np.nan])
     def test_bad_ridge(self, spec, ridge):
@@ -406,7 +415,7 @@ class TestAveragedModel:
 
     @pytest.mark.parametrize("ridge", [0.0, 0.25])
     def test_blocks_of_six_rows_match_the_mean_of_the_iterates(self, ridge, monkeypatch):
-        monkeypatch.setattr(learner, "CHUNK_ROWS", 6)
+        monkeypatch.setattr(kernel, "CHUNK_ROWS", 6)
         grid = [255, 257, 300]
         report, want = far_apart_walk(601, grid, ridge, seed=1)
         for t, got in [*report.checkpoints, (601, report.averaged_model.coefficients)]:
@@ -558,6 +567,33 @@ class TestPinnedPoints:
         points[0, 0] += 1.0  # the caller's array changes; the pin kept its own copy
         model.predict_batch(points)
         assert len(matrix_calls) == built + 1
+
+    def test_a_snapshot_runs_no_model_check(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        _, model = pinned_pair(rng.standard_normal((4, 1)), 3, KernelSpec(0.4),
+                               midpoint_grid(16))
+        model.ridge = 0.1
+        calls = []
+        unfit = kernel._unfit_rows
+        monkeypatch.setattr(kernel, "_unfit_rows", lambda X: calls.append(X) or unfit(X))
+        given = np.arange(12).reshape(4, 3)
+        snap = model.with_coefficients(given)
+        assert calls == []
+        assert snap.pinned is model.pinned and snap.representers is model.representers
+        assert (snap.spec, snap.ridge) == (model.spec, 0.1)
+        # its own float copy: neither the given array nor the model's moves it
+        assert snap.coefficients.dtype == float and snap.coefficients.flags.c_contiguous
+        given[0, 0] = 99
+        model.coefficients[:] = 5.0
+        assert snap.coefficients.tolist() == np.arange(12.0).reshape(4, 3).tolist()
+
+    @pytest.mark.parametrize("coefficients", [np.ones(4), np.ones((3, 2)), np.ones((4, 2, 1)),
+                                              np.ones((5, 2)).T],
+                             ids=["1-D", "3 rows", "3-D", "2 rows"])
+    def test_a_snapshot_refuses_coefficients_of_another_shape(self, coefficients):
+        model = KernelModel.zeros(np.zeros((4, 1)), 2, KernelSpec(0.4))
+        with pytest.raises(ValueError, match="2-D|rank mismatch"):
+            model.with_coefficients(coefficients)
 
     def test_snapshots_share_the_pin_copies(self):
         rng = np.random.default_rng(5)

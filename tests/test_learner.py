@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaksgd import learner
+from weaksgd import datasets, kernel, learner, surrogate
 from weaksgd.datasets import gen_sin_regression, parse_csv_regression, parse_libsvm, sin_target
 from weaksgd.evaluation import excess_risk_noiseless
 from weaksgd.experiments import train
@@ -779,7 +779,7 @@ class TestBudgetExactness:
             assert report.queries_used == expected
 
 
-CHUNK = learner.CHUNK_ROWS
+CHUNK = kernel.CHUNK_ROWS
 TAIL = CHUNK // 2 + 5  # a partial block, cut by a window end
 CHUNKED_STEPS = 3 * CHUNK + TAIL  # three whole blocks and a partial tail
 
@@ -818,7 +818,7 @@ def chunked_run(name, chunk_rows, monkeypatch):
             return query(i, u, c)
 
         oracle.threshold_query = ask
-    monkeypatch.setattr(learner, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(kernel, "CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(learner, "kernel_matrix", counted)
     before = rng.bit_generator.state
     if name == "median":
@@ -912,10 +912,12 @@ class TestChunkedGram:
             run_full_sgd(X, np.sin(X), StepSchedule.decaying(0.3), zero_model(X[:4]),
                          indices=walk)
 
-    @pytest.mark.parametrize("n,steps", [(1.0, 3), (3, 2.5), (True, 3), (3, -1), (-1, 3),
-                                         (0, 5)])
-    def test_a_cycle_walks_whole_steps_over_whole_rows(self, n, steps):
-        with pytest.raises(ValueError, match="Cycle (n|steps) must be a whole|no row to walk"):
+    @pytest.mark.parametrize("n,steps,error", [
+        (1.0, 3, TypeError), (3, 2.5, TypeError), (True, 3, TypeError),
+        (3, -1, ValueError), (-1, 3, ValueError), (0, 5, ValueError),
+    ], ids=["1.0-3", "3-2.5", "True-3", "3--1", "-1-3", "0-5"])
+    def test_a_cycle_walks_whole_steps_over_whole_rows(self, n, steps, error):
+        with pytest.raises(error, match="Cycle (n|steps) must be|no row to walk"):
             learner.Cycle(n, steps)
 
     def test_an_empty_cycle_takes_no_step(self):
@@ -967,3 +969,74 @@ class TestChunkedGram:
     def test_train_peak_is_far_below_the_whole_gram_block(self, strategy, m):
         # the whole 2^16 x 256 Gram block alone would be 134 MB
         assert self.train_peak(strategy, 2**16, m, 256) < 24e6
+
+
+class TestOneBlockSize:
+    """``kernel.CHUNK_ROWS`` is the package's one block size: set there alone,
+    every blocked loop follows it, and no other module binds a copy."""
+
+    def test_no_other_module_binds_it(self):
+        for module in (learner, datasets, surrogate):
+            assert "CHUNK_ROWS" not in vars(module), module.__name__
+
+    def test_a_least_squares_run_follows_it_and_steps_as_the_reference(self, monkeypatch):
+        monkeypatch.setattr(kernel, "CHUNK_ROWS", 6)
+        blocks = []
+
+        def counted(spec, rows, reps, out=None, scratch=None):
+            blocks.append(len(rows))
+            return kernel_matrix(spec, rows, reps, out=out, scratch=scratch)
+
+        monkeypatch.setattr(learner, "kernel_matrix", counted)
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((20, 2))
+        Y = np.sin(X[:, :1] + np.arange(3)) + 0.3 * rng.standard_normal((20, 3))
+        model = KernelModel.zeros(X[:5], 3, KernelSpec(1.0), ridge=1e-3)
+        oracle, ref_oracle = (QueryOracle.for_regression(Y, 20, record_log=True)
+                              for _ in range(2))
+        sched, grid, ref_rng = StepSchedule.decaying(0.5), [5, 13, 20], copy.deepcopy(rng)
+        # the reference's U, then V, are drawn in blocks of 6 too, and it builds
+        # its kernel rows without the counted site
+        last, mean, checkpoints = reference.run("least-squares", X, ref_oracle, sched, model,
+                                                ref_rng, list(range(20)), grid, 0.5)
+        report = run_least_squares_sgd(X, oracle, sched, model, rng, 0.5, checkpoint_grid=grid)
+        assert blocks == [6, 6, 6, 2]
+        assert same_bits(report.final_model.coefficients, last)
+        assert np.abs(last).max() > 0
+        assert close(report.averaged_model.coefficients, mean)
+        for (t, got), (_, want) in zip(report.checkpoints, checkpoints, strict=True):
+            assert close(got, want), t
+        assert oracle.query_log == ref_oracle.query_log
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_the_anchored_generator_follows_it(self, monkeypatch):
+        monkeypatch.setattr(kernel, "CHUNK_ROWS", 6)
+        calls = []
+        law = datasets.anchor_conditional
+        monkeypatch.setattr(datasets, "anchor_conditional",
+                            lambda x, m: calls.append(np.size(x)) or law(x, m))
+        blocked = datasets.gen_anchor_classification(13, 4, 0.05, np.random.default_rng(3))
+        assert calls == [6, 6, 1]
+        monkeypatch.setattr(kernel, "CHUNK_ROWS", 512)
+        whole = datasets.gen_anchor_classification(13, 4, 0.05, np.random.default_rng(3))
+        assert blocked.targets.tobytes() == whole.targets.tobytes()
+
+    def test_the_class_set_draws_follow_it(self, monkeypatch):
+        monkeypatch.setattr(kernel, "CHUNK_ROWS", 6)
+
+        class Counted:
+            """A generator that records the row count of each integer draw."""
+
+            def __init__(self, seed):
+                self.rng, self.rows = np.random.default_rng(seed), []
+
+            def integers(self, lo, hi, size):
+                self.rows.append(size[0])
+                return self.rng.integers(lo, hi, size)
+
+        blocked = Counted(5)
+        sets = surrogate.random_proper_subsets(blocked, 3, 20)
+        assert blocked.rows[0] == 6 and max(blocked.rows) <= 6
+        whole = np.random.default_rng(5)
+        assert np.array_equal(sets, surrogate.random_proper_subsets(whole, 3, 20))
+        assert blocked.rng.random() == whole.random()

@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
 import spans  # noqa: E402
 
-from weaksgd import kernel, learner  # noqa: E402
+from weaksgd import kernel  # noqa: E402
 from weaksgd.estimators import WeakSGDClassifier, WeakSGDRegressor  # noqa: E402
 from weaksgd.experiments import TASK_STRATEGIES, ExperimentConfig, run_curve  # noqa: E402
 from weaksgd.learner import default_checkpoints  # noqa: E402
@@ -60,12 +60,17 @@ def test_run_curve_charges_each_strategy_its_steps(tracer, task, strategy):
 
 
 # the default block size, a larger one and a small one
-@pytest.mark.parametrize("chunk_rows", [learner.CHUNK_ROWS, 2048, 6])
+@pytest.mark.parametrize("chunk_rows", [kernel.CHUNK_ROWS, 2048, 6])
 @pytest.mark.parametrize("task,strategy", PAIRS)
 def test_run_curve_call_counts(tracer, monkeypatch, task, strategy, chunk_rows):
     # each checkpoint evaluates through one prediction against the trial's pinned
-    # block; kernel_matrix builds the training blocks plus that one pinned block
-    monkeypatch.setattr(learner, "CHUNK_ROWS", chunk_rows)
+    # block; kernel_matrix builds the training blocks plus the pinned block of
+    # the trial's evaluation points, both cut into blocks of the one block size
+    monkeypatch.setattr(kernel, "CHUNK_ROWS", chunk_rows)
+    points = []  # the evaluation point count of each trial
+    pin = kernel.KernelModel.pin_points
+    monkeypatch.setattr(kernel.KernelModel, "pin_points",
+                        lambda model, X: points.append(len(X)) or pin(model, X))
     trials, budget = 2, 16
     mark = tracer.mark()
     run_curve(ExperimentConfig(task=task, strategy=strategy, budget=budget, trials=trials,
@@ -74,7 +79,9 @@ def test_run_curve_call_counts(tracer, monkeypatch, task, strategy, chunk_rows):
     checkpoints = trials * len(default_checkpoints(budget))
     assert len(view.of("evaluation.checkpoint")) == checkpoints
     assert len(view.of("kernel.predict")) == checkpoints
-    assert len(view.of("kernel.matrix")) == trials * (math.ceil(budget / chunk_rows) + 1)
+    assert len(points) == trials and len(set(points)) == 1
+    assert len(view.of("kernel.matrix")) == trials * (math.ceil(budget / chunk_rows)
+                                                      + math.ceil(points[0] / chunk_rows))
 
 
 @pytest.mark.parametrize("strategy", TASK_STRATEGIES["anchor-classification"])

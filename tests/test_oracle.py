@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaksgd.experiments import train
+from weaksgd.kernel import KernelModel, KernelSpec
+from weaksgd.learner import Cycle, StepSchedule
 from weaksgd.oracle import (
     BudgetExhausted,
     QueryOracle,
@@ -166,6 +169,22 @@ class TestBudgetLedger:
                      lambda: QueryOracle.for_classification([1, 2], 2, budget)):
             with pytest.raises(TypeError,
                                match=re.escape(f"budget must be an integer, got {budget!r}")):
+                make()
+
+    @pytest.mark.parametrize("value,error", [
+        (2.5, TypeError), (1.0, TypeError), (True, TypeError), (np.True_, TypeError),
+        (-1, ValueError),
+    ], ids=["2.5", "1.0", "True", "np.True_", "-1"])
+    def test_one_whole_number_rule_for_budgets_and_cycles(self, value, error):
+        # the same value is refused with the same exception type wherever a
+        # whole number is asked for
+        X = np.random.default_rng(0).random((3, 1))
+        model = KernelModel.zeros(X, 1, KernelSpec(0.3))
+        for make in (lambda: Cycle(value, 3), lambda: Cycle(3, value),
+                     lambda: QueryOracle.for_regression(X[:, 0], value),
+                     lambda: train("active-median", X, X[:, 0], model,
+                                   StepSchedule.decaying(0.5), np.random.default_rng(0), value)):
+            with pytest.raises(error, match="must be (an integer|>= 0), got"):
                 make()
 
     @pytest.mark.parametrize("budget", [3, np.int64(3), np.int32(3), np.uint8(3)],
