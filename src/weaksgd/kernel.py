@@ -87,8 +87,10 @@ def kernel_matrix(spec: KernelSpec, X, Z, out: np.ndarray | None = None,
     ``exp(-max(xx_i + zz_j - 2 X Z^T, 0) / (2 sigma^2))``: doubling is
     exact, so (2 X) Z^T is 2 (X Z^T) bit for bit; xx_i filled into a row and
     zz_j added is the same IEEE sum as one broadcast add; and -x / c is
-    x / (-c). The product is ``np.dot`` for every feature count: it gives
-    the bits of ``@``, which with one feature costs about 2.5 times as much.
+    x / (-c). The product is ``np.dot`` for one feature, where ``@`` costs
+    about 2.5 times as much, and ``@`` for two or more, where ``np.dot``
+    costs more (at 512 x 100: 41 against 30 us at d = 4, 75 against 52 us
+    at d = 20). Both give the same bits.
     """
     X = _as_rows(X)
     Z = _as_rows(Z)
@@ -98,7 +100,8 @@ def kernel_matrix(spec: KernelSpec, X, Z, out: np.ndarray | None = None,
     d2 = np.empty(shape) if out is None else out
     np.copyto(d2, (X * X).sum(axis=1)[:, None])
     d2 += (Z * Z).sum(axis=1)
-    d2 -= np.dot(X * 2.0, Z.T, out=np.empty(shape) if scratch is None else scratch)
+    product = np.dot if X.shape[1] == 1 else np.matmul
+    d2 -= product(X * 2.0, Z.T, out=np.empty(shape) if scratch is None else scratch)
     np.maximum(d2, 0.0, out=d2)
     # a tiny bandwidth overflows the quotient to -inf, whose exp is the right 0
     with np.errstate(over="ignore"):

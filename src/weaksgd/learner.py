@@ -25,7 +25,13 @@ oracle call per step, of one of two kinds:
   each step's picked output column as an integer instead, and the loop
   writes ``k * gamma`` into that column only;
 * a *move rule* (full-sgd, infimum-loss), whose direction is read from f(x):
-  the rule returns the step's coefficient and direction.
+  the rule writes the step's direction into the row of the window's direction
+  records that the loop hands it, and returns the step's coefficient.
+
+The loop makes no view or temporary per step. It takes the row views of its
+one Gram buffer (and of a sign rule's one buffer of scaled rows) once per
+run, and walks slices of those lists; a move rule writes its direction in
+place instead of returning a new array.
 
 All give the same bits: each element moves by ``(k * d) * gamma``, added or
 subtracted, which is ``(k * d) * (+-gamma)`` added, exactly. For a basis
@@ -226,11 +232,16 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
 
     * A *move rule* (``directions`` None; full-sgd and infimum-loss, whose
       direction is read from f(x)) is called as ``rule(t - 1, i, kcol,
-      gamma)``, with the sample index ``i = used[t - 1]`` and ``gamma`` as
-      Python numbers, and returns ``(c, direction)`` or None for no move. The
-      loop records c (0 for no move) and the direction in the window's arrays
-      C and D and adds ``c * outer(kcol, direction)``, read back from those
-      records as 0-d operands: each element gets ``(k * d) * c``.
+      gamma, d)``, with the sample index ``i = used[t - 1]`` and ``gamma`` as
+      Python numbers and ``d`` the step's row of the window's direction
+      records D: the 0-d view ``D[j, 0, ...]`` with one output, the row
+      ``D[j]`` otherwise. A rule that moves writes its direction into ``d``
+      and returns the coefficient c; a rule that does not move writes
+      nothing and returns None. The loop records c in the window's array C
+      (0 for no move) and adds ``c * outer(kcol, d)``, read back from C and
+      D as 0-d operands: each element gets ``(k * d) * c``. A step with no
+      move leaves its row of D as it was, not zeroed: with C = 0 it adds
+      only zeros to the average, and zeroing it would change their signs.
     * A *sign rule* (median, least squares and passive, whose direction is
       drawn before the bit) is called as ``rule(t - 1, i, kcol, u)`` with the
       step's direction row u and returns the sign of the move: 1, -1 or 0.
@@ -258,6 +269,11 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     With one output the update runs on 1-D operands, the coefficient column
     ``a[:, 0]`` and the row ``kcol``, so no step pays for a (rank, 1)
     broadcast.
+
+    No step builds an array view: the loop lists the row views of its Gram
+    buffer (``kcol``), of the same rows as (rank, 1) columns when there are
+    several outputs, of D and C, and of a sign rule's scaled-row buffer, once
+    per run, and every window and slice walks slices of those lists.
 
     :func:`_prepare` refuses an ``X`` that is not finite or whose squared
     norms overflow, :class:`~weaksgd.kernel.KernelModel` refuses such
@@ -287,11 +303,26 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     due = set(grid)
     records = []
     multiply = np.multiply
+    # every block is built into one buffer, with its product in one scratch
+    # buffer, so only one is held at a time and their pages are reused rather
+    # than faulted in afresh for each block. Two arrays, not one of shape
+    # (2, rows, rank): perfbench read its peak RSS 0.2-0.5 MB higher with one
+    gram = np.empty((min(steps, kernel.CHUNK_ROWS), model.rank))
+    scratch = np.empty_like(gram)
+    # row * direction is outer(kcol, direction): with one output a 1-D row,
+    # otherwise the row as a (rank, 1) column
+    outer = gram if scalar else gram[:, :, None]
+    # the row views of gram, taken once per run: kernel_matrix writes every
+    # block into gram[:hi - lo] and returns that buffer, so row j of each
+    # block is always kcols[j] and rows[j]
+    kcols = list(gram)
+    rows = kcols if scalar else list(outer)
     if directions is None:
         buf = np.empty_like(target)
         # views of the slots of C and D, from which the update reads c and the
-        # direction: numpy takes a 0-d operand on its fast path, where a Python
-        # float or a (1,) direction pays for a conversion or a broadcast
+        # direction, and into which the rule writes it: numpy takes a 0-d
+        # operand on its fast path, where a Python float or a (1,) direction
+        # pays for a conversion or a broadcast
         cs = [C[j, ...] for j in range(_WINDOW)]
         ds = [D[j, 0, ...] for j in range(_WINDOW)] if scalar else list(D)
     else:
@@ -300,6 +331,7 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
         # Zeroed once: a basis fill writes only its picked entries and zeroes
         # them again after the slice
         moves = np.zeros((min(steps, _SLICE),) + target.shape)
+        scaled_rows = list(moves)  # its row views, taken once like kcols
         dirs = D if scalar else D[:, None, :]  # a direction per step, against (rank[, m])
         # with a few outputs, one (slice, rank) product per output column
         columns = range(model.output_dim) if 2 <= model.output_dim <= _COLUMNS_MAX else None
@@ -307,12 +339,6 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
         order = np.arange(_SLICE)  # a slice's step positions, for the basis fill
         us = list(D)
         signs = [0] * _WINDOW
-    # every block is built into one buffer, with its product in one scratch
-    # buffer, so only one is held at a time and their pages are reused rather
-    # than faulted in afresh for each block. Two arrays, not one of shape
-    # (2, rows, rank): perfbench read its peak RSS 0.2-0.5 MB higher with one
-    gram = np.empty((min(steps, kernel.CHUNK_ROWS), model.rank))
-    scratch = np.empty_like(gram)
     for lo in range(0, steps, kernel.CHUNK_ROWS):
         hi = min(lo + kernel.CHUNK_ROWS, steps)
         samples = used[lo:hi]
@@ -335,25 +361,22 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
             n = whi - wlo
             off = wlo - lo  # the window's first row in the block
             Kw = K[off:off + n]
-            # row * direction is outer(kcol, direction): with one output a 1-D
-            # row, otherwise the row as a (rank, 1) column
-            rows = Kw if scalar else Kw[:, :, None]
             # Python numbers a window at a time: a block of them would hold
             # 32-36 bytes per step where the arrays hold 8
             index = samples[off:off + n].tolist()
             factors = shrink[off:off + n].tolist() if shrink is not None else None
             if directions is None:
                 for j, s, i, kcol, row, gamma, c, d in zip(range(n), range(wlo, whi), index,
-                                                           Kw, rows,
+                                                           kcols[off:off + n], rows[off:off + n],
                                                            gammas[off:off + n].tolist(),
                                                            cs, ds):
-                    move = rule(s, i, kcol, gamma)
+                    step = rule(s, i, kcol, gamma, d)
                     if factors is not None:
                         target *= factors[j]
-                    if move is None:
+                    if step is None:
                         C[j] = 0.0
                     else:
-                        C[j], D[j] = move
+                        C[j] = step
                         multiply(row, d, out=buf)
                         buf *= c
                         target += buf
@@ -365,7 +388,7 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
                     picked = None  # the entries a basis fill wrote
                     if picks is None:
                         if columns is None:
-                            multiply(rows[jlo:jhi], dirs[jlo:jhi], out=scaled)
+                            multiply(outer[off + jlo:off + jhi], dirs[jlo:jhi], out=scaled)
                         else:
                             for q in columns:
                                 multiply(Kw[jlo:jhi], D[jlo:jhi, q:q + 1], out=scaled[:, :, q])
@@ -377,8 +400,9 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
                         scaled[picked] = Kw[jlo:jhi] * gammas[off + jlo:off + jhi, None]
                     for j, s, i, kcol, u, move in zip(range(jlo, jhi),
                                                       range(wlo + jlo, wlo + jhi),
-                                                      index[jlo:jhi], Kw[jlo:jhi],
-                                                      us[jlo:jhi], scaled):
+                                                      index[jlo:jhi],
+                                                      kcols[off + jlo:off + jhi],
+                                                      us[jlo:jhi], scaled_rows):
                         sign = rule(s, i, kcol, u)
                         if factors is not None:
                             target *= factors[j]
@@ -530,15 +554,21 @@ def run_full_sgd(
 
         # the residual as a Python float, where the (1,) arrays pay for a
         # subtraction, a length-1 dot and their wrappers
-        def rule(s, i, kcol, gamma):
+        def rule(s, i, kcol, gamma, d):
             r = kcol.dot(a).item(0) - y.item(i)
             nr = math.sqrt(r * r)
-            return (-(gamma / nr), r) if nr > 0.0 else None
+            if nr > 0.0:
+                d[...] = r
+                return -(gamma / nr)
+            return None
     else:
-        def rule(s, i, kcol, gamma):
+        def rule(s, i, kcol, gamma, d):
             r = kcol.dot(a) - Y[i]
             nr = math.sqrt(r.dot(r))
-            return (-(gamma / nr), r) if nr > 0.0 else None
+            if nr > 0.0:
+                d[...] = r
+                return -(gamma / nr)
+            return None
 
     return _descend(model, X, used, schedule, grid, evaluate, rule, 0)  # no oracle bits spent
 

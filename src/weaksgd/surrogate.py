@@ -85,7 +85,7 @@ def infimum_loss_sgd(
     query = oracle.membership_query
     ids = np.arange(1, m + 1)
 
-    def rule(s, i, kcol, gamma):
+    def rule(s, i, kcol, gamma, d):
         row = sets[s - base]
         if not query(i, ids[row].tolist()):
             row = ~row  # the complement holds the class
@@ -93,7 +93,10 @@ def infimum_loss_sgd(
         r = kcol.dot(a)
         r[cand[r[cand].argmax()]] -= 1.0  # y*: the smallest class attaining the max
         nr = math.sqrt(r.dot(r))
-        return (-gamma, r / nr) if nr > 0.0 else None
+        if nr > 0.0:
+            np.divide(r, nr, out=d)  # the direction, written into the loop's record
+            return -gamma
+        return None
 
     return _descend(model, X, used, schedule, grid, evaluate, rule, len(used), draw=draw)
 

@@ -108,6 +108,23 @@ class TestKernelEval:
             assert np.isnan(scratch[n:]).all()
             assert kernel_matrix(spec, X, Z, scratch=scratch[:n]).tobytes() == expected.tobytes()
 
+    def test_matmul_block_has_the_bits_of_the_dot_block(self, spec):
+        # from two features the block's product is @; it gives the bits of
+        # the same block built with np.dot, also in the leading rows of the
+        # 512-row buffers a driver passes
+        rng = np.random.default_rng(5)
+        for p, d, n in itertools.product((1, 5, 64, 100, 256), (2, 3, 4, 8, 20, 64),
+                                         (1, 2, 7, 64, 333, 512)):
+            X, Z = rng.standard_normal((n, d)), rng.standard_normal((p, d))
+            gram, scratch = np.empty((2, 512, p))
+            d2 = np.empty((n, p))
+            np.copyto(d2, (X * X).sum(axis=1)[:, None])
+            d2 += (Z * Z).sum(axis=1)
+            d2 -= np.dot(X * 2.0, Z.T)
+            expected = np.exp(np.maximum(d2, 0.0) / (-2.0 * spec.bandwidth**2))
+            block = kernel_matrix(spec, X, Z, out=gram[:n], scratch=scratch[:n])
+            assert block.tobytes() == expected.tobytes(), (p, d, n)
+
     def test_a_block_built_into_the_callers_buffers_allocates_no_block(self, spec):
         # 512 x 100 floats are 0.41 MB; the inputs' products and norms, about
         # 0.1 MB at d = 20, are all that is left to allocate
@@ -323,8 +340,9 @@ def averaged(iterates, grid=()):
 
     Each (p, m) iterate is held as the coefficients of a model with a single
     representer and p * m outputs. Every step reads that representer itself,
-    so its kernel column is exactly [1.0], and step t returns the move
-    ``(1.0, iterates[t - 1] - iterates[t - 2])`` (from zeros at t = 1). With
+    so its kernel column is exactly [1.0], and step t writes the direction
+    ``iterates[t - 1] - iterates[t - 2]`` (from zeros at t = 1) and returns
+    the coefficient 1.0. With
     dyadic iterates every sum is exact. Returns the averaged coefficients, the
     checkpoints and the final coefficients, all in the iterates' shape.
     """
@@ -332,8 +350,9 @@ def averaged(iterates, grid=()):
     flat = [np.zeros(iterates[0].size)] + [it.ravel() for it in iterates]
     model = KernelModel.zeros(np.zeros((1, 1)), flat[0].size, KernelSpec(0.5))
 
-    def rule(s, i, kcol, gamma):
-        return 1.0, flat[s + 1] - flat[s]
+    def rule(s, i, kcol, gamma, d):
+        d[...] = flat[s + 1] - flat[s]
+        return 1.0
 
     report = _descend(model, np.zeros((len(iterates), 1)), np.arange(len(iterates)),
                       StepSchedule.decaying(1.0), list(grid), None, rule, 0)
@@ -358,11 +377,14 @@ def far_apart_walk(steps, grid, ridge=0.0, schedule=StepSchedule.decaying(1.0), 
     moves = rng.integers(-8, 9, (steps, 3)) / 4.0
     seen = []
 
-    def rule(s, i, kcol, gamma):
+    def rule(s, i, kcol, gamma, d):
         assert np.array_equal(kcol, np.eye(3)[rows[s]])
         seen.append(model.coefficients.copy())  # the iterate after step s
-        c, d0, d1 = moves[s]
-        return None if c == 0.0 else (c, np.array([d0, d1]))
+        c = moves[s, 0]
+        if c == 0.0:
+            return None
+        d[...] = moves[s, 1:]
+        return c
 
     report = _descend(model, reps[rows], np.arange(steps), schedule, list(grid), None, rule, 0)
     iterates = np.array(seen[1:] + [report.final_model.coefficients])

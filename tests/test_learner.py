@@ -404,7 +404,7 @@ def sign_and_move_runs(name, m, ridge):
         V = draw.uniform(0.0, 2.0 * bound, SIGN_STEPS)
     signs = []
 
-    def rule(s, i, kcol, gamma):
+    def rule(s, i, kcol, gamma, d):
         u = U[s]
         if name == "least-squares":
             sign = -oracle.threshold_query(i, u, float(kcol.dot(a).dot(u)) - V[s])
@@ -415,7 +415,10 @@ def sign_and_move_runs(name, m, ridge):
         else:
             sign = oracle.halfspace_query(i, kcol.dot(a), u)
         signs.append(sign)
-        return (sign * gamma, u) if sign else None
+        if not sign:
+            return None
+        d[...] = u
+        return sign * gamma
 
     X, used, grid = learner._prepare(X, SIGN_STEPS, SIGN_GRID, None, Y.shape)
     want = learner._descend(models[1], X, used, sched, grid, None, rule, SIGN_STEPS)
@@ -464,6 +467,34 @@ class TestSignRule:
         if name == "coordinate" and ridge:
             seen = np.array(seen)
             assert (np.signbit(seen) & (seen == 0.0)).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sphere_fill_keeps_signed_zeros(self, n):
+        # from 6 outputs a slice is scaled in one broadcast product. Every
+        # kernel value here is exactly 0 (the inputs sit 10 or more bandwidths
+        # of 0.05 from every representer) and the first shrink factor is
+        # 1 - 2.5 = -1.5, so each coefficient is a signed zero whose sign the
+        # fill's products decide. An einsum fill gives +0.0 where the product
+        # is -0.0, and other final coefficients
+        rng = np.random.default_rng(7)
+        X = rng.random((n, 1)) * 100 + 50
+        reps = rng.random((20, 1)) * 40
+        Y = rng.standard_normal((n, 7))
+        schedule, grid = StepSchedule.decaying(1.0), list(range(1, n + 1))
+        model = KernelModel.zeros(reps, 7, KernelSpec(0.05), 2.5)
+        last, mean, checkpoints = reference.run(
+            "median", X, QueryOracle.for_regression(Y, n), schedule, model,
+            np.random.default_rng(8), list(range(n)), grid, None)
+        report = run_median_sgd(X, QueryOracle.for_regression(Y, n), schedule, model,
+                                np.random.default_rng(8), checkpoint_grid=grid)
+        got = report.final_model.coefficients
+        assert not got.any()
+        assert same_bits(got, last)
+        assert same_bits(report.averaged_model.coefficients, mean)
+        for (t, g), (_, w) in zip(report.checkpoints, checkpoints):
+            assert same_bits(g, w), t
+        if n == 1:
+            assert (np.signbit(got) & (got == 0.0)).any()
 
 
 def scalar_rule(run):
@@ -533,12 +564,13 @@ class TestScalarRules:
         Y = np.array([[y]])
         rule = scalar_rule(lambda: run_full_sgd(
             np.zeros((1, 1)), Y, StepSchedule.decaying(1.0), model))
-        got = rule(0, 0, kcol, gamma)
+        d = np.empty(())  # the 0-d direction record the loop hands a one-output rule
+        got = rule(0, 0, kcol, gamma, d)
         r = kcol.dot(a) - Y[0]
         nr = math.sqrt(r.dot(r))
         if nr > 0.0:
-            assert same_bits(got[0], -(gamma / nr))
-            assert same_bits(got[1], r[0])
+            assert same_bits(got, -(gamma / nr))
+            assert same_bits(d, r[0])
         else:
             assert got is None
 
@@ -755,6 +787,46 @@ def test_every_driver_steps_as_the_plain_reference(strategy, data):
         assert report.queries_used == oracle.budget_used == ref_oracle.budget_used
         assert oracle.query_log == ref_oracle.query_log
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("ridge", [0.0, 0.25])
+def test_full_sgd_steps_without_a_move_as_the_plain_reference(m, ridge):
+    # a step whose label equals f(x) does not move, and writes no direction.
+    # Three representers far enough apart that every kernel column is exactly
+    # a basis vector, or exactly zero at 1000: the rows at 200 and at 1000
+    # have zero labels and f(x) stays 0 there, so their steps never move, in
+    # the first window while every coefficient is zero and in every later
+    # one, after the rows at 0 and 100 have moved
+    reps = np.array([[0.0], [100.0], [200.0]])
+    X = np.array([[200.0], [1000.0], [0.0], [100.0]])
+    Y = np.random.default_rng(33).standard_normal((4, m))
+    Y[:2] = 0.0
+    steps, grid = 700, [1, 2, 3, 255, 256, 300, 511, 700]
+    schedule = StepSchedule.decaying(0.5)
+    model = KernelModel.zeros(reps, m, KernelSpec(0.5), ridge)
+    last, mean, checkpoints = reference.run("full-sgd", X, Y, schedule, model, None,
+                                            [t % 4 for t in range(steps)], grid, None)
+    report = run_full_sgd(X, Y, schedule, model, checkpoint_grid=grid,
+                          indices=learner.Cycle(4, steps))
+    assert same_bits(report.final_model.coefficients, last)
+    assert not last[2].any() and last[:2].all()
+    assert close(report.averaged_model.coefficients, mean)
+    assert [t for t, _ in report.checkpoints] == grid
+    for (t, got), (_, want) in zip(report.checkpoints, checkpoints):
+        assert close(got, want), t
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_full_sgd_rule_writes_no_direction_without_a_move(m):
+    # the zero residual of a step that does not move would write only signed
+    # zeros, which the average cannot tell apart; the rule itself shows them
+    model = zero_model(np.zeros((2, 1)), m)
+    rule = scalar_rule(lambda: run_full_sgd(np.zeros((1, 1)), np.zeros((1, m)),
+                                            StepSchedule.decaying(1.0), model))
+    d = np.full(() if m == 1 else m, np.nan)  # the direction record the loop hands the rule
+    assert rule(0, 0, np.ones(2), 0.5, d) is None
+    assert np.isnan(d).all()
 
 
 class TestBudgetExactness:
