@@ -18,12 +18,13 @@ oracle call per step, of one of two kinds:
 
 * a *sign rule* (median, least squares, passive), whose direction is drawn
   before the bit: the driver hands the loop its direction rows, and the rule
-  returns only the sign of the move. The loop scales the kernel rows of a
-  slice of steps by their directions and step sizes up front, so a step is
-  one add or one subtract. Two drivers step along a basis vector, the
-  coordinate median and passive (one output, column 0): they hand the loop
-  each step's picked output column as an integer instead, and the loop
-  writes ``k * gamma`` into that column only;
+  returns only the sign of the move. With one output the rule receives each
+  step's direction as a Python float, which it hands the oracle as it is.
+  The loop scales the kernel rows of a slice of steps by their directions
+  and step sizes up front, so a step is one add or one subtract. Two drivers
+  step along a basis vector, the coordinate median and passive (one output,
+  column 0): they hand the loop each step's picked output column as an
+  integer instead, and the loop writes ``k * gamma`` into that column only;
 * a *move rule* (full-sgd, infimum-loss), whose direction is read from f(x):
   the rule writes the step's direction into the row of the window's direction
   records that the loop hands it, and returns the step's coefficient.
@@ -244,15 +245,18 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
       only zeros to the average, and zeroing it would change their signs.
     * A *sign rule* (median, least squares and passive, whose direction is
       drawn before the bit) is called as ``rule(t - 1, i, kcol, u)`` with the
-      step's direction row u and returns the sign of the move: 1, -1 or 0.
-      The block's direction rows are copied into D a window at a time. Before
-      the steps of a slice of ``_SLICE`` steps run, the loop scales their rows
-      ``(k * d) * gamma`` into one buffer, so a step is one add or one
-      subtract of its row: the products ``k * d`` in one broadcast ufunc call,
-      or, with 2 to ``_COLUMNS_MAX`` outputs, one call per output column, then
-      one call that scales them by gamma. The bits are those of a move rule
-      returning ``(sign * gamma, u)``: ``x * -g == -(x * g)`` and
-      ``y - x == y + -x`` exactly in IEEE arithmetic, signed zeros included.
+      step's direction u and returns the sign of the move: 1, -1 or 0. The
+      block's direction rows are copied into D a window at a time. With one
+      output u is a Python float, the window's ``D[:n, 0].tolist()``, the
+      operand form the one-output oracle takes without converting; otherwise
+      u is the step's row of D. Before the steps of a slice of ``_SLICE``
+      steps run, the loop scales their rows ``(k * d) * gamma`` into one
+      buffer, so a step is one add or one subtract of its row: the products
+      ``k * d`` in one broadcast ufunc call, or, with 2 to ``_COLUMNS_MAX``
+      outputs, one call per output column, then one call that scales them by
+      gamma. The bits are those of a move rule returning ``(sign * gamma,
+      u)``: ``x * -g == -(x * g)`` and ``y - x == y + -x`` exactly in IEEE
+      arithmetic, signed zeros included.
       C is set at the window's end to ``sign * gamma``, which is ``+-gamma``
       or 0 as a move rule records.
     * A sign rule whose direction is a basis vector (the coordinate median,
@@ -337,7 +341,10 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
         columns = range(model.output_dim) if 2 <= model.output_dim <= _COLUMNS_MAX else None
         basis = np.eye(model.output_dim)
         order = np.arange(_SLICE)  # a slice's step positions, for the basis fill
-        us = list(D)
+        # each step's direction: with one output a Python float, read a window
+        # at a time, which the oracle takes without converting; otherwise a
+        # row view of D, listed once per run
+        us = None if scalar else list(D)
         signs = [0] * _WINDOW
     for lo in range(0, steps, kernel.CHUNK_ROWS):
         hi = min(lo + kernel.CHUNK_ROWS, steps)
@@ -382,6 +389,8 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
                         target += buf
             else:
                 D[:n] = U[off:off + n]
+                if scalar:
+                    us = D[:n, 0].tolist()
                 for jlo in range(0, n, _SLICE):
                     jhi = min(jlo + _SLICE, n)
                     scaled = moves[:jhi - jlo]
@@ -466,8 +475,13 @@ def run_median_sgd(
     a = model.coefficients
     query = oracle.halfspace_query
 
-    def rule(s, i, kcol, u):
-        return query(i, kcol.dot(a), u)
+    if m == 1:
+        # z = f(x) and u as Python floats, which the oracle multiplies as they are
+        def rule(s, i, kcol, u):
+            return query(i, kcol.dot(a).item(0), u)
+    else:
+        def rule(s, i, kcol, u):
+            return query(i, kcol.dot(a), u)
 
     return _descend(model, X, used, schedule, grid, evaluate, rule, len(used), directions)
 
@@ -514,7 +528,7 @@ def run_least_squares_sgd(
     if m == 1:
         # <f(x), u> as one product of Python floats, not a length-1 dot
         def rule(s, i, kcol, u):
-            return -query(i, u, kcol.dot(a).item(0) * u.item(0) - V.item(s - base))
+            return -query(i, u, kcol.dot(a).item(0) * u - V.item(s - base))
     else:
         def rule(s, i, kcol, u):
             return -query(i, u, float(kcol.dot(a).dot(u)) - V.item(s - base))

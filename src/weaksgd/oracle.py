@@ -5,6 +5,14 @@ three kinds of one-bit questions (half-space sign, scalar threshold, class
 membership), charges one budget unit per answer, and enforces the streaming
 protocol when enabled: the t-th query must address sample t-1 in arrival
 order, so no sample is ever asked twice.
+
+Each query tests the protocol (budget, index, streaming order) first, then
+its operands, by the kind of label. With one real output an operand is best a
+Python float, and the half-space value is ``y * u - z * u``; with several
+outputs or classes, a flat float64 array of the label dimension. Any other form
+(a list, an int, a numpy scalar, a (1,) array in place of a float) is
+converted to a flat float array, so every form of the same values gets the
+same answer.
 """
 
 from __future__ import annotations
@@ -115,56 +123,79 @@ class QueryOracle:
 
     def halfspace_query(self, i: int, z, u) -> int:
         """Which side of the hyperplane through ``z`` orthogonal to ``u`` the
-        hidden label lies on: sign(<Y_i - z, u>) with sign(0) = +1."""
+        hidden label lies on: sign(<Y_i, u> - <z, u>) with sign(0) = +1.
+
+        With one real output ``z`` and ``u`` are best passed as Python floats,
+        and the value is ``y * u - z * u``; any other operand of one element
+        (a (1,) array, a list, an int, a numpy scalar) is converted and read
+        as that float. With several outputs or classes they are best passed as
+        flat float64 arrays of the label dimension; other forms are converted."""
         used = self.budget_used
-        # one test of the common call: a bit to spend on an int sample index
-        # that may be asked now, and both operands already flat float arrays of
-        # the label dimension; any other call is checked, and converted, step
-        # by step
+        # the protocol, in one test: a bit to spend on an int sample index
+        # that may be asked now; any other index is checked step by step
         if not (used < self.budget_total and type(i) is int and 0 <= i < self._n
-                and (i == used or self.mode != "streaming")
-                and type(z) is np.ndarray and z.dtype is _FLOAT and z.shape == self._shape
-                and type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == self._shape):
+                and (i == used or self.mode != "streaming")):
             i = self._precheck(i)
-            z = _vector(z)
-            u = _vector(u)
-            if z.size != self._m or u.size != self._m:
-                raise ValueError(
-                    f"query dimensions ({z.size}, {u.size}) != label dim {self._m}"
-                )
         if self._scalars is not None:
-            u0 = u.item(0)
-            value = self._scalars.item(i) * u0 - z.item(0) * u0
-        elif self._classes is not None:
-            value = u.item(self._classes.item(i) - 1) - float(z.dot(u))
+            if type(z) is not float or type(u) is not float:
+                z, u = self._operands(z, u)
+                z, u = z.item(0), u.item(0)
+            value = self._scalars.item(i) * u - z * u
         else:
-            value = float(self._targets[i].dot(u)) - float(z.dot(u))
+            if not (type(z) is np.ndarray and z.dtype is _FLOAT and z.shape == self._shape
+                    and type(u) is np.ndarray and u.dtype is _FLOAT
+                    and u.shape == self._shape):
+                z, u = self._operands(z, u)
+            if self._classes is not None:
+                value = u.item(self._classes.item(i) - 1) - float(z.dot(u))
+            else:
+                value = float(self._targets[i].dot(u)) - float(z.dot(u))
         self.budget_used = used + 1
         if self.query_log is not None:
             self.query_log.append((used + 1, i, "halfspace", 1))
         return 1 if value >= 0.0 else -1
 
     def threshold_query(self, i: int, u, c: float) -> int:
-        """Bit 1{<Y_i, u> < c} (strict inequality)."""
+        """Bit 1{<Y_i, u> < c} (strict inequality).
+
+        ``u`` takes the forms of :meth:`halfspace_query`'s: a Python float with
+        one real output, where the value is ``y * u``, or else a flat float64
+        array of the label dimension; other forms are converted."""
         used = self.budget_used
         if not (used < self.budget_total and type(i) is int and 0 <= i < self._n
-                and (i == used or self.mode != "streaming")
-                and type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == self._shape):
+                and (i == used or self.mode != "streaming")):
             i = self._precheck(i)
-            u = _vector(u)
-            if u.size != self._m:
-                raise ValueError(f"query dimension {u.size} != label dim {self._m}")
         if self._scalars is not None:
-            value = self._scalars.item(i) * u.item(0)
-        elif self._classes is not None:
-            value = u.item(self._classes.item(i) - 1)
+            if type(u) is not float:
+                u = self._operand(u).item(0)
+            value = self._scalars.item(i) * u
         else:
-            value = float(self._targets[i].dot(u))
+            if not (type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == self._shape):
+                u = self._operand(u)
+            if self._classes is not None:
+                value = u.item(self._classes.item(i) - 1)
+            else:
+                value = float(self._targets[i].dot(u))
         answer = int(value < float(c))
         self.budget_used = used + 1
         if self.query_log is not None:
             self.query_log.append((used + 1, i, "threshold", 1))
         return answer
+
+    def _operands(self, z, u):
+        """``z`` and ``u`` as flat float arrays of the label dimension."""
+        z = _vector(z)
+        u = _vector(u)
+        if z.size != self._m or u.size != self._m:
+            raise ValueError(f"query dimensions ({z.size}, {u.size}) != label dim {self._m}")
+        return z, u
+
+    def _operand(self, u):
+        """``u`` as a flat float array of the label dimension."""
+        u = _vector(u)
+        if u.size != self._m:
+            raise ValueError(f"query dimension {u.size} != label dim {self._m}")
+        return u
 
     def membership_query(self, i: int, S) -> int:
         """Bit 1{class(Y_i) in S} for a proper nonempty class subset ``S``.

@@ -542,11 +542,12 @@ class TestScalarRules:
         y = data.draw(st.one_of(st.just(want * u[0]), st.just(-want * u[0]), small), label="y")
         oracle = QueryOracle.for_regression([y], budget=1, mode="resampling")
         asked = []
-        oracle.threshold_query = lambda i, u, c: asked.append(c) or int(y * u.item(0) < c)
+        # a one-output rule hands the oracle its direction as the float it gets
+        oracle.threshold_query = lambda i, u, c: asked.append(c) or int(y * u < c)
         rule = scalar_rule(lambda: run_least_squares_sgd(
             np.zeros((1, 1)), oracle, StepSchedule.decaying(1.0), model,
             np.random.default_rng(seed), bound))
-        sign = rule(0, 0, kcol, u)
+        sign = rule(0, 0, kcol, u.item(0))
         got = asked[0]
         assert same_bits(got, want) or (got == want == 0.0)
         assert sign == -int(y * u[0] < want)
@@ -573,6 +574,63 @@ class TestScalarRules:
             assert same_bits(d, r[0])
         else:
             assert got is None
+
+
+def operand_forms(name, m, monkeypatch):
+    """The operand types of every query a run of ``name`` (a sign-rule
+    driver, or "classifier" for the sphere median on three classes) asks,
+    one tuple per query, and the run's step count."""
+    rng = np.random.default_rng(7)
+    n = 70
+    X = rng.standard_normal((n, 3))
+    if name == "classifier":
+        oracle = QueryOracle.for_classification(rng.integers(1, m + 1, n), m, n)
+    else:
+        oracle = QueryOracle.for_regression(np.sin(X[:, :m]), n)
+    model = KernelModel.zeros(nystrom_representers(X, 9, rng), m, KernelSpec(1.0))
+    seen = []
+
+    def spy(kind):
+        ask = getattr(QueryOracle, kind)
+
+        def asked(self, i, *operands):
+            # z and u of a half-space query, u of a threshold query; c is a
+            # threshold, not an operand
+            seen.append(tuple((type(v), getattr(v, "dtype", None), getattr(v, "shape", None))
+                              for v in operands[:2 if kind == "halfspace_query" else 1]))
+            return ask(self, i, *operands)
+        return asked
+
+    for kind in ("halfspace_query", "threshold_query"):
+        monkeypatch.setattr(QueryOracle, kind, spy(kind))
+    sched = StepSchedule.decaying(0.5)
+    if name == "least-squares":
+        run_least_squares_sgd(X, oracle, sched, model, rng, 2.0)
+    elif name == "passive":
+        run_passive_median(X, oracle, sched, model, rng)
+    else:
+        run_median_sgd(X, oracle, sched, model, rng)
+    return seen, n
+
+
+class TestOperandFormsPassed:
+    """The drivers hand the oracle its common operand forms, which it takes
+    without converting: Python floats with one output, flat float64 arrays of
+    the label dimension otherwise. A converted operand would give the same
+    bits, so no golden would show it."""
+
+    @pytest.mark.parametrize("name", ["median", "least-squares", "passive"])
+    def test_one_output_passes_floats(self, name, monkeypatch):
+        seen, n = operand_forms(name, 1, monkeypatch)
+        assert len(seen) == n
+        assert all(t is float for form in seen for t, _, _ in form)
+
+    @pytest.mark.parametrize("name", ["median", "least-squares", "classifier"])
+    def test_several_outputs_pass_flat_float_arrays(self, name, monkeypatch):
+        seen, n = operand_forms(name, 3, monkeypatch)
+        assert len(seen) == n
+        assert all(form == (np.ndarray, np.dtype(float), (3,))
+                   for operands in seen for form in operands)
 
 
 class TestLabelsMatchX:

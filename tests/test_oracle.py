@@ -245,6 +245,56 @@ class TestOperandForms:
         assert other.query_log == flat.query_log
 
 
+# the forms of one element a one-output query converts, each beside the Python
+# float it stands for; "int" takes only whole values, which it holds exactly
+SCALAR_FORMS = {
+    "array": lambda x: np.array([x]),
+    "list": lambda x: [x],
+    "int": int,
+    "float64": np.float64,
+    "row": lambda x: np.array([[x]]),
+}
+
+
+class TestScalarOperandForms:
+    """With one real output the common operand is a Python float; any other
+    form of one element is converted and read as that float: the answers,
+    the ledger and the log are those of the floats, ties and signed zeros
+    included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(form=st.sampled_from(sorted(SCALAR_FORMS)),
+           mode=st.sampled_from(["streaming", "resampling"]), data=st.data())
+    def test_same_answers_ledger_and_log(self, form, mode, data):
+        convert = SCALAR_FORMS[form]
+        values = st.integers(-3, 3).map(float) if form == "int" else finite
+        labels = data.draw(st.lists(values, min_size=1, max_size=6), label="labels")
+        n = len(labels)
+        steps = n if mode == "streaming" else 2 * n
+        flat, other = [QueryOracle.for_regression(labels, steps, mode, record_log=True)
+                       for _ in range(2)]
+        answers = ([], [])
+        for t in range(steps):
+            i = t if mode == "streaming" else data.draw(st.integers(0, n - 1), label="i")
+            y = labels[i]
+            u = data.draw(st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), values),
+                          label="u")
+            if form == "int":
+                u = float(int(u))
+            # ties of the label with z, or of <Y, u> with c, or free values
+            z = data.draw(st.one_of(st.just(y), st.just(-y), values), label="z")
+            c = data.draw(st.one_of(st.just(y * u), st.just(-y * u), finite), label="c")
+            assert type(z) is type(u) is float
+            halfspace = data.draw(st.booleans(), label="halfspace")
+            for orc, got, (zz, uu) in zip((flat, other), answers,
+                                          ((z, u), (convert(z), convert(u)))):
+                got.append(orc.halfspace_query(i, zz, uu) if halfspace
+                           else orc.threshold_query(i, uu, c))
+        assert answers[0] == answers[1]
+        assert other.budget_used == flat.budget_used == steps
+        assert other.query_log == flat.query_log
+
+
 class TestStreamingProtocol:
     def test_in_order_queries_pass(self):
         orc = regression_oracle(budget=3, mode="streaming")

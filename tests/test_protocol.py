@@ -163,6 +163,33 @@ FAILURES = {
     "array-threshold-one-longer": (_regression, "resampling",
                                    lambda o: o.threshold_query(0, np.ones(3), 0.0),
                                    ValueError),
+    # Python float operands, the form the one-output drivers pass: the
+    # protocol is tested first, and a float where several outputs or classes
+    # are held is refused as a one-element operand
+    "float-exhausted-budget": (_scalar_regression, "resampling",
+                               lambda o: o.halfspace_query(0, 0.0, 1.0), BudgetExhausted),
+    "float-streaming-violation": (_scalar_regression, "streaming",
+                                  lambda o: o.threshold_query((o.budget_used + 1) % 3, 1.0, 0.0),
+                                  StreamingViolation),
+    "float-index-half": (_scalar_regression, "resampling",
+                         lambda o: o.halfspace_query(0.5, 0.0, 1.0), TypeError, NOT_AN_INDEX),
+    "float-index-bool": (_scalar_regression, "resampling",
+                         lambda o: o.threshold_query(True, 1.0, 0.0), TypeError, NOT_AN_INDEX),
+    "float-halfspace-on-two-outputs": (_regression, "resampling",
+                                       lambda o: o.halfspace_query(0, 0.0, 1.0), ValueError,
+                                       r"^query dimensions \(1, 1\) != label dim 2$"),
+    "float-threshold-on-two-outputs": (_regression, "resampling",
+                                       lambda o: o.threshold_query(0, 1.0, 0.0), ValueError,
+                                       r"^query dimension 1 != label dim 2$"),
+    "float-halfspace-on-classes": (_classification, "resampling",
+                                   lambda o: o.halfspace_query(0, 0.0, 1.0), ValueError,
+                                   r"^query dimensions \(1, 1\) != label dim 3$"),
+    "float-threshold-on-classes": (_classification, "resampling",
+                                   lambda o: o.threshold_query(0, 1.0, 0.0), ValueError,
+                                   r"^query dimension 1 != label dim 3$"),
+    "threshold-two-on-one-output": (_scalar_regression, "resampling",
+                                    lambda o: o.threshold_query(0, np.ones(2), 0.0), ValueError,
+                                    r"^query dimension 2 != label dim 1$"),
 }
 
 
