@@ -26,6 +26,7 @@ from . import __version__, game, geometry
 from .evaluation import emit_csv, emit_svg
 from .experiments import (
     ConfigError,
+    _owned,
     config_from_mapping,
     config_to_mapping,
     run_curve,
@@ -146,8 +147,7 @@ def cmd_constants(args) -> int:
         raise ConfigError(f"--m needs comma-separated integers >= 1, got {args.m!r}")
     if args.samples < 1000:
         raise ConfigError(f"--samples must be >= 1000, got {args.samples}")
-    if not 0 < 2.0 * args.scale < math.inf:  # V is drawn from [0, 2 * scale]
-        raise ConfigError(f"--scale must be > 0 with 2 * scale finite, got {args.scale!r}")
+    _owned("--scale", args.scale, "a range bound", geometry._check_scale, args.scale)
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     rows, all_ok = _constants_table(np.random.default_rng(args.seed), ms, args.scale,

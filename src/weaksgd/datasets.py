@@ -440,7 +440,10 @@ def anchor_conditional(x, n_classes: int) -> np.ndarray:
 
 
 def anchor_support_mask(x: np.ndarray, band_halfwidth: float) -> np.ndarray:
-    """True where x avoids the two excluded bands around 1/4 and 3/4."""
+    """True where x avoids the two excluded bands around 1/4 and 3/4. Refuses a
+    half-width outside [0, 1/4): from 1/4 on the bands cover all of [0, 1]."""
+    if not 0.0 <= band_halfwidth < 0.25:
+        raise ValueError(f"band half-width must lie in [0, 1/4), got {band_halfwidth!r}")
     x = np.asarray(x, dtype=float)
     in_band = (np.abs(x - 0.25) <= band_halfwidth) | (np.abs(x - 0.75) <= band_halfwidth)
     return ~in_band
@@ -456,8 +459,6 @@ def gen_anchor_classification(n: int, n_classes: int, band_halfwidth: float,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 <= band_halfwidth < 0.25:
-        raise ValueError("band half-width must lie in [0, 1/4)")
     xs = np.empty(0)
     while xs.size < n:
         cand = rng.random(2 * (n - xs.size) + 8)

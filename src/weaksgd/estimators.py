@@ -14,7 +14,8 @@ import inspect
 import numpy as np
 
 from . import experiments, surrogate
-from .kernel import KernelModel, KernelSpec, _as_rows, _unfit_rows, nystrom_representers
+from .kernel import (KernelModel, KernelSpec, _as_rows, _label_rows, _unfit_rows,
+                     nystrom_representers)
 from .learner import StepSchedule
 
 
@@ -70,9 +71,9 @@ class _BaseWeakSGD:
 
     def _fit(self, X, labels, n_classes=None, bound: float = 1.0):
         """Train through :func:`experiments.train`, which resolves an alias and
-        rejects a strategy name that is not its task kind's. A setting that is
-        not finite raises before any bit is spent, and a diverged fit (an
-        averaged model that is not finite) raises once training ends."""
+        refuses a strategy name outside the task kind and labels whose row count
+        is not ``X``'s before any bit, and a diverged fit (an averaged model
+        that is not finite) once training ends."""
         budget = self.budget if self.budget is not None else X.shape[0]
         schedule = StepSchedule(self.schedule, self.gamma0)
         spec = KernelSpec(self.bandwidth)
@@ -82,9 +83,6 @@ class _BaseWeakSGD:
         model = KernelModel.zeros(reps, output_dim, spec, self.ridge)
         report = experiments.train(self.strategy, X, labels, model, schedule, rng, budget,
                                    n_classes, bound)
-        if not np.isfinite(report.averaged_model.coefficients).all():
-            raise ValueError("the averaged model is not finite; the iterates diverged "
-                             "(try a smaller gamma0)")
         self.model_ = report.averaged_model
         self.final_model_ = report.final_model
         self.n_queries_ = report.queries_used
@@ -121,12 +119,8 @@ class WeakSGDRegressor(_BaseWeakSGD):
 
     def fit(self, X, y):
         X = check_array(X)
-        Y = _as_rows(y)
+        Y = _label_rows(y)
         self._y_was_1d = np.ndim(y) == 1
-        if Y.shape[0] != X.shape[0]:
-            raise ValueError("X and y disagree on the number of samples")
-        if not np.isfinite(Y).all():
-            raise ValueError("y contains non-finite values")
         return self._fit(X, Y, bound=self.bound)
 
     def predict(self, X):
@@ -151,7 +145,7 @@ class WeakSGDClassifier(_BaseWeakSGD):
     def fit(self, X, y):
         X = check_array(X)
         y = np.asarray(y)
-        if y.ndim != 1 or y.shape[0] != X.shape[0]:
+        if y.ndim != 1:
             raise ValueError("y must be a length-n label vector")
         if y.dtype.kind in "fc" and not np.isfinite(y).all():
             raise ValueError("y contains non-finite values")

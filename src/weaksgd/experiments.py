@@ -21,6 +21,7 @@ from .datasets import (
     LabeledDataset,
     ParseError,
     _train_size,
+    anchor_conditional,
     apply_standardize,
     gen_anchor_classification,
     gen_sin_regression,
@@ -40,6 +41,7 @@ from .evaluation import (
     excess_zero_one_anchor,
     midpoint_grid,
 )
+from .geometry import _check_scale
 from .kernel import KernelModel, KernelSpec, nystrom_representers
 from .learner import StepSchedule, default_checkpoints
 from .oracle import QueryOracle, _whole
@@ -110,6 +112,14 @@ _INT_FIELDS = {"budget", "trials", "seed", "classes", "rank", "grid_size", "jobs
 _FLOAT_FIELDS = {"sigma", "gamma0", "ridge", "bound", "epsilon", "train_fraction"}
 
 
+def _owned(name, value, what, check, *args):
+    """``check(*args)``, with its ``ValueError`` as a ConfigError naming ``name``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{name} {value!r} is not {what}: {exc}") from None
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}; expected one of {TASKS}")
@@ -118,8 +128,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"strategy {cfg.strategy!r} is not valid for task {cfg.task!r}; "
             f"allowed: {TASK_STRATEGIES[cfg.task]}"
         )
-    if cfg.schedule not in StepSchedule.KINDS:
-        raise ConfigError(f"unknown schedule {cfg.schedule!r}")
     for name in sorted(_FLOAT_FIELDS):
         value = getattr(cfg, name)
         if value is not None and not math.isfinite(value):
@@ -129,28 +137,26 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name in ("budget", "trials", "rank", "grid_size", "jobs"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
-    for name in ("gamma0", "bound"):
-        if not getattr(cfg, name) > 0:
-            raise ConfigError(f"{name} must be > 0")
-    if not 2.0 * cfg.bound < math.inf:  # least-squares draws V from [0, 2 * bound]
-        raise ConfigError(f"bound must be > 0 with 2 * bound finite, got {cfg.bound!r}")
+    try:
+        StepSchedule(cfg.schedule, cfg.gamma0)
+    except ValueError as exc:  # its message begins with the setting: schedule or gamma0
+        raise ConfigError(str(exc)) from None
+    _owned("bound", cfg.bound, "a range bound", _check_scale, cfg.bound)
     if cfg.sigma is not None:
-        try:
-            KernelSpec(cfg.sigma)
-        except ValueError as exc:
-            raise ConfigError(f"sigma {cfg.sigma!r} is not a kernel bandwidth: {exc}") from None
+        _owned("sigma", cfg.sigma, "a kernel bandwidth", KernelSpec, cfg.sigma)
     if cfg.ridge is not None and cfg.ridge < 0:
         raise ConfigError("ridge must be >= 0")
     if not 0.0 < cfg.train_fraction < 1.0:
         raise ConfigError("train_fraction must lie strictly between 0 and 1")
     if cfg.task == "anchor-classification":
-        if cfg.classes < 3:
-            raise ConfigError("the anchored task needs at least 3 classes")
-        if not 0.0 <= cfg.epsilon < 0.25:
-            raise ConfigError("epsilon must lie in [0, 1/4)")
-        if not anchor_points(cfg.epsilon, cfg.grid_size).size:
+        # anchor_law's two steps, so that each refusal names its own setting
+        points = _owned("epsilon", cfg.epsilon, "a band half-width", anchor_points,
+                        cfg.epsilon, cfg.grid_size)
+        if not points.size:
             raise ConfigError(f"grid_size {cfg.grid_size} with epsilon {cfg.epsilon!r} leaves "
                               "no evaluation point outside the excluded bands")
+        _owned("classes", cfg.classes, "an anchored class count", anchor_conditional,
+               points, cfg.classes)
     if cfg.task in FILE_TASKS and not cfg.input:
         raise ConfigError(f"task {cfg.task!r} needs an input file")
 
@@ -195,40 +201,46 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
     one. A budget up to n streams the first ``budget`` rows once; a larger one
     walks the rows cyclically under the resampling protocol. ``full-sgd`` reads
     the labels directly; every other strategy asks a budgeted oracle one bit
-    per step.
+    per step. Before any bit, the drivers refuse labels whose row count is not
+    ``X``'s and real labels that are not finite; once training ends, ``train``
+    refuses an averaged model that is not finite (the iterates diverged).
     """
     allowed = REGRESSION_STRATEGIES if n_classes is None else CLASSIFICATION_STRATEGIES
     given, strategy = strategy, ALIASES.get(strategy, strategy)
     if strategy not in allowed:
         raise ConfigError(f"unknown strategy {given!r}; expected one of {allowed}")
     n = len(labels)
-    if len(X) != n:
-        raise ValueError(f"X has {len(X)} rows but there are {n} labels")
     budget = _whole(budget, "budget")
     indices = learner.Cycle(n, budget)  # built a block of steps at a time
-    if strategy == "full-sgd":
-        return learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)
     mode = "streaming" if budget <= n else "resampling"
-    if n_classes is None:
-        oracle = QueryOracle.for_regression(labels, budget, mode)
-    else:
-        oracle = QueryOracle.for_classification(labels, n_classes, budget, mode)
     # each driver is looked up on its module at call time, so a wrapper installed
     # there (perfbench/layers.py) sees every call; a table built at import would not
-    if strategy == "active-median":
-        return learner.run_median_sgd(X, oracle, schedule, model, rng, grid, evaluate,
-                                      indices)
-    if strategy == "coordinate-passive":
-        return learner.run_median_sgd(X, oracle, schedule, model, rng, grid, evaluate,
-                                      indices, direction="coordinate")
-    if strategy == "active-least-squares":
-        return learner.run_least_squares_sgd(X, oracle, schedule, model, rng, bound, grid,
-                                             evaluate, indices)
-    if strategy == "passive":
-        return learner.run_passive_median(X, oracle, schedule, model, rng, grid, evaluate,
-                                          indices)
-    return surrogate.infimum_loss_sgd(X, oracle, schedule, model, rng, grid, evaluate,
-                                      indices)
+    if strategy == "full-sgd":
+        report = learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)
+    elif n_classes is not None:
+        oracle = QueryOracle.for_classification(labels, n_classes, budget, mode)
+        if strategy == "infimum-loss":
+            report = surrogate.infimum_loss_sgd(X, oracle, schedule, model, rng, grid,
+                                                evaluate, indices)
+        else:
+            report = learner.run_median_sgd(
+                X, oracle, schedule, model, rng, grid, evaluate, indices,
+                direction="coordinate" if strategy == "coordinate-passive" else "sphere")
+    else:
+        oracle = QueryOracle.for_regression(labels, budget, mode)
+        if strategy == "active-median":
+            report = learner.run_median_sgd(X, oracle, schedule, model, rng, grid, evaluate,
+                                            indices)
+        elif strategy == "active-least-squares":
+            report = learner.run_least_squares_sgd(X, oracle, schedule, model, rng, bound,
+                                                   grid, evaluate, indices)
+        else:
+            report = learner.run_passive_median(X, oracle, schedule, model, rng, grid,
+                                                evaluate, indices)
+    if not np.isfinite(report.averaged_model.coefficients).all():
+        raise ValueError("the averaged model is not finite; the iterates diverged "
+                         "(try a smaller gamma0)")
+    return report
 
 
 def _load_input(cfg: ExperimentConfig) -> LabeledDataset:

@@ -54,6 +54,14 @@ def _as_rows(X) -> np.ndarray:
     return X
 
 
+def _label_rows(Y) -> np.ndarray:
+    """Real labels as rows (:func:`_as_rows`), refused if any is NaN or +-inf."""
+    Y = _as_rows(Y)
+    if not np.isfinite(Y).all():
+        raise ValueError("real labels contain non-finite values")
+    return Y
+
+
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)); symmetric, in (0, 1]."""
     x = np.asarray(x, dtype=float).ravel()

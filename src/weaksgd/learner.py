@@ -69,8 +69,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .geometry import _normals, sample_sphere_batch
-from .kernel import KernelModel, _as_rows, _unfit_rows, kernel_matrix
+from .geometry import _check_scale, _normals, sample_sphere_batch
+from .kernel import KernelModel, _as_rows, _label_rows, _unfit_rows, kernel_matrix
 from .oracle import QueryOracle, _whole
 
 
@@ -86,10 +86,10 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ValueError(f"schedule {self.kind!r} is not one of {self.KINDS}")
         if not 0 < self.gamma0 < np.inf:
             raise ValueError(
-                f"{self.kind} schedule needs a finite gamma0 > 0, got {self.gamma0}")
+                f"gamma0 must be finite and > 0 for a {self.kind} schedule, got {self.gamma0}")
 
     @classmethod
     def decaying(cls, gamma0: float) -> "StepSchedule":
@@ -146,10 +146,10 @@ def _prepare(X, budget: int, checkpoint_grid, indices, labels: tuple):
     """Inputs as an (n, d) array, the walk of the steps to take (``indices``, a
     :class:`Cycle` over the n rows, cut to ``budget`` steps; each row once
     when ``indices`` is None), and the validated checkpoint grid. ``labels``
-    is the shape of the labels the steps read, one row per input row. Every
-    check runs before any query, and ``X``'s rows are checked to be kernel
-    inputs (finite, with squared norms that do not overflow) once per run,
-    not per block."""
+    is the shape of the labels the steps read: the one check that they hold
+    one row per input row. Every check runs before any query, and ``X``'s rows
+    are checked to be kernel inputs (finite, with squared norms that do not
+    overflow) once per run, not per block."""
     X = _as_rows(X)
     unfit = _unfit_rows(X)
     if unfit:
@@ -504,8 +504,7 @@ def run_least_squares_sgd(
     The caller asserts ||f(x) - Y|| <= 2*bound; the oracle cannot check it.
     ``indices`` is None, which walks the rows of X once, or ``Cycle(n, steps)``.
     """
-    if not 0 < 2.0 * bound < np.inf:
-        raise ValueError(f"bound must be finite and > 0 with 2 * bound finite, got {bound}")
+    _check_scale(bound)
     X, used, grid = _prepare(X, oracle.budget_remaining, checkpoint_grid, indices,
                              (oracle.n_samples,))
     steps = len(used)
@@ -552,10 +551,10 @@ def run_full_sgd(
 
     Uses the labels directly (no oracle, no budget): descends along
     (f(x) - y)/||f(x) - y||, with subgradient 0 at f(x) = y. ``Y`` holds one
-    row per row of X and one column per output.
+    row per row of X and one column per output, all finite.
     ``indices`` is None, which walks the rows of X once, or ``Cycle(n, steps)``.
     """
-    Y = _as_rows(Y)
+    Y = _label_rows(Y)
     X, used, grid = _prepare(X, len(Y) if indices is None else len(indices),
                              checkpoint_grid, indices, Y.shape)
     if Y.shape[1] != model.output_dim:

@@ -21,7 +21,7 @@ import operator
 
 import numpy as np
 
-from .kernel import _as_rows
+from .kernel import _label_rows
 
 
 class BudgetExhausted(RuntimeError):
@@ -71,8 +71,9 @@ class QueryOracle:
     @classmethod
     def for_regression(cls, targets, budget: int, mode: str = "streaming",
                        record_log: bool = False) -> "QueryOracle":
-        """Oracle over real-vector labels; ``targets`` is (n,) or (n, m)."""
-        t = _as_rows(targets)
+        """Oracle over real-vector labels; ``targets`` is (n,) or (n, m), nonempty
+        and finite (NaN or +-inf would answer every later bit that reads it)."""
+        t = _label_rows(targets)
         if t.shape[0] < 1:
             raise ValueError("targets must be a nonempty (n,) or (n, m) array")
         return cls(t.copy(), None, budget, mode, record_log)

@@ -99,13 +99,22 @@ class TestExitCodes:
         (("constants", "--seed", "-1"), "--seed"),
         (("run", "--config", "{tmp}/missing.cfg"), "cannot read config:"),
         (("game",), "game needs"),
+        (("run", "--schedule", "cyclic"), "schedule"),
+        (("run", "--gamma0", "0"), "gamma0"),
+        (("run", "--gamma0", "-1"), "gamma0"),
+        (("run", "--bound", "0"), "bound"),
+        (("run", "--task", "anchor-classification", "--epsilon", "0.25"), "epsilon"),
+        (("run", "--task", "anchor-classification", "--classes", "2"), "classes"),
+        (("constants", "--m", "3", "--scale", "0", "--samples", "1000"), "--scale"),
     ], ids=["run-gamma0", "run-ridge", "run-bound", "run-bound-overflow", "run-sigma",
             "run-sigma-overflow", "run-sigma-underflow",
             "run-seed", "run-empty-anchor-grid", "run-csv-target",
             "run-csv-no-target", "run-csv-every-column", "run-csv-repeated-target",
             "run-csv-header-twice", "run-no-training-row", "run-one-training-row",
             "verify-seed", "constants-m", "constants-scale", "game-tol",
-            "constants-m-not-integer", "constants-seed", "run-missing-config", "game-no-p"])
+            "constants-m-not-integer", "constants-seed", "run-missing-config", "game-no-p",
+            "run-schedule", "run-gamma0-zero", "run-gamma0-negative", "run-bound-zero",
+            "run-anchor-epsilon", "run-anchor-classes", "constants-scale-zero"])
     def test_invalid_value_is_config_error(self, capsys, tmp_path, monkeypatch, argv, key):
         def no_trial(args):
             raise AssertionError("a trial ran before the configuration was checked")
@@ -283,6 +292,23 @@ class TestRunCommand:
         assert "not finite" in err
         assert not any((tmp_path / name).exists()
                        for name in ("curve.csv", "curve.svg", "manifest"))
+
+    @pytest.mark.parametrize("strategy", ["active-median", "coordinate-passive",
+                                          "infimum-loss"])
+    def test_diverged_run_with_a_finite_curve_is_runtime_error(self, capsys, tmp_path,
+                                                               strategy):
+        # every trial's averaged model is not finite, yet a NaN prediction
+        # decodes to a class, so the zero-one curve is finite: only the check
+        # of the averaged model sees the divergence
+        outdir = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(capsys, "run", "--task", "libsvm", "--strategy", strategy,
+                                   "--input", str(FIXTURES / "blobs3.libsvm"),
+                                   "--gamma0", "1e300", "--budget", "64", "--trials", "1",
+                                   "--outdir", str(outdir))
+        assert code == 2
+        assert "not finite" in err
+        assert not outdir.exists()
 
     def test_failed_run_keeps_the_previous_artifacts(self, capsys, tmp_path):
         names = ("curve.csv", "curve.svg", "manifest")

@@ -125,7 +125,8 @@ class TestRegressor:
 
     def test_rejects_bad_labels_and_budget(self):
         X, y = sin_data(n=16)
-        with pytest.raises(ValueError, match="X and y disagree"):
+        with pytest.raises(ValueError,
+                           match=r"labels of shape \(15,\) do not match X of shape \(16, 1\)"):
             WeakSGDRegressor().fit(X, y[:-1])
         with pytest.raises(ValueError, match="budget must be >= 0"):
             WeakSGDRegressor(budget=-1).fit(X, y)
@@ -200,9 +201,11 @@ class TestClassifier:
 
     def test_rejects_labels_that_are_not_a_vector(self):
         X, y = blob_data(n=16)
-        for bad in (y[:-1], np.stack([y, y], axis=1)):
-            with pytest.raises(ValueError, match="length-n label vector"):
-                WeakSGDClassifier().fit(X, bad)
+        with pytest.raises(ValueError,
+                           match=r"labels of shape \(15,\) do not match X of shape \(16, 2\)"):
+            WeakSGDClassifier().fit(X, y[:-1])
+        with pytest.raises(ValueError, match="length-n label vector"):
+            WeakSGDClassifier().fit(X, np.stack([y, y], axis=1))
 
     def test_integer_labels_preserved(self):
         rng = np.random.default_rng(9)

@@ -14,7 +14,7 @@ from weaksgd.experiments import (
     validate_config,
 )
 from weaksgd.kernel import KernelModel, KernelSpec
-from weaksgd.learner import StepSchedule
+from weaksgd.learner import StepSchedule, run_full_sgd
 from weaksgd.oracle import QueryOracle
 
 
@@ -94,8 +94,35 @@ class TestTrainRowCounts:
         X = rng.random((rows, 2))
         labels = rng.integers(1, 4, 30) if n_classes else rng.random((30, 1))
         model = KernelModel.zeros(X[:5], n_classes or 1, KernelSpec(0.3))
-        with pytest.raises(ValueError, match=f"X has {rows} rows but there are 30 labels"):
+        # full-sgd's labels are rows of one output, the oracles' one label per sample
+        with pytest.raises(ValueError, match=rf"labels of shape \(30,( 1)?\) do not match "
+                                             rf"X of shape \({rows}, 2\)"):
             train(strategy, X, labels, model, StepSchedule.decaying(0.5), rng, 40, n_classes)
+        assert not model.coefficients.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("strategy", ["active-median", "active-least-squares", "passive",
+                                          "full-sgd"])
+    def test_a_non_finite_target_is_refused_before_a_bit(self, no_bits, strategy, bad):
+        rng = np.random.default_rng(0)
+        X = rng.random((30, 2))
+        labels = rng.random((30, 1))
+        labels[7, 0] = bad
+        model = KernelModel.zeros(X[:5], 1, KernelSpec(0.3))
+        with pytest.raises(ValueError, match="real labels contain non-finite values"):
+            train(strategy, X, labels, model, StepSchedule.decaying(0.5), rng, 40)
+        assert not model.coefficients.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_the_oracle_and_full_sgd_refuse_a_non_finite_target(self, bad):
+        X = np.linspace(0.0, 1.0, 6)[:, None]
+        labels = np.zeros((6, 2))
+        labels[2, 1] = bad
+        with pytest.raises(ValueError, match="real labels contain non-finite values"):
+            QueryOracle.for_regression(labels, 6)
+        model = KernelModel.zeros(X[:3], 2, KernelSpec(0.3))
+        with pytest.raises(ValueError, match="real labels contain non-finite values"):
+            run_full_sgd(X, labels, StepSchedule.decaying(0.5), model)
         assert not model.coefficients.any()
 
     @pytest.mark.parametrize("strategy", ["full-sgd", "active-median"])

@@ -60,7 +60,7 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             StepSchedule(kind="cyclic", gamma0=1.0)
         for gamma0 in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="finite gamma0"):
+            with pytest.raises(ValueError, match="gamma0 must be finite and > 0"):
                 StepSchedule.decaying(gamma0)
 
 
@@ -251,7 +251,7 @@ class TestLeastSquaresSGD:
         model = zero_model([[0.0]])
         oracle = QueryOracle.for_regression(np.array([[0.0]]), budget=1)
         for bound in (0.0, -1.0, np.inf, np.nan, 1e308):
-            with pytest.raises(ValueError, match="bound must be finite"):
+            with pytest.raises(ValueError, match="scale bound M must be > 0 with 2M finite"):
                 run_least_squares_sgd(np.array([[0.0]]), oracle, StepSchedule.decaying(0.5),
                                       model, rng, bound=bound)
             assert oracle.budget_used == 0
