@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 invalid configuration, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -148,10 +147,8 @@ def cmd_constants(args) -> int:
     if args.samples < 1000:
         raise ConfigError(f"--samples must be >= 1000, got {args.samples}")
     _owned("--scale", args.scale, "a range bound", geometry._check_scale, args.scale)
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    rows, all_ok = _constants_table(np.random.default_rng(args.seed), ms, args.scale,
-                                    args.samples)
+    rng = _owned("--seed", args.seed, "a generator seed", np.random.default_rng, args.seed)
+    rows, all_ok = _constants_table(rng, ms, args.scale, args.samples)
     header = "m,c2_closed,c2_mc,c2_se,c1_closed,c1_mc,c1_se,verdict"
     print(header)
     for row in rows:
@@ -207,8 +204,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_game(args) -> int:
-    if not 0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
+    _owned("--tol", args.tol, "a tolerance", geometry._check_tol, args.tol)
     try:
         if args.counterexample:
             p = np.array([0.4, 0.3, 0.3])
@@ -233,9 +229,8 @@ def cmd_game(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(seed: int):
+def _verify_checks(rng: np.random.Generator):
     from .surrogate import surrogate_target_check
-    rng = np.random.default_rng(seed)
 
     def constants_agree():
         return _constants_table(rng, (1, 2, 3, 8), 1.0, 200_000)[1]
@@ -291,10 +286,9 @@ def _verify_checks(seed: int):
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    rng = _owned("--seed", args.seed, "a generator seed", np.random.default_rng, args.seed)
     failures = 0
-    for name, check in _verify_checks(args.seed):
+    for name, check in _verify_checks(rng):
         try:
             ok = bool(check())
         except Exception as exc:

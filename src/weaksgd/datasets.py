@@ -47,13 +47,9 @@ class LabeledDataset:
             if self.targets.shape[0] != self.n:
                 raise ValueError("features and targets disagree on n")
             return
-        self.targets = np.asarray(self.targets, dtype=int)
-        if self.targets.ndim != 1 or self.targets.shape[0] != self.n:
+        self.targets = kernel._class_codes(self.targets, self.n_classes)
+        if self.targets.shape[0] != self.n:
             raise ValueError("class targets must be a length-n vector")
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
-        if ((self.targets < 1) | (self.targets > self.n_classes)).any():
-            raise ValueError(f"class indices must lie in 1..{self.n_classes}")
 
     @property
     def n(self) -> int:

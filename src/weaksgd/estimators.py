@@ -75,12 +75,12 @@ class _BaseWeakSGD:
         is not ``X``'s before any bit, and a diverged fit (an averaged model
         that is not finite) once training ends."""
         budget = self.budget if self.budget is not None else X.shape[0]
-        schedule = StepSchedule(self.schedule, self.gamma0)
+        schedule = StepSchedule(self.schedule, self.gamma0, self.ridge)
         spec = KernelSpec(self.bandwidth)
         rng = np.random.default_rng(self.seed)  # a Generator seed passes through as is
         reps = nystrom_representers(X, self.rank, rng)
         output_dim = labels.shape[1] if n_classes is None else n_classes
-        model = KernelModel.zeros(reps, output_dim, spec, self.ridge)
+        model = KernelModel.zeros(reps, output_dim, spec)
         report = experiments.train(self.strategy, X, labels, model, schedule, rng, budget,
                                    n_classes, bound)
         self.model_ = report.averaged_model

@@ -132,20 +132,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, name)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be >= 0")
+    _owned("seed", cfg.seed, "a generator seed", np.random.default_rng, cfg.seed)
     for name in ("budget", "trials", "rank", "grid_size", "jobs"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
-    try:
-        StepSchedule(cfg.schedule, cfg.gamma0)
-    except ValueError as exc:  # its message begins with the setting: schedule or gamma0
+    try:  # an unresolved config has no ridge yet
+        StepSchedule(cfg.schedule, cfg.gamma0, 0.0 if cfg.ridge is None else cfg.ridge)
+    except ValueError as exc:  # its message begins with the setting: schedule, gamma0 or ridge
         raise ConfigError(str(exc)) from None
     _owned("bound", cfg.bound, "a range bound", _check_scale, cfg.bound)
     if cfg.sigma is not None:
         _owned("sigma", cfg.sigma, "a kernel bandwidth", KernelSpec, cfg.sigma)
-    if cfg.ridge is not None and cfg.ridge < 0:
-        raise ConfigError("ridge must be >= 0")
     if not 0.0 < cfg.train_fraction < 1.0:
         raise ConfigError("train_fraction must lie strictly between 0 and 1")
     if cfg.task == "anchor-classification":
@@ -290,10 +287,10 @@ def _one_trial(args):
         evaluate = partial(empirical_risk, test=test)
     reps = nystrom_representers(data.features, cfg.rank, rng)
     sigma = data.d / 5.0 if cfg.sigma is None else cfg.sigma  # a file task's default
-    model = KernelModel.zeros(reps, data.output_dim, KernelSpec(sigma), cfg.ridge)
+    model = KernelModel.zeros(reps, data.output_dim, KernelSpec(sigma))
     model.pin_points(points)  # one kernel block for every checkpoint's evaluation
     report = train(cfg.strategy, data.features, data.targets, model,
-                   StepSchedule(cfg.schedule, cfg.gamma0), rng, cfg.budget,
+                   StepSchedule(cfg.schedule, cfg.gamma0, cfg.ridge), rng, cfg.budget,
                    data.n_classes, cfg.bound, default_checkpoints(cfg.budget), evaluate)
     return report.checkpoints
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _check_tol
 
 LP_ITERATIONS = 100_000  # the simplex step cap of each solve
 
@@ -91,8 +92,7 @@ def solve_game(game: MatrixGame, tol: float = 1e-6) -> GameSolution:
     checks both strategies; a larger gap raises :class:`GameSolveError`
     naming the gap. HiGHS stops after :data:`LP_ITERATIONS` simplex steps.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_tol(tol)
     from scipy.optimize import linprog  # on first solve: only the game needs scipy (0.5 s import)
 
     A = game.payoff

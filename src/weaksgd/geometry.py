@@ -233,6 +233,12 @@ def _anchor_force(points: np.ndarray, weights: np.ndarray, a: int) -> tuple[floa
     return float(np.linalg.norm(force)), here
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a solver tolerance unless 0 < tol < inf."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def geometric_median(points, weights=None, tol: float = 1e-8) -> np.ndarray:
     """Weighted geometric median: argmin_x sum_i w_i ||x - p_i||.
 
@@ -265,8 +271,7 @@ def geometric_median(points, weights=None, tol: float = 1e-8) -> np.ndarray:
     wsum = w.sum()
     if wsum <= 0:
         raise ValueError("weights must not all be zero")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_tol(tol)
 
     # exact optimality certificate at each anchor (covers k == 1 too)
     for a in range(k):

@@ -62,6 +62,18 @@ def _label_rows(Y) -> np.ndarray:
     return Y
 
 
+def _class_codes(classes, n_classes: int) -> np.ndarray:
+    """Class labels as a nonempty 1-D int array of codes 1..n_classes."""
+    c = np.asarray(classes, dtype=int)
+    if c.ndim != 1 or c.size < 1:
+        raise ValueError("classes must be a nonempty 1-D array")
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
+    if ((c < 1) | (c > n_classes)).any():
+        raise ValueError(f"class indices must lie in 1..{n_classes}")
+    return c
+
+
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)); symmetric, in (0, 1]."""
     x = np.asarray(x, dtype=float).ravel()
@@ -150,7 +162,6 @@ class KernelModel:
     representers: np.ndarray
     coefficients: np.ndarray
     spec: KernelSpec
-    ridge: float = 0.0
     pinned: PinnedBlock | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,13 +172,11 @@ class KernelModel:
         unfit = _unfit_rows(self.representers)
         if unfit:
             raise ValueError(f"representers contain {unfit}")
-        if not 0 <= self.ridge < np.inf:
-            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
     @classmethod
-    def zeros(cls, representers, output_dim: int, spec: KernelSpec, ridge: float = 0.0):
+    def zeros(cls, representers, output_dim: int, spec: KernelSpec):
         reps = _as_rows(representers)
-        return cls(reps, np.zeros((reps.shape[0], int(output_dim))), spec, ridge)
+        return cls(reps, np.zeros((reps.shape[0], int(output_dim))), spec)
 
     @property
     def rank(self) -> int:
@@ -229,7 +238,7 @@ class KernelModel:
 
     def with_coefficients(self, coefficients: np.ndarray) -> "KernelModel":
         """A model with its own float copy of these coefficients, checked, that
-        shares this checked model's representers, spec, ridge and pinned block."""
+        shares this checked model's representers, spec and pinned block."""
         snap = copy.copy(self)
         snap.coefficients = self._checked(np.array(coefficients, dtype=float, order="C"))
         return snap

@@ -76,13 +76,15 @@ from .oracle import QueryOracle, _whole
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step-size rule: ``decaying`` steps by gamma0 / sqrt(t) at step t
-    (1-based), ``constant`` by gamma0 at every step."""
+    """Step rule: ``decaying`` steps by gamma0 / sqrt(t) at step t (1-based),
+    ``constant`` by gamma0 at every step; each step first shrinks the
+    coefficients by 1 - gamma * ridge."""
 
     KINDS = ("decaying", "constant")
 
     kind: str
     gamma0: float
+    ridge: float = 0.0
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -90,6 +92,8 @@ class StepSchedule:
         if not 0 < self.gamma0 < np.inf:
             raise ValueError(
                 f"gamma0 must be finite and > 0 for a {self.kind} schedule, got {self.gamma0}")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
     @classmethod
     def decaying(cls, gamma0: float) -> "StepSchedule":
@@ -228,8 +232,8 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
     hi)`` returns the direction rows of a sign rule, and ``draw(lo, hi)``
     draws what a move rule reads. Step t (1-based) reads row ``X[used[t - 1]]``
     through its kernel column ``kcol`` and shrinks the coefficients by
-    ``1 - gamma * ridge`` before it moves them. The rule, which reads the
-    current coefficients, is one of two kinds.
+    ``1 - gamma * schedule.ridge`` before it moves them. The rule, which reads
+    the current coefficients, is one of two kinds.
 
     * A *move rule* (``directions`` None; full-sgd and infimum-loss, whose
       direction is read from f(x)) is called as ``rule(t - 1, i, kcol,
@@ -352,7 +356,7 @@ def _descend(model: KernelModel, X, used, schedule: StepSchedule, grid, evaluate
         K = kernel_matrix(model.spec, X[samples], model.representers, out=gram[:hi - lo],
                           scratch=scratch[:hi - lo])
         gammas = schedule.gammas(lo, hi)
-        shrink = 1.0 - gammas * model.ridge if model.ridge != 0.0 else None
+        shrink = 1.0 - gammas * schedule.ridge if schedule.ridge != 0.0 else None
         if directions is not None:
             U = directions(lo, hi)
             picks = None

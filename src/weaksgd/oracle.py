@@ -21,7 +21,7 @@ import operator
 
 import numpy as np
 
-from .kernel import _label_rows
+from .kernel import _class_codes, _label_rows
 
 
 class BudgetExhausted(RuntimeError):
@@ -82,14 +82,8 @@ class QueryOracle:
     def for_classification(cls, classes, n_classes: int, budget: int,
                            mode: str = "streaming", record_log: bool = False) -> "QueryOracle":
         """Oracle over classes 1..n_classes, embedded as basis vectors of R^m."""
-        c = np.asarray(classes, dtype=int)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("classes must be a nonempty 1-D array")
-        if n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
-        if ((c < 1) | (c > n_classes)).any():
-            raise ValueError(f"class indices must lie in 1..{n_classes}")
-        return cls(c.copy(), n_classes, budget, mode, record_log)
+        return cls(_class_codes(classes, n_classes).copy(), n_classes, budget, mode,
+                   record_log)
 
     @property
     def budget_remaining(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernel
 from .game import class_distribution
-from .geometry import geometric_median
+from .geometry import _check_tol, geometric_median
 from .learner import StepSchedule, TrainReport, _descend, _prepare
 from .learner import run_median_sgd  # noqa: F401  kept: perfbench/layers.py wraps this site
 from .oracle import QueryOracle
@@ -119,8 +119,7 @@ def surrogate_target_check(p, tol: float = 1e-8) -> OrderingReport:
     checks (a) p_y > p_z + tol implies median_y >= median_z - tol, and
     (b) the decoded class attains max p.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_tol(tol)
     p = class_distribution(p)
     m = p.size
     theta = geometric_median(np.eye(m), p, tol=min(tol, 1e-8))

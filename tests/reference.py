@@ -3,9 +3,9 @@
 :func:`run` is the plain form of the step loop that the differential property
 in ``tests/test_learner.py`` holds each driver to. Per step t it reads the
 kernel row k of the step's input, asks the oracle one bit at f(x) = k.a (the
-labels, for full-sgd), shrinks the coefficients by 1 - gamma(t) * ridge,
-moves them by one outer product of k with the step's direction, and adds the
-iterate to a running sum for the average. It builds the kernel rows, and
+labels, for full-sgd), shrinks the coefficients by 1 - gamma(t) * ridge, with
+the schedule's ridge, moves them by one outer product of k with the step's
+direction, and adds the iterate to a running sum for the average. It builds the kernel rows, and
 draws its randomness with the package's samplers, one block of
 ``kernel.CHUNK_ROWS`` steps at a time, in the order each driver documents: a block
 of one row takes another BLAS path than the same row in a larger block, and
@@ -71,7 +71,7 @@ def run(strategy, X, source, schedule, model, rng, rows, grid, bound):
             z = float(f[0])
             sign = 1 if above and z < v else -1 if not above and z > v else 0
             direction = np.ones(1)
-        a *= 1.0 - gamma * model.ridge
+        a *= 1.0 - gamma * schedule.ridge
         if strategy == "full-sgd":
             r = f - source[i]
             norm = math.sqrt(r.dot(r))

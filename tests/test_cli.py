@@ -106,6 +106,9 @@ class TestExitCodes:
         (("run", "--task", "anchor-classification", "--epsilon", "0.25"), "epsilon"),
         (("run", "--task", "anchor-classification", "--classes", "2"), "classes"),
         (("constants", "--m", "3", "--scale", "0", "--samples", "1000"), "--scale"),
+        (("run", "--ridge", "-1"), "ridge"),
+        (("game", "--counterexample", "--tol", "inf"), "--tol"),
+        (("game", "--counterexample", "--tol", "nan"), "--tol"),
     ], ids=["run-gamma0", "run-ridge", "run-bound", "run-bound-overflow", "run-sigma",
             "run-sigma-overflow", "run-sigma-underflow",
             "run-seed", "run-empty-anchor-grid", "run-csv-target",
@@ -114,7 +117,8 @@ class TestExitCodes:
             "verify-seed", "constants-m", "constants-scale", "game-tol",
             "constants-m-not-integer", "constants-seed", "run-missing-config", "game-no-p",
             "run-schedule", "run-gamma0-zero", "run-gamma0-negative", "run-bound-zero",
-            "run-anchor-epsilon", "run-anchor-classes", "constants-scale-zero"])
+            "run-anchor-epsilon", "run-anchor-classes", "constants-scale-zero",
+            "run-ridge-negative", "game-tol-inf", "game-tol-nan"])
     def test_invalid_value_is_config_error(self, capsys, tmp_path, monkeypatch, argv, key):
         def no_trial(args):
             raise AssertionError("a trial ran before the configuration was checked")
@@ -410,7 +414,7 @@ class TestVerifyCommand:
             raise RuntimeError("no answer")
 
         monkeypatch.setattr(cli, "_verify_checks",
-                            lambda seed: [("false", lambda: False), ("raises", broken)])
+                            lambda rng: [("false", lambda: False), ("raises", broken)])
         code, out, err = run_cli(capsys, "verify")
         assert code == 3
         assert out.splitlines() == ["FAIL false", "FAIL raises: no answer"]

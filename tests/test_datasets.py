@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from weaksgd.datasets import (
     standardize,
 )
 from weaksgd.kernel import CHUNK_ROWS
+from weaksgd.oracle import QueryOracle
 
 
 def libsvm_outcome(parse, text):
@@ -746,6 +748,28 @@ class TestSplit:
         for fraction in (0.0, 1.0):
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 split(self.make(), fraction, seed=0)
+
+
+# every entry point that takes class codes, each with two rows of inputs
+CLASS_ENTRY_POINTS = {
+    "LabeledDataset": lambda classes, m: LabeledDataset(np.ones((2, 1)), classes, n_classes=m),
+    "for_classification": lambda classes, m: QueryOracle.for_classification(classes, m, 2),
+}
+
+
+@pytest.mark.parametrize("classes,n_classes,message", [
+    ([[1, 2]], 2, "classes must be a nonempty 1-D array"),
+    ([], 2, "classes must be a nonempty 1-D array"),
+    ([1, 1], 0, "n_classes must be >= 1, got 0"),
+    ([1, 1], -1, "n_classes must be >= 1, got -1"),
+    ([0, 1], 2, "class indices must lie in 1..2"),
+    ([1, 3], 2, "class indices must lie in 1..2"),
+], ids=["2-D", "empty", "no-class", "negative-count", "code-0", "code-above"])
+@pytest.mark.parametrize("entry", sorted(CLASS_ENTRY_POINTS))
+def test_every_entry_point_refuses_bad_class_codes_with_the_owner_message(
+        entry, classes, n_classes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CLASS_ENTRY_POINTS[entry](classes, n_classes)
 
 
 class TestDatasetValidation:

@@ -57,7 +57,8 @@ class TestConfigResolution:
             validate_config(replace(ExperimentConfig().resolved(), sigma=-1.0))
         for cfg, message in [
             (ExperimentConfig(task="regression"), "unknown task 'regression'"),
-            (ExperimentConfig(ridge=-1.0), "ridge must be >= 0"),
+            (ExperimentConfig(ridge=-1.0), "ridge must be finite and >= 0, got -1.0"),
+            (ExperimentConfig(seed=-1), "seed -1 is not a generator seed"),
             (ExperimentConfig(train_fraction=1.0), "train_fraction must lie strictly"),
             (ExperimentConfig(task="anchor-classification", classes=2),
              "the anchored task needs at least 3 classes"),

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from weaksgd import geometry
+from weaksgd.game import build_game, singleton_family, solve_game
 from weaksgd.geometry import (
     MonteCarloEstimate,
     WeiszfeldNonConvergence,
@@ -16,6 +18,15 @@ from weaksgd.geometry import (
     sample_sphere,
     sample_sphere_batch,
 )
+from weaksgd.surrogate import surrogate_target_check
+
+# every entry point that takes a solver tolerance, each called on a valid problem
+TOL_ENTRY_POINTS = {
+    "solve_game": lambda tol: solve_game(build_game([0.4, 0.3, 0.3], singleton_family(3)),
+                                         tol=tol),
+    "geometric_median": lambda tol: geometric_median(np.eye(3), np.ones(3), tol=tol),
+    "surrogate_target_check": lambda tol: surrogate_target_check([0.5, 0.3, 0.2], tol=tol),
+}
 
 
 class TestSphereSampling:
@@ -203,6 +214,13 @@ class TestReconstructionIdentity:
                 estimate_reconstruction_mc(rng, z, "median", 1000)
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
             estimate_reconstruction_mc(rng, np.array([1.0, 0.0]), "median", 0)
+
+
+@pytest.mark.parametrize("tol", [0.0, np.inf, np.nan])
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bad_tol_with_the_owner_message(entry, tol):
+    with pytest.raises(ValueError, match=re.escape(f"tol must be finite and > 0, got {tol}")):
+        TOL_ENTRY_POINTS[entry](tol)
 
 
 class TestGeometricMedian:

@@ -159,11 +159,6 @@ class TestKernelEval:
         assert np.diag(K).tolist() == [1.0] * 4
         assert not K[~np.eye(4, dtype=bool)].any()
 
-    @pytest.mark.parametrize("ridge", [-1e-3, np.inf, np.nan])
-    def test_bad_ridge(self, spec, ridge):
-        with pytest.raises(ValueError, match="ridge must be finite"):
-            KernelModel.zeros(np.zeros((1, 1)), 1, spec, ridge)
-
 
 class TestShapeRule:
     """Inputs and real label matrices share one shape rule: a 1-D array is one
@@ -238,13 +233,13 @@ class TestPredict:
             KernelModel(np.zeros((0, 1)), np.zeros((0, 1)), spec)
 
 
-def one_step(model, x, y, gamma, direction="coordinate", seed=0):
+def one_step(model, x, y, gamma, direction="coordinate", seed=0, ridge=0.0):
     """One median-SGD step at ``x`` against label ``y``; returns the drawn direction.
 
     At t = 1 the decaying schedule steps by exactly ``gamma``.
     """
     oracle = QueryOracle.for_regression(np.atleast_2d(y), budget=1)
-    run_median_sgd(np.atleast_2d(x), oracle, StepSchedule.decaying(gamma), model,
+    run_median_sgd(np.atleast_2d(x), oracle, StepSchedule("decaying", gamma, ridge), model,
                    np.random.default_rng(seed), direction=direction)
     assert oracle.budget_used == 1
     m = model.output_dim
@@ -278,8 +273,8 @@ class TestWeakUpdate:
     def test_far_input_is_pure_shrinkage(self):
         # k < 1e-12 whenever the input sits more than 7.5 bandwidths away
         spec = KernelSpec(bandwidth=0.1)
-        model = KernelModel(np.array([[0.0]]), np.array([[2.0]]), spec, ridge=0.5)
-        one_step(model, [0.8], [5.0], gamma=0.1)
+        model = KernelModel(np.array([[0.0]]), np.array([[2.0]]), spec)
+        one_step(model, [0.8], [5.0], gamma=0.1, ridge=0.5)
         assert model.coefficients[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), abs=1e-12)
 
     def test_update_is_exact_gradient_of_projection(self, spec):
@@ -372,7 +367,7 @@ def far_apart_walk(steps, grid, ridge=0.0, schedule=StepSchedule.decaying(1.0), 
     """
     rng = np.random.default_rng(seed)
     reps = np.array([[0.0], [100.0], [200.0]])
-    model = KernelModel.zeros(reps, 2, KernelSpec(0.5), ridge)
+    model = KernelModel.zeros(reps, 2, KernelSpec(0.5))
     rows = rng.integers(0, 3, steps)
     moves = rng.integers(-8, 9, (steps, 3)) / 4.0
     seen = []
@@ -386,7 +381,8 @@ def far_apart_walk(steps, grid, ridge=0.0, schedule=StepSchedule.decaying(1.0), 
         d[...] = moves[s, 1:]
         return c
 
-    report = _descend(model, reps[rows], np.arange(steps), schedule, list(grid), None, rule, 0)
+    report = _descend(model, reps[rows], np.arange(steps), replace(schedule, ridge=ridge),
+                      list(grid), None, rule, 0)
     iterates = np.array(seen[1:] + [report.final_model.coefficients])
     return report, {t: iterates[:t].mean(axis=0) for t in [*grid, steps]}
 
@@ -594,7 +590,6 @@ class TestPinnedPoints:
         rng = np.random.default_rng(7)
         _, model = pinned_pair(rng.standard_normal((4, 1)), 3, KernelSpec(0.4),
                                midpoint_grid(16))
-        model.ridge = 0.1
         calls = []
         unfit = kernel._unfit_rows
         monkeypatch.setattr(kernel, "_unfit_rows", lambda X: calls.append(X) or unfit(X))
@@ -602,7 +597,7 @@ class TestPinnedPoints:
         snap = model.with_coefficients(given)
         assert calls == []
         assert snap.pinned is model.pinned and snap.representers is model.representers
-        assert (snap.spec, snap.ridge) == (model.spec, 0.1)
+        assert snap.spec is model.spec
         # its own float copy: neither the given array nor the model's moves it
         assert snap.coefficients.dtype == float and snap.coefficients.flags.c_contiguous
         given[0, 0] = 99

@@ -27,8 +27,8 @@ from weaksgd.surrogate import infimum_loss_sgd
 import reference
 
 
-def zero_model(reps, m=1, bandwidth=0.2, ridge=0.0):
-    return KernelModel.zeros(np.asarray(reps, dtype=float), m, KernelSpec(bandwidth), ridge)
+def zero_model(reps, m=1, bandwidth=0.2):
+    return KernelModel.zeros(np.asarray(reps, dtype=float), m, KernelSpec(bandwidth))
 
 
 class TestStepSchedule:
@@ -62,6 +62,11 @@ class TestStepSchedule:
         for gamma0 in (np.inf, np.nan):
             with pytest.raises(ValueError, match="gamma0 must be finite and > 0"):
                 StepSchedule.decaying(gamma0)
+
+    @pytest.mark.parametrize("ridge", [-1e-3, np.inf, np.nan])
+    def test_bad_ridge(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            StepSchedule("decaying", 1.0, ridge)
 
 
 class TestMedianSGD:
@@ -261,10 +266,10 @@ class TestLeastSquaresSGD:
         # coefficients; Y = f(x) makes the bit 1{0 < -V} = 0 for every draw
         rng = np.random.default_rng(3)
         X = np.array([[0.2]])
-        model = zero_model(X, ridge=0.5)
+        model = zero_model(X)
         model.coefficients[0, 0] = 1.0
         oracle = QueryOracle.for_regression(np.array([[1.0]]), budget=1)
-        report = run_least_squares_sgd(X, oracle, StepSchedule.decaying(0.2), model,
+        report = run_least_squares_sgd(X, oracle, StepSchedule("decaying", 0.2, 0.5), model,
                                        rng, bound=1.0)
         assert report.final_model.coefficients[0, 0] == pytest.approx(0.9, abs=1e-15)
 
@@ -371,7 +376,7 @@ def sign_and_move_runs(name, m, ridge):
         # vector leaves -0.0 in the coefficients of the other outputs
         Y -= 1.0
     oracles = [QueryOracle.for_regression(Y, SIGN_STEPS) for _ in range(2)]
-    models = [KernelModel.zeros(reps, m, KernelSpec(1.0), ridge) for _ in range(2)]
+    models = [KernelModel.zeros(reps, m, KernelSpec(1.0)) for _ in range(2)]
     kind = "halfspace_query" if name in ("median", "coordinate") else "threshold_query"
     iterates = ([], [])
     for oracle, model, seen in zip(oracles, models, iterates):
@@ -380,7 +385,7 @@ def sign_and_move_runs(name, m, ridge):
             return ask(*args)
 
         setattr(oracle, kind, asked)
-    sched = StepSchedule.decaying(0.5)
+    sched = StepSchedule("decaying", 0.5, ridge)
     seed, bound = 32, 2.0
     kw = dict(checkpoint_grid=SIGN_GRID)
     rng = np.random.default_rng(seed)
@@ -480,8 +485,8 @@ class TestSignRule:
         X = rng.random((n, 1)) * 100 + 50
         reps = rng.random((20, 1)) * 40
         Y = rng.standard_normal((n, 7))
-        schedule, grid = StepSchedule.decaying(1.0), list(range(1, n + 1))
-        model = KernelModel.zeros(reps, 7, KernelSpec(0.05), 2.5)
+        schedule, grid = StepSchedule("decaying", 1.0, 2.5), list(range(1, n + 1))
+        model = KernelModel.zeros(reps, 7, KernelSpec(0.05))
         last, mean, checkpoints = reference.run(
             "median", X, QueryOracle.for_regression(Y, n), schedule, model,
             np.random.default_rng(8), list(range(n)), grid, None)
@@ -775,7 +780,7 @@ def reference_case(data, strategy):
                                                                       label="classify"))
     ridge = data.draw(st.sampled_from([0.0, 1e-3, 2.5]), label="ridge")  # 2.5 * gamma0 > 1
     schedule = StepSchedule(data.draw(st.sampled_from(StepSchedule.KINDS), label="schedule"),
-                            data.draw(st.sampled_from([0.5, 0.7]), label="gamma0"))
+                            data.draw(st.sampled_from([0.5, 0.7]), label="gamma0"), ridge)
     walk = data.draw(st.integers(0, 3 * CHUNK + 40), label="walk")
     resampling = data.draw(st.booleans(), label="resampling")
     if resampling:
@@ -803,7 +808,7 @@ def reference_case(data, strategy):
             return QueryOracle.for_classification(labels, m, budget, mode, record_log=True)
         return QueryOracle.for_regression(labels, budget, mode, record_log=True)
 
-    model = KernelModel.zeros(reps, m, KernelSpec(1.0), ridge)
+    model = KernelModel.zeros(reps, m, KernelSpec(1.0))
     oracle, ref_oracle = make_oracle(), make_oracle()
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="driver seed"))
     ref_rng, bound = copy.deepcopy(rng), 2.0
@@ -861,8 +866,8 @@ def test_full_sgd_steps_without_a_move_as_the_plain_reference(m, ridge):
     Y = np.random.default_rng(33).standard_normal((4, m))
     Y[:2] = 0.0
     steps, grid = 700, [1, 2, 3, 255, 256, 300, 511, 700]
-    schedule = StepSchedule.decaying(0.5)
-    model = KernelModel.zeros(reps, m, KernelSpec(0.5), ridge)
+    schedule = StepSchedule("decaying", 0.5, ridge)
+    model = KernelModel.zeros(reps, m, KernelSpec(0.5))
     last, mean, checkpoints = reference.run("full-sgd", X, Y, schedule, model, None,
                                             [t % 4 for t in range(steps)], grid, None)
     report = run_full_sgd(X, Y, schedule, model, checkpoint_grid=grid,
@@ -930,11 +935,10 @@ def chunked_run(name, chunk_rows, monkeypatch):
     else:
         Y = np.sin(X[:, :m]) + 0.1 * rng.standard_normal((n, m))
         oracle = QueryOracle.for_regression(Y, CHUNKED_STEPS, "resampling")
-    model = KernelModel.zeros(nystrom_representers(X, 40, rng), m, KernelSpec(1.5),
-                              ridge=1e-3)
+    model = KernelModel.zeros(nystrom_representers(X, 40, rng), m, KernelSpec(1.5))
     kw = dict(checkpoint_grid=[CHUNK, CHUNK + 1, CHUNKED_STEPS],
               indices=learner.Cycle(n, CHUNKED_STEPS))
-    sched = StepSchedule.decaying(0.4)
+    sched = StepSchedule("decaying", 0.4, 1e-3)
     blocks = []
 
     def counted(spec, rows, reps, out=None, scratch=None):
@@ -1121,10 +1125,11 @@ class TestOneBlockSize:
         rng = np.random.default_rng(31)
         X = rng.standard_normal((20, 2))
         Y = np.sin(X[:, :1] + np.arange(3)) + 0.3 * rng.standard_normal((20, 3))
-        model = KernelModel.zeros(X[:5], 3, KernelSpec(1.0), ridge=1e-3)
+        model = KernelModel.zeros(X[:5], 3, KernelSpec(1.0))
         oracle, ref_oracle = (QueryOracle.for_regression(Y, 20, record_log=True)
                               for _ in range(2))
-        sched, grid, ref_rng = StepSchedule.decaying(0.5), [5, 13, 20], copy.deepcopy(rng)
+        sched, grid = StepSchedule("decaying", 0.5, 1e-3), [5, 13, 20]
+        ref_rng = copy.deepcopy(rng)
         # the reference's U, then V, are drawn in blocks of 6 too, and it builds
         # its kernel rows without the counted site
         last, mean, checkpoints = reference.run("least-squares", X, ref_oracle, sched, model,

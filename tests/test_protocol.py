@@ -48,7 +48,7 @@ def _setup(name, n, budget, mode, seed, record_log=False):
     else:
         oracle = QueryOracle.for_regression(np.sin(6 * X[:, 0]), budget, mode, record_log)
         m = 1
-    model = KernelModel.zeros(X[: min(n, 5)], m, KernelSpec(0.3), ridge=1e-3)
+    model = KernelModel.zeros(X[: min(n, 5)], m, KernelSpec(0.3))
     return run, X, oracle, model, rng
 
 
@@ -62,7 +62,7 @@ def test_driver_spends_exactly_min_budget_steps(name, n, budget, resampling, wal
     # resampling walks the rows cyclically for ``walk`` steps; streaming walks them once
     indices = Cycle(n, walk) if resampling else None
     steps = walk if resampling else n
-    report = run(X, oracle, StepSchedule.decaying(0.5), model, rng, indices)
+    report = run(X, oracle, StepSchedule("decaying", 0.5, 1e-3), model, rng, indices)
     assert report.queries_used == oracle.budget_used == min(budget, steps)
 
 
@@ -71,7 +71,7 @@ def test_driver_spends_exactly_min_budget_steps(name, n, budget, resampling, wal
        budget=st.integers(0, 20), seed=st.integers(0, 2**16))
 def test_streaming_log_lists_samples_in_arrival_order(name, n, budget, seed):
     run, X, oracle, model, rng = _setup(name, n, budget, "streaming", seed, record_log=True)
-    run(X, oracle, StepSchedule.decaying(0.5), model, rng, None)
+    run(X, oracle, StepSchedule("decaying", 0.5, 1e-3), model, rng, None)
     k = min(budget, n)
     assert [(t, i) for t, i, _, _ in oracle.query_log] == [(t + 1, t) for t in range(k)]
     assert {cost for *_, cost in oracle.query_log} <= {1}
