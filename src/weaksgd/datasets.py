@@ -47,7 +47,7 @@ class LabeledDataset:
             if self.targets.shape[0] != self.n:
                 raise ValueError("features and targets disagree on n")
             return
-        self.targets = kernel._class_codes(self.targets, self.n_classes)
+        self.targets, self.n_classes = kernel._class_codes(self.targets, self.n_classes)
         if self.targets.shape[0] != self.n:
             raise ValueError("class targets must be a length-n vector")
 
@@ -405,8 +405,7 @@ def harmonic_target(x: np.ndarray, output_dim: int) -> np.ndarray:
 
 def gen_harmonic_regression(n: int, output_dim: int, rng: np.random.Generator) -> LabeledDataset:
     """Noiseless vector task: X uniform on [0, 1], Y the harmonic stack."""
-    if output_dim < 1:
-        raise ValueError("output_dim must be >= 1")
+    output_dim = kernel._whole(output_dim, "output_dim", 1)
     x = rng.random(n)
     return LabeledDataset(x[:, None], harmonic_target(x, output_dim))
 
@@ -422,7 +421,7 @@ def anchor_conditional(x, n_classes: int) -> np.ndarray:
     A scalar x gives the (n_classes,) law, an array of n points an
     (n, n_classes) array with one law per row.
     """
-    if n_classes < 3:
+    if kernel._whole(n_classes, "n_classes") < 3:
         raise ValueError("the anchored task needs at least 3 classes")
     x = np.asarray(x, dtype=float)
     if not ((0.0 <= x) & (x <= 1.0)).all():
@@ -453,8 +452,7 @@ def gen_anchor_classification(n: int, n_classes: int, band_halfwidth: float,
     ``band_halfwidth`` around 1/4 and 3/4 (rejection sampling); Y follows
     :func:`anchor_conditional`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = kernel._whole(n, "n", 1)
     xs = np.empty(0)
     while xs.size < n:
         cand = rng.random(2 * (n - xs.size) + 8)

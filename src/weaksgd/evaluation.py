@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset, anchor_conditional, anchor_support_mask
-from .kernel import KernelModel
+from .kernel import KernelModel, _whole
 from .surrogate import decode_batch
 
 
@@ -50,8 +50,7 @@ class RiskCurve:
 
 def midpoint_grid(size: int) -> np.ndarray:
     """Deterministic uniform grid of cell midpoints on [0, 1]."""
-    if size < 1:
-        raise ValueError("grid size must be >= 1")
+    size = _whole(size, "grid size", 1)
     return (np.arange(size) + 0.5) / size
 
 

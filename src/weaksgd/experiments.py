@@ -42,9 +42,9 @@ from .evaluation import (
     midpoint_grid,
 )
 from .geometry import _check_scale
-from .kernel import KernelModel, KernelSpec, nystrom_representers
+from .kernel import KernelModel, KernelSpec, _whole, nystrom_representers
 from .learner import StepSchedule, default_checkpoints
-from .oracle import QueryOracle, _whole
+from .oracle import QueryOracle
 
 FILE_TASKS = ("libsvm", "csv-regression")  # the tasks that read an input file
 TASKS = ("sin-regression", "anchor-classification") + FILE_TASKS
@@ -113,10 +113,11 @@ _FLOAT_FIELDS = {"sigma", "gamma0", "ridge", "bound", "epsilon", "train_fraction
 
 
 def _owned(name, value, what, check, *args):
-    """``check(*args)``, with its ``ValueError`` as a ConfigError naming ``name``."""
+    """``check(*args)``, with its ``ValueError`` or ``TypeError`` as a ConfigError
+    naming ``name``."""
     try:
         return check(*args)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{name} {value!r} is not {what}: {exc}") from None
 
 
@@ -134,8 +135,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{name} must be finite, got {value!r}")
     _owned("seed", cfg.seed, "a generator seed", np.random.default_rng, cfg.seed)
     for name in ("budget", "trials", "rank", "grid_size", "jobs"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1")
+        value = getattr(cfg, name)
+        _owned(name, value, "a positive integer", _whole, value, name, 1)
     try:  # an unresolved config has no ridge yet
         StepSchedule(cfg.schedule, cfg.gamma0, 0.0 if cfg.ridge is None else cfg.ridge)
     except ValueError as exc:  # its message begins with the setting: schedule, gamma0 or ridge

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _check_tol
+from .kernel import _whole
 
 LP_ITERATIONS = 100_000  # the simplex step cap of each solve
 
@@ -66,7 +67,7 @@ def build_game(p, family) -> MatrixGame:
     m = p.size
     sets = []
     for S in family:
-        S = frozenset(int(s) for s in S)
+        S = frozenset(_whole(s, "class") for s in S)
         if any(s < 1 or s > m for s in S):
             raise ValueError(f"set {sorted(S)} mentions classes outside 1..{m}")
         if len(S) == 0 or len(S) == m:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import _whole
+
 # float budget per Monte Carlo chunk; keeps peak memory flat for large n
 _CHUNK_FLOATS = 4_000_000
 WEISZFELD_STEPS = 100_000  # the iteration cap of geometric_median
@@ -41,13 +43,6 @@ class WeiszfeldNonConvergence(RuntimeError):
         self.last_iterate = last_iterate
 
 
-def _check_dim(m: int) -> int:
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"dimension must be >= 1, got {m}")
-    return m
-
-
 def sample_sphere(rng: np.random.Generator, m: int) -> np.ndarray:
     """Draw one point uniformly on the unit sphere S^{m-1}.
 
@@ -63,9 +58,8 @@ def _normals(rng: np.random.Generator, m: int, n: int) -> tuple[np.ndarray, np.n
     Dividing a row by its norm gives a uniform sphere point; a caller that
     needs only some coordinates divides only those, with the same bits.
     """
-    m = _check_dim(m)
-    if n < 0:
-        raise ValueError(f"sample count must be >= 0, got {n}")
+    m = _whole(m, "dimension", 1)
+    n = _whole(n, "sample count")
     g = rng.standard_normal((n, m))
     norms = np.linalg.norm(g, axis=1)
     bad = norms == 0.0
@@ -89,7 +83,7 @@ def c2_constant(m: int) -> float:
     proportional to (1 - t^2)^{(m-3)/2} on [-1, 1]. Special values:
     c2(1) = 1, c2(2) = 2/pi, c2(3) = 1/2.
     """
-    m = _check_dim(m)
+    m = _whole(m, "dimension", 1)
     if m <= 300:  # gamma stays finite; exact at m = 1 where lgamma rounding drifts
         return math.gamma(m / 2.0) / (math.sqrt(math.pi) * math.gamma((m + 1) / 2.0))
     return math.exp(math.lgamma(m / 2.0) - math.lgamma((m + 1) / 2.0)) / math.sqrt(math.pi)
@@ -108,7 +102,7 @@ def c1_constant(m: int, M: float) -> float:
     E_V[1{<z, U> >= V}] = max(0, <z, U>)/(2M), and E[U U^T] = I/m, hence
     c1 = 1 / (4 m M). Scale equivariance: c1(m, aM) = c1(m, M)/a.
     """
-    m = _check_dim(m)
+    m = _whole(m, "dimension", 1)
     _check_scale(M)
     return 1.0 / (4.0 * m * M)
 
@@ -158,9 +152,8 @@ def estimate_constant_mc(
     Median kind averages |U_1|; least-squares kind averages
     1{U_1 >= V} U_1 with V uniform on [0, 2M].
     """
-    m = _check_dim(m)
-    if n_samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n_samples}")
+    m = _whole(m, "dimension", 1)
+    n_samples = _whole(n_samples, "n_samples", 1000)
     _check_kind(kind, M)
     total = 0.0
     total_sq = 0.0
@@ -199,8 +192,7 @@ def estimate_reconstruction_mc(
     _check_kind(kind, M)
     if kind == "least-squares" and np.linalg.norm(z) > 2.0 * M + 1e-12:
         raise ValueError("reconstruction requires ||z|| <= 2M")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = _whole(n_samples, "n_samples", 1)
 
     total = np.zeros(m)
     total_sq = np.zeros(m)

@@ -62,16 +62,29 @@ def _label_rows(Y) -> np.ndarray:
     return Y
 
 
-def _class_codes(classes, n_classes: int) -> np.ndarray:
-    """Class labels as a nonempty 1-D int array of codes 1..n_classes."""
-    c = np.asarray(classes, dtype=int)
+def _whole(value, name: str, least: int = 0) -> int:
+    """``value`` as an int: the one whole-number rule, for every count. A bool
+    or non-integer raises ``TypeError``, a value below ``least`` ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _class_codes(classes, n_classes: int) -> tuple[np.ndarray, int]:
+    """Class labels as a nonempty 1-D integer array of codes 1..n_classes, with
+    ``n_classes`` as an int. Codes of a non-integer or bool dtype raise
+    ``TypeError``."""
+    c = np.asarray(classes)
     if c.ndim != 1 or c.size < 1:
         raise ValueError("classes must be a nonempty 1-D array")
-    if n_classes < 1:
-        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
+    n_classes = _whole(n_classes, "n_classes", 1)
+    if c.dtype.kind not in "iu":
+        raise TypeError(f"class codes must be integers, got dtype {c.dtype}")
     if ((c < 1) | (c > n_classes)).any():
         raise ValueError(f"class indices must lie in 1..{n_classes}")
-    return c
+    return c, n_classes
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -176,7 +189,7 @@ class KernelModel:
     @classmethod
     def zeros(cls, representers, output_dim: int, spec: KernelSpec):
         reps = _as_rows(representers)
-        return cls(reps, np.zeros((reps.shape[0], int(output_dim))), spec)
+        return cls(reps, np.zeros((reps.shape[0], _whole(output_dim, "output_dim"))), spec)
 
     @property
     def rank(self) -> int:
@@ -248,8 +261,7 @@ def nystrom_representers(X, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random subset of the inputs, without replacement, as representers."""
     X = _as_rows(X)
     n = X.shape[0]
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    rank = _whole(rank, "rank", 1)
     if rank >= n:
         return X.copy()
     idx = rng.choice(n, size=rank, replace=False)

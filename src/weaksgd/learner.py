@@ -70,8 +70,8 @@ import numpy as np
 
 from . import kernel
 from .geometry import _check_scale, _normals, sample_sphere_batch
-from .kernel import KernelModel, _as_rows, _label_rows, _unfit_rows, kernel_matrix
-from .oracle import QueryOracle, _whole
+from .kernel import KernelModel, _as_rows, _label_rows, _unfit_rows, _whole, kernel_matrix
+from .oracle import QueryOracle
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,8 @@ def _prepare(X, budget: int, checkpoint_grid, indices, labels: tuple):
         raise TypeError(f"indices must be None or a learner.Cycle, got {type(indices).__name__}")
     elif indices.n != n:
         raise ValueError(f"a Cycle over {indices.n} rows cannot walk X of shape {X.shape}")
-    steps = min(int(budget), indices.steps)
-    grid = [] if checkpoint_grid is None else [int(c) for c in checkpoint_grid]
+    steps = min(budget, indices.steps)
+    grid = [] if checkpoint_grid is None else [_whole(c, "checkpoint") for c in checkpoint_grid]
     if any(c < 1 for c in grid) or sorted(set(grid)) != grid:
         raise ValueError("checkpoint grid must be strictly increasing positive ints")
     if grid and grid[-1] > steps:
@@ -178,6 +178,7 @@ def _prepare(X, budget: int, checkpoint_grid, indices, labels: tuple):
 
 def default_checkpoints(budget: int) -> list[int]:
     """Powers of two up to the budget, always including the budget itself."""
+    budget = _whole(budget, "budget")
     if budget < 1:
         return []
     grid = []
@@ -185,7 +186,7 @@ def default_checkpoints(budget: int) -> list[int]:
     while c < budget:
         grid.append(c)
         c *= 2
-    grid.append(int(budget))
+    grid.append(budget)
     return grid
 
 

@@ -21,7 +21,7 @@ import operator
 
 import numpy as np
 
-from .kernel import _class_codes, _label_rows
+from .kernel import _class_codes, _label_rows, _whole
 
 
 class BudgetExhausted(RuntimeError):
@@ -48,7 +48,8 @@ class QueryOracle:
     def __init__(self, labels: np.ndarray, n_classes: int | None, budget: int,
                  mode: str, record_log: bool):
         """Use :meth:`for_regression` or :meth:`for_classification`; they check
-        ``labels``: (n, m) real targets, or (n,) classes 1..n_classes."""
+        ``labels``: (n, m) real targets, or (n,) classes 1..n_classes with
+        ``n_classes`` an int."""
         if mode not in ("streaming", "resampling"):
             raise ValueError(f"unknown mode {mode!r}")
         self.budget_total = _whole(budget, "budget")
@@ -63,7 +64,7 @@ class QueryOracle:
             # its call
             self._scalars = labels[:, 0] if self._m == 1 else None
         else:
-            self._targets, self._classes, self._m = None, labels, int(n_classes)
+            self._targets, self._classes, self._m = None, labels, n_classes
             self._scalars = None
             self._class_ids = frozenset(range(1, self._m + 1))
         self._shape = (self._m,)  # the shape of a query operand
@@ -82,8 +83,8 @@ class QueryOracle:
     def for_classification(cls, classes, n_classes: int, budget: int,
                            mode: str = "streaming", record_log: bool = False) -> "QueryOracle":
         """Oracle over classes 1..n_classes, embedded as basis vectors of R^m."""
-        return cls(_class_codes(classes, n_classes).copy(), n_classes, budget, mode,
-                   record_log)
+        codes, n_classes = _class_codes(classes, n_classes)
+        return cls(codes.copy(), n_classes, budget, mode, record_log)
 
     @property
     def budget_remaining(self) -> int:
@@ -225,16 +226,6 @@ class QueryOracle:
 
 
 _FLOAT = np.dtype(float)
-
-
-def _whole(value, name: str) -> int:
-    """``value`` as an int: the one whole-number rule, for budgets and ``Cycle``
-    counts. A bool or non-integer raises ``TypeError``, a negative ``ValueError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return int(value)
 
 
 def _vector(v) -> np.ndarray:

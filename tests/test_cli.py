@@ -109,6 +109,8 @@ class TestExitCodes:
         (("run", "--ridge", "-1"), "ridge"),
         (("game", "--counterexample", "--tol", "inf"), "--tol"),
         (("game", "--counterexample", "--tol", "nan"), "--tol"),
+        (("constants", "--m", "3", "--samples", "999"), "--samples"),
+        (("constants", "--m", "3,0"), "--m"),
     ], ids=["run-gamma0", "run-ridge", "run-bound", "run-bound-overflow", "run-sigma",
             "run-sigma-overflow", "run-sigma-underflow",
             "run-seed", "run-empty-anchor-grid", "run-csv-target",
@@ -118,7 +120,8 @@ class TestExitCodes:
             "constants-m-not-integer", "constants-seed", "run-missing-config", "game-no-p",
             "run-schedule", "run-gamma0-zero", "run-gamma0-negative", "run-bound-zero",
             "run-anchor-epsilon", "run-anchor-classes", "constants-scale-zero",
-            "run-ridge-negative", "game-tol-inf", "game-tol-nan"])
+            "run-ridge-negative", "game-tol-inf", "game-tol-nan", "constants-samples",
+            "constants-m-zero-after-valid"])
     def test_invalid_value_is_config_error(self, capsys, tmp_path, monkeypatch, argv, key):
         def no_trial(args):
             raise AssertionError("a trial ran before the configuration was checked")

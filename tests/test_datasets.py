@@ -757,18 +757,21 @@ CLASS_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("classes,n_classes,message", [
-    ([[1, 2]], 2, "classes must be a nonempty 1-D array"),
-    ([], 2, "classes must be a nonempty 1-D array"),
-    ([1, 1], 0, "n_classes must be >= 1, got 0"),
-    ([1, 1], -1, "n_classes must be >= 1, got -1"),
-    ([0, 1], 2, "class indices must lie in 1..2"),
-    ([1, 3], 2, "class indices must lie in 1..2"),
-], ids=["2-D", "empty", "no-class", "negative-count", "code-0", "code-above"])
+@pytest.mark.parametrize("classes,n_classes,error,message", [
+    ([[1, 2]], 2, ValueError, "classes must be a nonempty 1-D array"),
+    ([], 2, ValueError, "classes must be a nonempty 1-D array"),
+    ([1, 1], 0, ValueError, "n_classes must be >= 1, got 0"),
+    ([1, 1], -1, ValueError, "n_classes must be >= 1, got -1"),
+    ([0, 1], 2, ValueError, "class indices must lie in 1..2"),
+    ([1, 3], 2, ValueError, "class indices must lie in 1..2"),
+    ([1.9, 2.5], 3, TypeError, "class codes must be integers, got dtype float64"),
+    ([True, True], 3, TypeError, "class codes must be integers, got dtype bool"),
+], ids=["2-D", "empty", "no-class", "negative-count", "code-0", "code-above", "float-codes",
+        "bool-codes"])
 @pytest.mark.parametrize("entry", sorted(CLASS_ENTRY_POINTS))
 def test_every_entry_point_refuses_bad_class_codes_with_the_owner_message(
-        entry, classes, n_classes, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+        entry, classes, n_classes, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         CLASS_ENTRY_POINTS[entry](classes, n_classes)
 
 

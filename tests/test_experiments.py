@@ -62,6 +62,14 @@ class TestConfigResolution:
             (ExperimentConfig(train_fraction=1.0), "train_fraction must lie strictly"),
             (ExperimentConfig(task="anchor-classification", classes=2),
              "the anchored task needs at least 3 classes"),
+            # counts that are not integers, refused by their owner, not by numpy mid-run
+            (ExperimentConfig(budget=16.0, trials=1),
+             "budget 16.0 is not a positive integer: budget must be an integer, got 16.0"),
+            (ExperimentConfig(rank=4.0), "rank 4.0 is not a positive integer"),
+            (ExperimentConfig(grid_size=8.5), "grid_size 8.5 is not a positive integer"),
+            (ExperimentConfig(seed=1.5), "seed 1.5 is not a generator seed"),
+            (ExperimentConfig(task="anchor-classification", classes=3.0),
+             "classes 3.0 is not an anchored class count"),
         ]:
             with pytest.raises(ConfigError, match=message):
                 cfg.resolved()

@@ -5,9 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaksgd.datasets import (
+    LabeledDataset,
+    anchor_conditional,
+    gen_anchor_classification,
+    gen_harmonic_regression,
+)
+from weaksgd.evaluation import midpoint_grid
 from weaksgd.experiments import train
-from weaksgd.kernel import KernelModel, KernelSpec
-from weaksgd.learner import Cycle, StepSchedule
+from weaksgd.game import build_game
+from weaksgd.geometry import (
+    c1_constant,
+    c2_constant,
+    estimate_constant_mc,
+    estimate_reconstruction_mc,
+    sample_sphere_batch,
+)
+from weaksgd.kernel import KernelModel, KernelSpec, nystrom_representers
+from weaksgd.learner import Cycle, StepSchedule, default_checkpoints, run_median_sgd
 from weaksgd.oracle import (
     BudgetExhausted,
     QueryOracle,
@@ -171,21 +186,49 @@ class TestBudgetLedger:
                                match=re.escape(f"budget must be an integer, got {budget!r}")):
                 make()
 
+    # None stands for one below the floor of each site's count
     @pytest.mark.parametrize("value,error", [
         (2.5, TypeError), (1.0, TypeError), (True, TypeError), (np.True_, TypeError),
-        (-1, ValueError),
-    ], ids=["2.5", "1.0", "True", "np.True_", "-1"])
-    def test_one_whole_number_rule_for_budgets_and_cycles(self, value, error):
+        (None, ValueError),
+    ], ids=["2.5", "1.0", "True", "np.True_", "below-floor"])
+    def test_one_whole_number_rule_for_budgets_and_cycles(self, no_bits, value, error):
         # the same value is refused with the same exception type wherever a
-        # whole number is asked for
-        X = np.random.default_rng(0).random((3, 1))
-        model = KernelModel.zeros(X, 1, KernelSpec(0.3))
-        for make in (lambda: Cycle(value, 3), lambda: Cycle(3, value),
-                     lambda: QueryOracle.for_regression(X[:, 0], value),
-                     lambda: train("active-median", X, X[:, 0], model,
-                                   StepSchedule.decaying(0.5), np.random.default_rng(0), value)):
-            with pytest.raises(error, match="must be (an integer|>= 0), got"):
-                make()
+        # whole number is asked for, and a driver refuses it before any bit
+        rng = np.random.default_rng(0)
+        X = rng.random((16, 1))
+        spec = KernelSpec(0.3)
+        model = KernelModel.zeros(X, 1, spec)
+        sites = [  # (the floor of the count, the entry point given the count)
+            (0, lambda v: Cycle(v, 3)),
+            (0, lambda v: Cycle(3, v)),
+            (0, lambda v: QueryOracle.for_regression(X[:, 0], v)),
+            (0, lambda v: train("active-median", X, X[:, 0], model,
+                                StepSchedule.decaying(0.5), rng, v)),
+            (1, lambda v: QueryOracle.for_classification([1, 2], v, 2)),
+            (1, lambda v: LabeledDataset(np.ones((2, 1)), [1, 1], n_classes=v)),
+            (0, lambda v: KernelModel.zeros(X, v, spec)),
+            (1, lambda v: nystrom_representers(X, v, rng)),
+            (1, lambda v: c2_constant(v)),
+            (1, lambda v: c1_constant(v, 1.0)),
+            (1, lambda v: sample_sphere_batch(rng, v, 2)),
+            (0, lambda v: sample_sphere_batch(rng, 2, v)),
+            (1, lambda v: estimate_constant_mc(rng, v, "median", 1000)),
+            (1000, lambda v: estimate_constant_mc(rng, 2, "median", v)),
+            (1, lambda v: estimate_reconstruction_mc(rng, np.array([0.6, 0.8]), "median", v)),
+            (0, lambda v: run_median_sgd(X, QueryOracle.for_regression(X[:, 0], 16),
+                                         StepSchedule.decaying(0.5), model, rng,
+                                         checkpoint_grid=[v, 16])),
+            (0, lambda v: default_checkpoints(v)),
+            (1, lambda v: midpoint_grid(v)),
+            (1, lambda v: gen_harmonic_regression(4, v, rng)),
+            (1, lambda v: gen_anchor_classification(v, 3, 0.1, rng)),
+            (0, lambda v: anchor_conditional(0.5, v)),
+            (0, lambda v: build_game([0.5, 0.5], [{v}])),
+        ]
+        for least, make in sites:
+            with pytest.raises(error, match=r"must be (an integer|>= \d+), got"):
+                make(least - 1 if value is None else value)
+        assert not model.coefficients.any()
 
     @pytest.mark.parametrize("budget", [3, np.int64(3), np.int32(3), np.uint8(3)],
                              ids=["int", "int64", "int32", "uint8"])
