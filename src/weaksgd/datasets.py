@@ -389,7 +389,7 @@ def sin_target(x: np.ndarray) -> np.ndarray:
 
 def gen_sin_regression(n: int, rng: np.random.Generator) -> LabeledDataset:
     """Noiseless scalar task: X uniform on [0, 1], Y = sin(2 pi X)."""
-    x = rng.random(n)
+    x = rng.random(kernel._whole(n, "n", 1))
     return LabeledDataset(x[:, None], sin_target(x))
 
 
@@ -406,7 +406,7 @@ def harmonic_target(x: np.ndarray, output_dim: int) -> np.ndarray:
 def gen_harmonic_regression(n: int, output_dim: int, rng: np.random.Generator) -> LabeledDataset:
     """Noiseless vector task: X uniform on [0, 1], Y the harmonic stack."""
     output_dim = kernel._whole(output_dim, "output_dim", 1)
-    x = rng.random(n)
+    x = rng.random(kernel._whole(n, "n", 1))
     return LabeledDataset(x[:, None], harmonic_target(x, output_dim))
 
 

@@ -61,20 +61,23 @@ def anchor_points(band_halfwidth: float, grid_size: int = 512) -> np.ndarray:
     return xs[anchor_support_mask(xs, band_halfwidth)]
 
 
-def empirical_risk(model: KernelModel, test: LabeledDataset) -> float:
+def empirical_risk(model: KernelModel, test: LabeledDataset, block=None) -> float:
     """Mean test loss: decoded zero-one error on classes, rowwise ||f(x) - y||
-    on real targets."""
-    preds = model.predict_batch(test.features)
+    on real targets. ``block``, when given, is the model's kernel block of the
+    test features (:meth:`KernelModel.kernel_block`)."""
+    preds = model.predict_batch(test.features, block)
     if test.n_classes is not None:
         return float((decode_batch(preds) != test.targets).mean())
     return float(np.linalg.norm(preds - test.targets, axis=1).mean())
 
 
-def excess_risk_noiseless(model: KernelModel, target_fn, grid_size: int = 512) -> float:
+def excess_risk_noiseless(model: KernelModel, target_fn, grid_size: int = 512,
+                          block=None) -> float:
     """Mean ||f(x) - f*(x)|| over the midpoint grid on [0, 1]; zero at f = f*:
-    the empirical risk on the grid labelled by ``target_fn``."""
+    the empirical risk on the grid labelled by ``target_fn``, with the grid's
+    kernel ``block`` when given."""
     xs = midpoint_grid(grid_size)
-    return empirical_risk(model, LabeledDataset(xs[:, None], target_fn(xs)))
+    return empirical_risk(model, LabeledDataset(xs[:, None], target_fn(xs)), block)
 
 
 def anchor_law(n_classes: int, band_halfwidth: float, grid_size: int = 512) -> np.ndarray:
@@ -82,14 +85,16 @@ def anchor_law(n_classes: int, band_halfwidth: float, grid_size: int = 512) -> n
     return anchor_conditional(anchor_points(band_halfwidth, grid_size), n_classes)
 
 
-def excess_zero_one_anchor(model: KernelModel, points: np.ndarray, law: np.ndarray) -> float:
+def excess_zero_one_anchor(model: KernelModel, points: np.ndarray, law: np.ndarray,
+                           block=None) -> float:
     """Zero-one excess risk on the anchored task, against the exact class law.
 
     Averages P(best class | x) - P(decoded class | x) over the support
     ``points`` (:func:`anchor_points`), whose class law ``law``
-    (:func:`anchor_law`) has one row per point.
+    (:func:`anchor_law`) has one row per point, with the points' kernel
+    ``block`` when given.
     """
-    decoded = decode_batch(model.predict_batch(points))
+    decoded = decode_batch(model.predict_batch(points, block))
     picked = law[np.arange(len(points)), decoded - 1]
     return float((law.max(axis=1) - picked).mean())
 

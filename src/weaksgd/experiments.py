@@ -289,7 +289,8 @@ def _one_trial(args):
     reps = nystrom_representers(data.features, cfg.rank, rng)
     sigma = data.d / 5.0 if cfg.sigma is None else cfg.sigma  # a file task's default
     model = KernelModel.zeros(reps, data.output_dim, KernelSpec(sigma))
-    model.pin_points(points)  # one kernel block for every checkpoint's evaluation
+    # one kernel block of the evaluation points for every checkpoint
+    evaluate = partial(evaluate, block=model.kernel_block(points))
     report = train(cfg.strategy, data.features, data.targets, model,
                    StepSchedule(cfg.schedule, cfg.gamma0, cfg.ridge), rng, cfg.budget,
                    data.n_classes, cfg.bound, default_checkpoints(cfg.budget), evaluate)

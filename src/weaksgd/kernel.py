@@ -11,7 +11,7 @@ which is what makes the single-bit gradient updates exact:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,40 +142,17 @@ def kernel_matrix(spec: KernelSpec, X, Z, out: np.ndarray | None = None,
     return np.exp(d2, out=d2)
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and np.array_equal(a.view(np.int64), b.view(np.int64)))
-
-
-@dataclass(frozen=True)
-class PinnedBlock:
-    """Kernel block of a fixed point set against fixed representers, kept
-    with read-only copies of both and the spec it was built with."""
-
-    points: np.ndarray
-    representers: np.ndarray
-    spec: KernelSpec
-    block: np.ndarray
-
-    def matches(self, points: np.ndarray, representers: np.ndarray, spec: KernelSpec) -> bool:
-        """True when all three inputs equal the block's own, bit for bit."""
-        return (spec == self.spec and _same_bits(points, self.points)
-                and _same_bits(representers, self.representers))
-
-
 @dataclass
 class KernelModel:
     """Low-rank kernel predictor with coefficients of shape (rank, output_dim).
 
     Instances are mutated in place by the gradient steps; one model per
-    training run. ``pinned`` holds the kernel block of the run's evaluation
-    points (see :meth:`pin_points`); coefficient snapshots share it.
+    training run.
     """
 
     representers: np.ndarray
     coefficients: np.ndarray
     spec: KernelSpec
-    pinned: PinnedBlock | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.representers = _as_rows(self.representers)
@@ -199,46 +176,45 @@ class KernelModel:
     def output_dim(self) -> int:
         return self.coefficients.shape[1]
 
-    def predict_batch(self, X) -> np.ndarray:
+    def predict_batch(self, X, block: np.ndarray | None = None) -> np.ndarray:
         """Predictions at the rows of ``X``, built and multiplied in blocks of
-        ``CHUNK_ROWS`` rows, so at most one block of kernel values is held."""
+        ``CHUNK_ROWS`` rows, so at most one block of kernel values is held.
+
+        ``block``, the :meth:`kernel_block` of ``X``, is multiplied in the
+        same blocks instead of building them, with the same bits.
+        """
         X = _as_rows(X)
         n = X.shape[0]
-        pin = self.pinned
-        pinned = pin is not None and pin.matches(X, self.representers, self.spec)
+        if block is not None and block.shape != (n, self.rank):
+            raise ValueError(f"block shape {block.shape} does not match "
+                             f"(rows, rank) {(n, self.rank)}")
         # every block is built into one buffer and one scratch buffer, whose
         # pages are reused rather than faulted in afresh for each block
-        if not pinned:
+        if block is None:
             buf, scratch = np.empty((2, min(n, CHUNK_ROWS), self.rank))
         out = np.empty((n, self.output_dim))
         for lo in range(0, n, CHUNK_ROWS):
             hi = min(lo + CHUNK_ROWS, n)
-            K = (pin.block[lo:hi] if pinned else
+            K = (block[lo:hi] if block is not None else
                  kernel_matrix(self.spec, X[lo:hi], self.representers, out=buf[:hi - lo],
                                scratch=scratch[:hi - lo]))
             out[lo:hi] = K @ self.coefficients
         return out
 
-    def pin_points(self, X) -> None:
-        """Build the kernel block of the points ``X`` once, for every later
-        :meth:`predict_batch` of the same points.
-
-        The block is built in the same blocks of ``CHUNK_ROWS`` rows that
-        :meth:`predict_batch` multiplies. It is used only while the points, the
-        representers and the spec all equal those it was built from; otherwise
-        a fresh block is built, so predictions are the same bits either way.
-        """
-        X = _as_rows(X).copy()
-        reps = self.representers.copy()
+    def kernel_block(self, X) -> np.ndarray:
+        """The read-only (n, rank) kernel block of the rows of ``X``, built in
+        the blocks of ``CHUNK_ROWS`` rows that :meth:`predict_batch` builds, for
+        every later prediction at ``X`` while the representers and spec stay."""
+        X = _as_rows(X)
         n = X.shape[0]
-        block = np.empty((n, reps.shape[0]))
-        scratch = np.empty((min(n, CHUNK_ROWS), reps.shape[0]))
+        block = np.empty((n, self.rank))
+        scratch = np.empty((min(n, CHUNK_ROWS), self.rank))
         for lo in range(0, n, CHUNK_ROWS):
             hi = min(lo + CHUNK_ROWS, n)
-            kernel_matrix(self.spec, X[lo:hi], reps, out=block[lo:hi], scratch=scratch[:hi - lo])
-        for arr in (X, reps, block):
-            arr.flags.writeable = False
-        self.pinned = PinnedBlock(X, reps, self.spec, block)
+            kernel_matrix(self.spec, X[lo:hi], self.representers, out=block[lo:hi],
+                          scratch=scratch[:hi - lo])
+        block.flags.writeable = False
+        return block
 
     def _checked(self, coefficients: np.ndarray) -> np.ndarray:
         """``coefficients`` after checking that they hold one row per representer."""
@@ -251,7 +227,7 @@ class KernelModel:
 
     def with_coefficients(self, coefficients: np.ndarray) -> "KernelModel":
         """A model with its own float copy of these coefficients, checked, that
-        shares this checked model's representers, spec and pinned block."""
+        shares this checked model's representers and spec."""
         snap = copy.copy(self)
         snap.coefficients = self._checked(np.array(coefficients, dtype=float, order="C"))
         return snap

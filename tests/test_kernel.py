@@ -2,7 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from weaksgd.datasets import (
     split,
     standardize,
 )
-from weaksgd.estimators import WeakSGDClassifier, WeakSGDRegressor
+from weaksgd.estimators import WeakSGDRegressor
 from weaksgd.evaluation import (
     anchor_law,
     anchor_points,
@@ -498,17 +498,15 @@ def matrix_calls(monkeypatch):
     return calls
 
 
-def pinned_pair(reps, output_dim, spec, points, seed=0):
-    """The same random model twice: unpinned, and pinned at ``points``."""
+def blocked_model(reps, output_dim, spec, points, seed=0):
+    """A random model and its kernel block of ``points``."""
     rng = np.random.default_rng(seed)
-    plain = KernelModel(reps, rng.standard_normal((len(reps), output_dim)), spec)
-    pinned = KernelModel(plain.representers.copy(), plain.coefficients.copy(), spec)
-    pinned.pin_points(points)
-    return plain, pinned
+    model = KernelModel(reps, rng.standard_normal((len(reps), output_dim)), spec)
+    return model, model.kernel_block(points)
 
 
-class TestPinnedPoints:
-    def test_bits_match_unpinned_on_every_evaluators_points(self, matrix_calls):
+class TestKernelBlock:
+    def test_bits_match_no_block_on_every_evaluators_points(self, matrix_calls):
         rows, test = heldout_set()
         xs = midpoint_grid(512)
         support = anchor_points(0.05, 512)
@@ -518,86 +516,70 @@ class TestPinnedPoints:
             (np.random.default_rng(2).random((24, 1)), 3, KernelSpec(0.05), support),
         ]
         for seed, (reps, m, spec, points) in enumerate(cases):
-            plain, pinned = pinned_pair(reps, m, spec, points, seed)
+            model, block = blocked_model(reps, m, spec, points, seed)
             built = len(matrix_calls)
             for _ in range(3):
-                pinned.coefficients += 0.5  # training moves the coefficients, not the block
-                plain.coefficients += 0.5
-                assert pinned.predict_batch(points).tobytes() == \
-                    plain.predict_batch(points).tobytes()
-            assert len(matrix_calls) == built + 3  # the unpinned model's blocks only
-        plain, pinned = pinned_pair(*cases[0])
-        assert empirical_risk(pinned, test) == empirical_risk(plain, test)
-        plain, pinned = pinned_pair(*cases[1])
+                model.coefficients += 0.5  # training moves the coefficients, not the block
+                assert model.predict_batch(points, block).tobytes() == \
+                    model.predict_batch(points).tobytes()
+            assert len(matrix_calls) == built + 3  # the blockless predictions' blocks only
         grid = LabeledDataset(xs[:, None], sin_target(xs))
-        assert empirical_risk(pinned, grid) == empirical_risk(plain, grid)
-        assert (excess_risk_noiseless(pinned, sin_target, 512)
-                == excess_risk_noiseless(plain, sin_target, 512))
-        plain, pinned = pinned_pair(*cases[2])
         law = anchor_law(3, 0.05, 512)
-        assert (excess_zero_one_anchor(pinned, support, law)
-                == excess_zero_one_anchor(plain, support, law))
+        evaluators = [
+            (0, lambda model, block: empirical_risk(model, test, block)),
+            (1, lambda model, block: empirical_risk(model, grid, block)),
+            (1, lambda model, block: excess_risk_noiseless(model, sin_target, 512, block)),
+            (2, lambda model, block: excess_zero_one_anchor(model, support, law, block)),
+        ]
+        for case, evaluate in evaluators:
+            model, block = blocked_model(*cases[case])
+            built = len(matrix_calls)
+            risk = evaluate(model, block)
+            assert len(matrix_calls) == built  # a prediction given a block builds none
+            assert risk == evaluate(model, None)
 
-    def test_a_mismatch_builds_a_fresh_block(self, matrix_calls):
+    def test_a_block_of_another_shape_is_refused(self, matrix_calls):
         rng = np.random.default_rng(3)
         reps, points = rng.standard_normal((6, 2)), rng.standard_normal((40, 2))
-        spec = KernelSpec(0.7)
-        one_value = points.copy()
-        one_value[17, 1] = np.nextafter(one_value[17, 1], np.inf)
-        mutated, reassigned, respec = [pinned_pair(reps, 2, spec, points)[1]
-                                       for _ in range(3)]
-        mutated.representers[2, 0] += 1e-3
-        reassigned.representers = reps + 0.0
-        reassigned.representers[0, 0] = 5.0
-        respec.spec = KernelSpec(0.8)
-        reps32 = pinned_pair(reps, 2, spec, points)[1]
-        reps32.representers = reps.astype(np.float32)
-        cases = [
-            ("one input value", pinned_pair(reps, 2, spec, points)[1], one_value),
-            ("fewer rows", pinned_pair(reps, 2, spec, points)[1], points[:-1]),
-            ("one more row", pinned_pair(reps, 2, spec, points)[1],
-             np.vstack([points, points[:1]])),
-            ("representers mutated in place", mutated, points),
-            ("representers reassigned", reassigned, points),
-            ("representers in single precision", reps32, points),
-            ("spec", respec, points),
+        model, block = blocked_model(reps, 2, KernelSpec(0.7), points)
+        other_rank = KernelModel(reps[:5], np.ones((5, 2)), model.spec)
+        cases = [  # fewer rows, one more row, another rank
+            (model, points[:-1], (39, 6)),
+            (model, np.vstack([points, points[:1]]), (41, 6)),
+            (other_rank, points, (40, 5)),
         ]
-        for label, model, X in cases:
-            built = len(matrix_calls)
-            fresh = KernelModel(model.representers.copy(), model.coefficients, model.spec)
-            assert model.predict_batch(X).tobytes() == fresh.predict_batch(X).tobytes(), label
-            assert len(matrix_calls) == built + 2, label  # one for each model
-        # the same bytes in another shape are not the pinned points
-        _, model = pinned_pair(reps, 2, spec, points)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            model.predict_batch(points.reshape(20, 4))
-
-    def test_equal_content_uses_the_block(self, matrix_calls):
-        rng = np.random.default_rng(4)
-        reps, points = rng.standard_normal((6, 3)), rng.standard_normal((40, 3))
-        _, model = pinned_pair(reps, 2, KernelSpec(1.5), points)
         built = len(matrix_calls)
-        model.predict_batch(points.copy())  # another array with the same bits
-        model.representers = reps.copy()
-        model.spec = replace(model.spec)
-        model.predict_batch(points)
+        for m, X, needed in cases:
+            with pytest.raises(ValueError, match=re.escape(f"{block.shape}") + ".*"
+                               + re.escape(f"{needed}")):
+                m.predict_batch(X, block)
         assert len(matrix_calls) == built
-        points[0, 0] += 1.0  # the caller's array changes; the pin kept its own copy
-        model.predict_batch(points)
-        assert len(matrix_calls) == built + 1
+
+    @pytest.mark.parametrize("d", [1, 4, 20])
+    def test_the_block_is_read_only_kernel_matrix_blocks(self, d):
+        rng = np.random.default_rng(d)
+        model = KernelModel(rng.standard_normal((100, d)), np.ones((100, 2)), KernelSpec(d / 5.0))
+        rows = kernel.CHUNK_ROWS
+        X = rng.standard_normal((2 * rows + 3, d))
+        block = model.kernel_block(X)
+        assert not block.flags.writeable
+        built = np.vstack([kernel_matrix(model.spec, X[lo:lo + rows], model.representers)
+                           for lo in range(0, len(X), rows)])
+        assert block.tobytes() == built.tobytes()
+        # the model is the predictor alone: no block, points or copies ride on it
+        assert [f.name for f in fields(KernelModel)] == ["representers", "coefficients", "spec"]
 
     def test_a_snapshot_runs_no_model_check(self, monkeypatch):
         rng = np.random.default_rng(7)
-        _, model = pinned_pair(rng.standard_normal((4, 1)), 3, KernelSpec(0.4),
-                               midpoint_grid(16))
+        model = KernelModel(rng.standard_normal((4, 1)), rng.standard_normal((4, 3)),
+                            KernelSpec(0.4))
         calls = []
         unfit = kernel._unfit_rows
         monkeypatch.setattr(kernel, "_unfit_rows", lambda X: calls.append(X) or unfit(X))
         given = np.arange(12).reshape(4, 3)
         snap = model.with_coefficients(given)
         assert calls == []
-        assert snap.pinned is model.pinned and snap.representers is model.representers
-        assert snap.spec is model.spec
+        assert snap.representers is model.representers and snap.spec is model.spec
         # its own float copy: neither the given array nor the model's moves it
         assert snap.coefficients.dtype == float and snap.coefficients.flags.c_contiguous
         given[0, 0] = 99
@@ -611,27 +593,6 @@ class TestPinnedPoints:
         model = KernelModel.zeros(np.zeros((4, 1)), 2, KernelSpec(0.4))
         with pytest.raises(ValueError, match="2-D|rank mismatch"):
             model.with_coefficients(coefficients)
-
-    def test_snapshots_share_the_pin_copies(self):
-        rng = np.random.default_rng(5)
-        _, model = pinned_pair(rng.standard_normal((4, 1)), 2, KernelSpec(0.4),
-                               midpoint_grid(64))
-        snap = model.with_coefficients(np.ones((4, 2)))
-        assert snap.pinned is model.pinned
-        assert not model.pinned.block.flags.writeable
-        assert "pinned" not in repr(model)
-
-    def test_estimator_models_hold_no_block(self):
-        rng = np.random.default_rng(6)
-        X = rng.random((30, 2))
-        reg = WeakSGDRegressor(bandwidth=0.3, budget=40, rank=8).fit(X, np.sin(4 * X[:, 0]))
-        clf = WeakSGDClassifier(bandwidth=0.3, budget=40, rank=8).fit(
-            X, (X[:, 0] > X[:, 1]).astype(int))
-        reg.predict(X)
-        clf.predict(X)
-        for est in (reg, clf):
-            assert est.model_.pinned is None
-            assert est.final_model_.pinned is None
 
 
 def whole_block_product(model, X):
@@ -676,18 +637,17 @@ class TestBlockedPredict:
         assert model.predict_batch(X).tobytes() == whole_block_product(model, X).tobytes()
 
     @pytest.mark.parametrize("d,rank", [(4, 100), (15, 237)])
-    def test_pinned_and_unpinned_agree_past_one_block(self, matrix_calls, d, rank):
+    def test_block_and_no_block_agree_past_one_block(self, matrix_calls, d, rank):
         rng = np.random.default_rng(d)
         points = rng.standard_normal((5000, d))
-        plain, pinned = pinned_pair(rng.standard_normal((rank, d)), 3, KernelSpec(d / 5.0),
-                                    points)
+        model, block = blocked_model(rng.standard_normal((rank, d)), 3, KernelSpec(d / 5.0),
+                                     points)
         built = len(matrix_calls)
         for _ in range(2):
-            pinned.coefficients += 0.5
-            plain.coefficients += 0.5
-            assert pinned.predict_batch(points).tobytes() == \
-                plain.predict_batch(points).tobytes()
-        # the unpinned model's blocks, for each of the two predictions
+            model.coefficients += 0.5
+            assert model.predict_batch(points, block).tobytes() == \
+                model.predict_batch(points).tobytes()
+        # the blockless prediction's blocks, for each of the two rounds
         assert len(matrix_calls) == built + 2 * math.ceil(5000 / self.CHUNK)
 
     def test_memory_does_not_grow_with_the_row_count(self):

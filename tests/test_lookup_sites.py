@@ -63,14 +63,14 @@ def test_run_curve_charges_each_strategy_its_steps(tracer, task, strategy):
 @pytest.mark.parametrize("chunk_rows", [kernel.CHUNK_ROWS, 2048, 6])
 @pytest.mark.parametrize("task,strategy", PAIRS)
 def test_run_curve_call_counts(tracer, monkeypatch, task, strategy, chunk_rows):
-    # each checkpoint evaluates through one prediction against the trial's pinned
-    # block; kernel_matrix builds the training blocks plus the pinned block of
-    # the trial's evaluation points, both cut into blocks of the one block size
+    # each checkpoint evaluates through one prediction given the trial's kernel
+    # block; kernel_matrix builds the training blocks plus that block of the
+    # trial's evaluation points, both cut into blocks of the one block size
     monkeypatch.setattr(kernel, "CHUNK_ROWS", chunk_rows)
     points = []  # the evaluation point count of each trial
-    pin = kernel.KernelModel.pin_points
-    monkeypatch.setattr(kernel.KernelModel, "pin_points",
-                        lambda model, X: points.append(len(X)) or pin(model, X))
+    build = kernel.KernelModel.kernel_block
+    monkeypatch.setattr(kernel.KernelModel, "kernel_block",
+                        lambda model, X: points.append(len(X)) or build(model, X))
     trials, budget = 2, 16
     mark = tracer.mark()
     run_curve(ExperimentConfig(task=task, strategy=strategy, budget=budget, trials=trials,

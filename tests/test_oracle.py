@@ -10,6 +10,7 @@ from weaksgd.datasets import (
     anchor_conditional,
     gen_anchor_classification,
     gen_harmonic_regression,
+    gen_sin_regression,
 )
 from weaksgd.evaluation import midpoint_grid
 from weaksgd.experiments import train
@@ -220,6 +221,8 @@ class TestBudgetLedger:
                                          checkpoint_grid=[v, 16])),
             (0, lambda v: default_checkpoints(v)),
             (1, lambda v: midpoint_grid(v)),
+            (1, lambda v: gen_sin_regression(v, rng)),
+            (1, lambda v: gen_harmonic_regression(v, 2, rng)),
             (1, lambda v: gen_harmonic_regression(4, v, rng)),
             (1, lambda v: gen_anchor_classification(v, 3, 0.1, rng)),
             (0, lambda v: anchor_conditional(0.5, v)),
