@@ -397,7 +397,7 @@ def harmonic_target(x: np.ndarray, output_dim: int) -> np.ndarray:
     """Vector target stacking sine/cosine harmonics of increasing frequency."""
     x = np.asarray(x, dtype=float).ravel()
     cols = []
-    for j in range(output_dim):
+    for j in range(kernel._whole(output_dim, "output_dim", 1)):
         freq = 2.0 * np.pi * (j // 2 + 1)
         cols.append(np.cos(freq * x) if j % 2 else np.sin(freq * x))
     return np.stack(cols, axis=1)

@@ -28,7 +28,10 @@ class RiskCurve:
     n_trials: int
 
     def __post_init__(self):
-        b = np.asarray(self.budgets, dtype=int)
+        b = np.asarray(self.budgets)
+        if b.dtype.kind in "bfc":  # truncating 2.7 to 2 would move a checkpoint
+            raise TypeError(f"budgets must be integers, got dtype {b.dtype}")
+        b = b.astype(int, copy=False)
         mr = np.asarray(self.mean_risk, dtype=float)
         sr = np.asarray(self.std_risk, dtype=float)
         if not (b.ndim == mr.ndim == sr.ndim == 1) or not (len(b) == len(mr) == len(sr)):
@@ -123,8 +126,8 @@ def loglog_slope(curve: RiskCurve, t_min: int, t_max: int) -> float:
     if mask.sum() < 2:
         raise ValueError("need at least two checkpoints inside the fit window")
     risks = curve.mean_risk[mask]
-    if (risks <= 0).any():
-        raise ValueError("cannot fit a log-log slope through nonpositive risks")
+    if not ((risks > 0) & (risks < np.inf)).all():
+        raise ValueError("cannot fit a log-log slope through nonpositive or non-finite risks")
     lx = np.log(curve.budgets[mask].astype(float))
     ly = np.log(risks)
     lx = lx - lx.mean()
@@ -153,8 +156,9 @@ def emit_svg(curves, path) -> None:
     only).
 
     ``curves`` is a sequence of (label, RiskCurve); labels are escaped for XML.
-    Risks that are not positive are left out (one default decade spans the y
-    axis if none is). Output bytes are a deterministic function of the inputs.
+    Risks that are not positive and finite are left out (one default decade
+    spans the y axis if none is). Output bytes are a deterministic function of
+    the inputs.
     """
     curves = list(curves)
     if not curves:
@@ -164,7 +168,7 @@ def emit_svg(curves, path) -> None:
         if (curve.budgets <= 0).any():
             raise ValueError("log-log axes need positive budgets")
         xs_all += [math.log10(t) for t in curve.budgets]
-        ys_all += [math.log10(r) for r in curve.mean_risk if r > 0]
+        ys_all += [math.log10(r) for r in curve.mean_risk if 0 < r < math.inf]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = (min(ys_all), max(ys_all)) if ys_all else (-1.0, 0.0)
     if x_hi == x_lo:
@@ -212,7 +216,7 @@ def emit_svg(curves, path) -> None:
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(
             f"{px(math.log10(t)):.2f},{py(math.log10(r)):.2f}"
-            for t, r in zip(curve.budgets, curve.mean_risk) if r > 0
+            for t, r in zip(curve.budgets, curve.mean_risk) if 0 < r < math.inf
         )
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 14.0 + 16.0 * k

@@ -67,6 +67,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _run_name(strategy, allowed) -> str:
+    """The run name of ``strategy`` or of its alias, if it is one of ``allowed``."""
+    name = ALIASES.get(strategy, strategy)
+    if name not in allowed:
+        raise ConfigError(f"strategy {strategy!r} is not one of {allowed}")
+    return name
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved run description; every field lands in the manifest."""
@@ -104,7 +112,7 @@ class ExperimentConfig:
             ridge = 1e-6 if cfg.task in FILE_TASKS else 0.0
             cfg = replace(cfg, ridge=ridge)
         validate_config(cfg)
-        return replace(cfg, strategy=ALIASES.get(cfg.strategy, cfg.strategy))
+        return replace(cfg, strategy=_run_name(cfg.strategy, TASK_STRATEGIES[cfg.task]))
 
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
@@ -124,11 +132,7 @@ def _owned(name, value, what, check, *args):
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}; expected one of {TASKS}")
-    if ALIASES.get(cfg.strategy, cfg.strategy) not in TASK_STRATEGIES[cfg.task]:
-        raise ConfigError(
-            f"strategy {cfg.strategy!r} is not valid for task {cfg.task!r}; "
-            f"allowed: {TASK_STRATEGIES[cfg.task]}"
-        )
+    _run_name(cfg.strategy, TASK_STRATEGIES[cfg.task])
     for name in sorted(_FLOAT_FIELDS):
         value = getattr(cfg, name)
         if value is not None and not math.isfinite(value):
@@ -203,10 +207,8 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
     ``X``'s and real labels that are not finite; once training ends, ``train``
     refuses an averaged model that is not finite (the iterates diverged).
     """
-    allowed = REGRESSION_STRATEGIES if n_classes is None else CLASSIFICATION_STRATEGIES
-    given, strategy = strategy, ALIASES.get(strategy, strategy)
-    if strategy not in allowed:
-        raise ConfigError(f"unknown strategy {given!r}; expected one of {allowed}")
+    strategy = _run_name(strategy, REGRESSION_STRATEGIES if n_classes is None
+                         else CLASSIFICATION_STRATEGIES)
     n = len(labels)
     budget = _whole(budget, "budget")
     indices = learner.Cycle(n, budget)  # built a block of steps at a time
@@ -215,26 +217,22 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
     # there (perfbench/layers.py) sees every call; a table built at import would not
     if strategy == "full-sgd":
         report = learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)
-    elif n_classes is not None:
-        oracle = QueryOracle.for_classification(labels, n_classes, budget, mode)
+    else:
+        oracle = (QueryOracle.for_regression(labels, budget, mode) if n_classes is None
+                  else QueryOracle.for_classification(labels, n_classes, budget, mode))
         if strategy == "infimum-loss":
             report = surrogate.infimum_loss_sgd(X, oracle, schedule, model, rng, grid,
                                                 evaluate, indices)
-        else:
-            report = learner.run_median_sgd(
-                X, oracle, schedule, model, rng, grid, evaluate, indices,
-                direction="coordinate" if strategy == "coordinate-passive" else "sphere")
-    else:
-        oracle = QueryOracle.for_regression(labels, budget, mode)
-        if strategy == "active-median":
-            report = learner.run_median_sgd(X, oracle, schedule, model, rng, grid, evaluate,
-                                            indices)
         elif strategy == "active-least-squares":
             report = learner.run_least_squares_sgd(X, oracle, schedule, model, rng, bound,
                                                    grid, evaluate, indices)
-        else:
+        elif strategy == "passive":
             report = learner.run_passive_median(X, oracle, schedule, model, rng, grid,
                                                 evaluate, indices)
+        else:  # active-median on either kind, or coordinate-passive
+            report = learner.run_median_sgd(
+                X, oracle, schedule, model, rng, grid, evaluate, indices,
+                direction="coordinate" if strategy == "coordinate-passive" else "sphere")
     if not np.isfinite(report.averaged_model.coefficients).all():
         raise ValueError("the averaged model is not finite; the iterates diverged "
                          "(try a smaller gamma0)")

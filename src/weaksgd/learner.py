@@ -142,8 +142,7 @@ class Cycle:
         return self.steps
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        lo, hi, _ = rows.indices(self.steps)
-        return np.arange(lo, hi) % self.n
+        return np.arange(*rows.indices(self.steps)) % self.n
 
 
 def _prepare(X, budget: int, checkpoint_grid, indices, labels: tuple):

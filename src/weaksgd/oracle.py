@@ -8,11 +8,12 @@ order, so no sample is ever asked twice.
 
 Each query tests the protocol (budget, index, streaming order) first, then
 its operands, by the kind of label. With one real output an operand is best a
-Python float, and the half-space value is ``y * u - z * u``; with several
-outputs or classes, a flat float64 array of the label dimension. Any other form
-(a list, an int, a numpy scalar, a (1,) array in place of a float) is
-converted to a flat float array, so every form of the same values gets the
-same answer.
+Python float, and the half-space value is ``y * u - z * u`` and the
+threshold value ``y * u``; with several outputs or classes, a flat float64
+array of the label dimension. Any other form (a list, an int, a numpy scalar,
+a (1,) array in place of a float) is converted to a flat float array, refused
+if its size is not the label dimension, and read as its float with one real
+output, so every form of the same values gets the same answer.
 """
 
 from __future__ import annotations
@@ -120,12 +121,7 @@ class QueryOracle:
     def halfspace_query(self, i: int, z, u) -> int:
         """Which side of the hyperplane through ``z`` orthogonal to ``u`` the
         hidden label lies on: sign(<Y_i, u> - <z, u>) with sign(0) = +1.
-
-        With one real output ``z`` and ``u`` are best passed as Python floats,
-        and the value is ``y * u - z * u``; any other operand of one element
-        (a (1,) array, a list, an int, a numpy scalar) is converted and read
-        as that float. With several outputs or classes they are best passed as
-        flat float64 arrays of the label dimension; other forms are converted."""
+        The operand forms are the module docstring's."""
         used = self.budget_used
         # the protocol, in one test: a bit to spend on an int sample index
         # that may be asked now; any other index is checked step by step
@@ -133,15 +129,16 @@ class QueryOracle:
                 and (i == used or self.mode != "streaming")):
             i = self._precheck(i)
         if self._scalars is not None:
-            if type(z) is not float or type(u) is not float:
-                z, u = self._operands(z, u)
-                z, u = z.item(0), u.item(0)
+            if type(z) is not float:
+                z = self._operand(z)
+            if type(u) is not float:
+                u = self._operand(u)
             value = self._scalars.item(i) * u - z * u
         else:
-            if not (type(z) is np.ndarray and z.dtype is _FLOAT and z.shape == self._shape
-                    and type(u) is np.ndarray and u.dtype is _FLOAT
-                    and u.shape == self._shape):
-                z, u = self._operands(z, u)
+            if not (type(z) is np.ndarray and z.dtype is _FLOAT and z.shape == self._shape):
+                z = self._operand(z)
+            if not (type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == self._shape):
+                u = self._operand(u)
             if self._classes is not None:
                 value = u.item(self._classes.item(i) - 1) - float(z.dot(u))
             else:
@@ -152,18 +149,15 @@ class QueryOracle:
         return 1 if value >= 0.0 else -1
 
     def threshold_query(self, i: int, u, c: float) -> int:
-        """Bit 1{<Y_i, u> < c} (strict inequality).
-
-        ``u`` takes the forms of :meth:`halfspace_query`'s: a Python float with
-        one real output, where the value is ``y * u``, or else a flat float64
-        array of the label dimension; other forms are converted."""
+        """Bit 1{<Y_i, u> < c} (strict inequality). The operand forms are the
+        module docstring's."""
         used = self.budget_used
         if not (used < self.budget_total and type(i) is int and 0 <= i < self._n
                 and (i == used or self.mode != "streaming")):
             i = self._precheck(i)
         if self._scalars is not None:
             if type(u) is not float:
-                u = self._operand(u).item(0)
+                u = self._operand(u)
             value = self._scalars.item(i) * u
         else:
             if not (type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == self._shape):
@@ -178,20 +172,13 @@ class QueryOracle:
             self.query_log.append((used + 1, i, "threshold", 1))
         return answer
 
-    def _operands(self, z, u):
-        """``z`` and ``u`` as flat float arrays of the label dimension."""
-        z = _vector(z)
-        u = _vector(u)
-        if z.size != self._m or u.size != self._m:
-            raise ValueError(f"query dimensions ({z.size}, {u.size}) != label dim {self._m}")
-        return z, u
-
-    def _operand(self, u):
-        """``u`` as a flat float array of the label dimension."""
-        u = _vector(u)
-        if u.size != self._m:
-            raise ValueError(f"query dimension {u.size} != label dim {self._m}")
-        return u
+    def _operand(self, v):
+        """``v`` in the form a query reads: converted to a flat float array of the
+        label dimension, and read as a Python float with one real output."""
+        v = np.asarray(v, dtype=float).ravel()
+        if v.size != self._m:
+            raise ValueError(f"query dimension {v.size} != label dim {self._m}")
+        return v.item(0) if self._scalars is not None else v
 
     def membership_query(self, i: int, S) -> int:
         """Bit 1{class(Y_i) in S} for a proper nonempty class subset ``S``.
@@ -226,8 +213,3 @@ class QueryOracle:
 
 
 _FLOAT = np.dtype(float)
-
-
-def _vector(v) -> np.ndarray:
-    """``v`` as a flat float array."""
-    return np.asarray(v, dtype=float).ravel()

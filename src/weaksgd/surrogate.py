@@ -40,8 +40,9 @@ def random_proper_subsets(rng: np.random.Generator, n_classes: int, count: int) 
     sampler never rejects, so the blocks read the generator exactly as one
     ``rng.integers(0, 2, n_classes)`` per row, redrawn until proper, would.
     """
-    if n_classes < 2:
+    if kernel._whole(n_classes, "n_classes") < 2:
         raise ValueError("need at least two classes to form a proper subset")
+    count = kernel._whole(count, "count")
     sets = np.empty((count, n_classes), dtype=bool)
     filled = 0
     while filled < count:

@@ -111,6 +111,9 @@ class TestExitCodes:
         (("game", "--counterexample", "--tol", "nan"), "--tol"),
         (("constants", "--m", "3", "--samples", "999"), "--samples"),
         (("constants", "--m", "3,0"), "--m"),
+        (("run", "--strategy", "nosuch"), "strategy"),
+        (("run", "--task", "libsvm", "--input", str(FIXTURES / "blobs3.libsvm"),
+          "--train-fraction", "1.5"), "train_fraction"),
     ], ids=["run-gamma0", "run-ridge", "run-bound", "run-bound-overflow", "run-sigma",
             "run-sigma-overflow", "run-sigma-underflow",
             "run-seed", "run-empty-anchor-grid", "run-csv-target",
@@ -121,7 +124,7 @@ class TestExitCodes:
             "run-schedule", "run-gamma0-zero", "run-gamma0-negative", "run-bound-zero",
             "run-anchor-epsilon", "run-anchor-classes", "constants-scale-zero",
             "run-ridge-negative", "game-tol-inf", "game-tol-nan", "constants-samples",
-            "constants-m-zero-after-valid"])
+            "constants-m-zero-after-valid", "run-strategy", "run-train-fraction-above-one"])
     def test_invalid_value_is_config_error(self, capsys, tmp_path, monkeypatch, argv, key):
         def no_trial(args):
             raise AssertionError("a trial ran before the configuration was checked")
@@ -272,7 +275,7 @@ class TestRunCommand:
                                "full-sgd", "--input", str(fixtures_dir / "blobs3.libsvm"),
                                "--outdir", str(tmp_path))
         assert code == 1
-        assert "not valid" in err
+        assert "strategy 'full-sgd' is not one of" in err
         assert not (tmp_path / "curve.csv").exists()
 
     def test_missing_input_file_is_runtime_error(self, capsys, tmp_path):

@@ -196,7 +196,7 @@ class TestClassifier:
     def test_unknown_strategy(self):
         X, y = blob_data(n=16)
         for name in ("bandit", "passive", "full-sgd"):
-            with pytest.raises(ValueError, match="unknown strategy"):
+            with pytest.raises(ValueError, match=f"^strategy '{name}' is not one of "):
                 WeakSGDClassifier(strategy=name).fit(X, y)
 
     def test_rejects_labels_that_are_not_a_vector(self):

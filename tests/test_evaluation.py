@@ -1,4 +1,5 @@
 import math
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -152,9 +153,13 @@ class TestSlope:
             loglog_slope(curve, 100, 110)
 
     def test_rejects_nonpositive_risk(self):
-        curve = RiskCurve(np.array([1, 2]), np.array([0.0, 0.5]), np.zeros(2), 1)
-        with pytest.raises(ValueError):
-            loglog_slope(curve, 1, 2)
+        # a risk with no finite logarithm is refused, with no numpy warning
+        for risk in (0.0, np.inf, np.nan):
+            curve = RiskCurve(np.array([1, 2]), np.array([risk, 0.5]), np.zeros(2), 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="cannot fit a log-log slope through"):
+                    loglog_slope(curve, 1, 2)
 
 
 class TestCurveValidation:
@@ -167,6 +172,13 @@ class TestCurveValidation:
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
             RiskCurve(np.array([1, 2]), np.ones(2), np.array([0.1, -0.1]), 1)
+
+    @pytest.mark.parametrize("budgets", [[1.5, 2.7], np.array([1.0, 2.0]), [False, True]],
+                             ids=["fractional", "whole-floats", "bool"])
+    def test_budgets_that_are_not_integers_are_refused(self, budgets):
+        # read as ints, 1.5 and 2.7 would become checkpoints 1 and 2
+        with pytest.raises(TypeError, match="budgets must be integers, got dtype"):
+            RiskCurve(budgets, np.ones(2), np.zeros(2), 1)
 
     def test_lookup(self):
         curve = RiskCurve(np.array([1, 2]), np.array([0.5, 0.25]), np.zeros(2), 3)
@@ -230,11 +242,10 @@ class TestEmission:
             emit_svg([], tmp_path / "empty.svg")
 
     def test_svg_leaves_out_nonpositive_risks(self, tmp_path):
-        # a zero risk has no place on a log axis: the point is left out, the
-        # axes span the budgets and the positive risks, and the file is written
-        curve = RiskCurve(np.array([1, 2, 4]), np.array([0.0, 0.5, 0.05]), np.zeros(3), 1)
+        # a zero or non-finite risk has no place on a log axis: the point is left
+        # out, the axes span the budgets and the positive finite risks, and the
+        # file is written
         positive = RiskCurve(np.array([1, 2, 4]), np.array([0.5, 0.5, 0.05]), np.zeros(3), 1)
-        emit_svg([("r", curve)], tmp_path / "zero.svg")
         emit_svg([("r", positive)], tmp_path / "positive.svg")
 
         def split_polyline(name):
@@ -242,10 +253,13 @@ class TestEmission:
             poly = [ln for ln in lines if ln.startswith("<polyline")]
             return poly[0].split('"')[1].split(), [ln for ln in lines if ln not in poly]
 
-        zero_points, zero_rest = split_polyline("zero.svg")
         full_points, full_rest = split_polyline("positive.svg")
-        assert zero_points == full_points[1:]  # same axes, so the same pixels
-        assert zero_rest == full_rest
+        for risk in (0.0, np.inf, np.nan):
+            curve = RiskCurve(np.array([1, 2, 4]), np.array([risk, 0.5, 0.05]), np.zeros(3), 1)
+            emit_svg([("r", curve)], tmp_path / f"{risk}.svg")
+            points, rest = split_polyline(f"{risk}.svg")
+            assert points == full_points[1:]  # same axes, so the same pixels
+            assert rest == full_rest
 
     def test_svg_with_no_positive_risk_plots_a_default_decade(self, tmp_path):
         curve = RiskCurve(np.array([1, 2]), np.zeros(2), np.zeros(2), 1)

@@ -1054,6 +1054,13 @@ class TestChunkedGram:
         with pytest.raises(error, match="Cycle (n|steps) must be|no row to walk"):
             learner.Cycle(n, steps)
 
+    @pytest.mark.parametrize("rows,expected", [
+        (slice(None, None, 2), [0, 2, 1, 0]), (slice(1, 6, 3), [1, 1]),
+        (slice(None, None, -1), [0, 2, 1, 0, 2, 1, 0]), (slice(2, 5), [2, 0, 1]),
+    ], ids=["step-2", "1-6-step-3", "reversed", "contiguous"])
+    def test_a_cycle_slice_keeps_its_step(self, rows, expected):
+        assert learner.Cycle(3, 7)[rows].tolist() == expected
+
     def test_an_empty_cycle_takes_no_step(self):
         X = np.random.default_rng(25).random((3, 1))
         oracle = QueryOracle.for_regression(np.sin(X[:, 0]), 3, "resampling")

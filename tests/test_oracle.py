@@ -11,6 +11,7 @@ from weaksgd.datasets import (
     gen_anchor_classification,
     gen_harmonic_regression,
     gen_sin_regression,
+    harmonic_target,
 )
 from weaksgd.evaluation import midpoint_grid
 from weaksgd.experiments import train
@@ -30,6 +31,7 @@ from weaksgd.oracle import (
     StreamingViolation,
     TrivialSetError,
 )
+from weaksgd.surrogate import random_proper_subsets
 
 
 def regression_oracle(budget=10, mode="resampling", **kw):
@@ -224,8 +226,11 @@ class TestBudgetLedger:
             (1, lambda v: gen_sin_regression(v, rng)),
             (1, lambda v: gen_harmonic_regression(v, 2, rng)),
             (1, lambda v: gen_harmonic_regression(4, v, rng)),
+            (1, lambda v: harmonic_target(np.ones(4), v)),
             (1, lambda v: gen_anchor_classification(v, 3, 0.1, rng)),
             (0, lambda v: anchor_conditional(0.5, v)),
+            (0, lambda v: random_proper_subsets(rng, v, 2)),
+            (0, lambda v: random_proper_subsets(rng, 3, v)),
             (0, lambda v: build_game([0.5, 0.5], [{v}])),
         ]
         for least, make in sites:

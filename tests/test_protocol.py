@@ -177,13 +177,13 @@ FAILURES = {
                          lambda o: o.threshold_query(True, 1.0, 0.0), TypeError, NOT_AN_INDEX),
     "float-halfspace-on-two-outputs": (_regression, "resampling",
                                        lambda o: o.halfspace_query(0, 0.0, 1.0), ValueError,
-                                       r"^query dimensions \(1, 1\) != label dim 2$"),
+                                       r"^query dimension 1 != label dim 2$"),
     "float-threshold-on-two-outputs": (_regression, "resampling",
                                        lambda o: o.threshold_query(0, 1.0, 0.0), ValueError,
                                        r"^query dimension 1 != label dim 2$"),
     "float-halfspace-on-classes": (_classification, "resampling",
                                    lambda o: o.halfspace_query(0, 0.0, 1.0), ValueError,
-                                   r"^query dimensions \(1, 1\) != label dim 3$"),
+                                   r"^query dimension 1 != label dim 3$"),
     "float-threshold-on-classes": (_classification, "resampling",
                                    lambda o: o.threshold_query(0, 1.0, 0.0), ValueError,
                                    r"^query dimension 1 != label dim 3$"),
