@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from . import __version__, game, geometry
 from .evaluation import emit_csv, emit_svg
 from .experiments import (
     ConfigError,
+    ExperimentConfig,
     _owned,
     config_from_mapping,
     config_to_mapping,
@@ -80,30 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run a configured experiment")
     r.add_argument("--config", default=None, help="key = value configuration file")
     r.add_argument("--outdir", default=".", help="where curve.csv/curve.svg/manifest go")
-    # each flag is a config key, kept as a string: config_from_mapping parses it
-    run_flags = [
-        ("task", "sin-regression | anchor-classification | libsvm | csv-regression"),
-        ("strategy", "query strategy, by run name or alias (median, active, "
-                     "least-squares, full); the valid set depends on the task"),
-        ("schedule", "decaying (gamma0/sqrt(t)) or constant (gamma0 at every step)"),
-        ("input", "input file for libsvm / csv-regression tasks"),
-        ("target", "CSV target column names, comma-separated"),
-        ("budget", "total number of label bits per trial"),
-        ("trials", "number of seeded trials to aggregate"),
-        ("seed", "base seed; trial i runs at seed+i"),
-        ("classes", "class count for anchor-classification"),
-        ("rank", "number of kernel representers"),
-        ("grid-size", "evaluation grid size for synthetic risks"),
-        ("jobs", "worker processes for trials"),
-        ("sigma", "kernel bandwidth (default: task-specific)"),
-        ("gamma0", "step-size scale"),
-        ("ridge", "coefficient shrinkage strength"),
-        ("bound", "range bound M for least-squares thresholds"),
-        ("epsilon", "excluded band half-width for anchor-classification"),
-        ("train-fraction", "train share for file-backed tasks"),
-    ]
-    for key, text in run_flags:
-        r.add_argument(f"--{key}", default=None, help=text)
+    # each config field is a flag, kept as a string: config_from_mapping parses it
+    for f in fields(ExperimentConfig):
+        r.add_argument(f"--{f.name.replace('_', '-')}", default=None, help=f.metadata["help"])
 
     g = sub.add_parser("game", help="solve the set-query matrix game")
     g.add_argument("--p", default=None, help="comma-separated class distribution")
@@ -171,9 +152,10 @@ def cmd_run(args) -> int:
                 mapping.update(parse_config(fh.read()))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-    for key, value in vars(args).items():
-        if key not in ("command", "config", "outdir") and value is not None:
-            mapping[key] = value
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name)
+        if value is not None:
+            mapping[f.name] = value
     cfg = config_from_mapping(mapping).resolved()
     names = ("curve.csv", "curve.svg", "manifest")
     paths = [os.path.join(args.outdir, name) for name in names]

@@ -9,7 +9,7 @@ estimators drop into pipelines and grid searches.
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,41 +33,29 @@ def check_array(X) -> np.ndarray:
     return X
 
 
+@dataclass(eq=False)  # eq=False: identity equality and hashing, as scikit-learn's
 class _BaseWeakSGD:
-    """Shared settings and fit; scikit-learn get_params/set_params over __init__."""
+    """Shared settings and fit; each subclass adds its own fields after these, and
+    scikit-learn's get_params/set_params read the fields."""
 
-    def __init__(self, strategy: str = "active-median", bandwidth: float = 1.0,
-                 gamma0: float = 1.0, schedule: str = "decaying",
-                 budget: int | None = None, rank: int = 100, ridge: float = 0.0,
-                 seed: int = 0):
-        self.strategy = strategy
-        self.bandwidth = bandwidth
-        self.gamma0 = gamma0
-        self.schedule = schedule
-        self.budget = budget
-        self.rank = rank
-        self.ridge = ridge
-        self.seed = seed
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
+    strategy: str = "active-median"
+    bandwidth: float = 1.0
+    gamma0: float = 1.0
+    schedule: str = "decaying"
+    budget: int | None = None
+    rank: int = 100
+    ridge: float = 0.0
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = self.get_params()
         for key, value in params.items():
             if key not in valid:
                 raise ValueError(f"invalid parameter {key!r} for {type(self).__name__}")
             setattr(self, key, value)
         return self
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
     def _fit(self, X, labels, n_classes=None, bound: float = 1.0):
         """Train through :func:`experiments.train`, which resolves an alias and
@@ -94,6 +82,7 @@ class _BaseWeakSGD:
             raise NotFittedError(f"{type(self).__name__} is not fitted yet")
 
 
+@dataclass(eq=False)
 class WeakSGDRegressor(_BaseWeakSGD):
     """Kernel regressor trained from one label bit per gradient step.
 
@@ -110,12 +99,8 @@ class WeakSGDRegressor(_BaseWeakSGD):
     the data cyclically.
     """
 
-    def __init__(self, strategy: str = "active-median", bandwidth: float = 1.0,
-                 gamma0: float = 1.0, schedule: str = "decaying",
-                 budget: int | None = None, rank: int = 100, ridge: float = 0.0,
-                 bound: float = 1.0, seed: int = 0):
-        super().__init__(strategy, bandwidth, gamma0, schedule, budget, rank, ridge, seed)
-        self.bound = bound
+    bound: float = 1.0
+    seed: int = 0
 
     def fit(self, X, y):
         X = check_array(X)
@@ -129,6 +114,7 @@ class WeakSGDRegressor(_BaseWeakSGD):
         return preds[:, 0] if self._y_was_1d else preds
 
 
+@dataclass(eq=False)
 class WeakSGDClassifier(_BaseWeakSGD):
     """Classifier trained through the simplex-embedding regression surrogate.
 
@@ -141,6 +127,8 @@ class WeakSGDClassifier(_BaseWeakSGD):
 
     Labels may be arbitrary sortable values; they are mapped onto classes 1..m.
     """
+
+    seed: int = 0
 
     def fit(self, X, y):
         X = check_array(X)

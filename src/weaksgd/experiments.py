@@ -11,7 +11,7 @@ orders by trial index, which keeps outputs byte-identical for any job count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -69,34 +69,44 @@ class ConfigError(ValueError):
 
 def _run_name(strategy, allowed) -> str:
     """The run name of ``strategy`` or of its alias, if it is one of ``allowed``."""
-    name = ALIASES.get(strategy, strategy)
+    name = ALIASES.get(strategy, strategy) if isinstance(strategy, str) else None
     if name not in allowed:
         raise ConfigError(f"strategy {strategy!r} is not one of {allowed}")
     return name
+
+
+def _setting(default, help_text):
+    """A config field with its ``weaksgd run`` help: each field is a config key and,
+    spelt with dashes, a flag."""
+    return field(default=default, metadata={"help": help_text})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved run description; every field lands in the manifest."""
 
-    task: str = "sin-regression"
-    strategy: str = "active-median"
-    budget: int = 1024
-    trials: int = 10
-    seed: int = 0
-    sigma: float | None = None
-    gamma0: float = 1.0
-    schedule: str = "decaying"
-    ridge: float | None = None
-    bound: float = 1.0
-    classes: int = 10
-    epsilon: float = 0.05
-    rank: int = 100
-    train_fraction: float = 2.0 / 3.0
-    grid_size: int = 512
-    input: str = ""
-    target: str = "target"
-    jobs: int = 1
+    task: str = _setting("sin-regression",
+                         "sin-regression | anchor-classification | libsvm | csv-regression")
+    strategy: str = _setting("active-median",
+                             "query strategy, by run name or alias (median, active, "
+                             "least-squares, full); the valid set depends on the task")
+    budget: int = _setting(1024, "total number of label bits per trial")
+    trials: int = _setting(10, "number of seeded trials to aggregate")
+    seed: int = _setting(0, "base seed; trial i runs at seed+i")
+    sigma: float | None = _setting(None, "kernel bandwidth (default: task-specific)")
+    gamma0: float = _setting(1.0, "step-size scale")
+    schedule: str = _setting("decaying",
+                             "decaying (gamma0/sqrt(t)) or constant (gamma0 at every step)")
+    ridge: float | None = _setting(None, "coefficient shrinkage strength")
+    bound: float = _setting(1.0, "range bound M for least-squares thresholds")
+    classes: int = _setting(10, "class count for anchor-classification")
+    epsilon: float = _setting(0.05, "excluded band half-width for anchor-classification")
+    rank: int = _setting(100, "number of kernel representers")
+    train_fraction: float = _setting(2.0 / 3.0, "train share for file-backed tasks")
+    grid_size: int = _setting(512, "evaluation grid size for synthetic risks")
+    input: str = _setting("", "input file for libsvm / csv-regression tasks")
+    target: str = _setting("target", "CSV target column names, comma-separated")
+    jobs: int = _setting(1, "worker processes for trials")
 
     def resolved(self) -> "ExperimentConfig":
         """Fill task-dependent defaults (bandwidth, ridge), validate, and
@@ -115,9 +125,10 @@ class ExperimentConfig:
         return replace(cfg, strategy=_run_name(cfg.strategy, TASK_STRATEGIES[cfg.task]))
 
 
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-_INT_FIELDS = {"budget", "trials", "seed", "classes", "rank", "grid_size", "jobs"}
-_FLOAT_FIELDS = {"sigma", "gamma0", "ridge", "bound", "epsilon", "train_fraction"}
+# a field's annotation says how its config value is read, and what a value that fails must be
+_KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
+          "float | None": (float, "a number"), "str": (str, "a string")}
+_CONFIG_KINDS = {f.name: _KINDS[f.type] for f in fields(ExperimentConfig)}
 
 
 def _owned(name, value, what, check, *args):
@@ -133,7 +144,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}; expected one of {TASKS}")
     _run_name(cfg.strategy, TASK_STRATEGIES[cfg.task])
-    for name in sorted(_FLOAT_FIELDS):
+    for name in sorted(key for key, (read, _) in _CONFIG_KINDS.items() if read is float):
         value = getattr(cfg, name)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -167,20 +178,13 @@ def config_from_mapping(mapping) -> ExperimentConfig:
     """Build a config from string key/value pairs (file or CLI supplied)."""
     kwargs = {}
     for key, raw in mapping.items():
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_KINDS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        if key in _INT_FIELDS:
-            try:
-                kwargs[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-        elif key in _FLOAT_FIELDS:
-            try:
-                kwargs[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-        else:
-            kwargs[key] = str(raw)
+        read, what = _CONFIG_KINDS[key]
+        try:
+            kwargs[key] = read(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
     return ExperimentConfig(**kwargs)
 
 
@@ -215,24 +219,27 @@ def train(strategy, X, labels, model, schedule, rng, budget, n_classes=None, bou
     mode = "streaming" if budget <= n else "resampling"
     # each driver is looked up on its module at call time, so a wrapper installed
     # there (perfbench/layers.py) sees every call; a table built at import would not
-    if strategy == "full-sgd":
-        report = learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)
-    else:
-        oracle = (QueryOracle.for_regression(labels, budget, mode) if n_classes is None
-                  else QueryOracle.for_classification(labels, n_classes, budget, mode))
-        if strategy == "infimum-loss":
-            report = surrogate.infimum_loss_sgd(X, oracle, schedule, model, rng, grid,
-                                                evaluate, indices)
-        elif strategy == "active-least-squares":
-            report = learner.run_least_squares_sgd(X, oracle, schedule, model, rng, bound,
-                                                   grid, evaluate, indices)
-        elif strategy == "passive":
-            report = learner.run_passive_median(X, oracle, schedule, model, rng, grid,
-                                                evaluate, indices)
-        else:  # active-median on either kind, or coordinate-passive
-            report = learner.run_median_sgd(
-                X, oracle, schedule, model, rng, grid, evaluate, indices,
-                direction="coordinate" if strategy == "coordinate-passive" else "sphere")
+    # diverging iterates overflow to inf and then NaN: the end check below refuses them
+    # with one error, not numpy's warning at each step that meets them
+    with np.errstate(over="ignore", invalid="ignore"):
+        if strategy == "full-sgd":
+            report = learner.run_full_sgd(X, labels, schedule, model, grid, evaluate, indices)
+        else:
+            oracle = (QueryOracle.for_regression(labels, budget, mode) if n_classes is None
+                      else QueryOracle.for_classification(labels, n_classes, budget, mode))
+            if strategy == "infimum-loss":
+                report = surrogate.infimum_loss_sgd(X, oracle, schedule, model, rng, grid,
+                                                    evaluate, indices)
+            elif strategy == "active-least-squares":
+                report = learner.run_least_squares_sgd(X, oracle, schedule, model, rng, bound,
+                                                       grid, evaluate, indices)
+            elif strategy == "passive":
+                report = learner.run_passive_median(X, oracle, schedule, model, rng, grid,
+                                                    evaluate, indices)
+            else:  # active-median on either kind, or coordinate-passive
+                report = learner.run_median_sgd(
+                    X, oracle, schedule, model, rng, grid, evaluate, indices,
+                    direction="coordinate" if strategy == "coordinate-passive" else "sphere")
     if not np.isfinite(report.averaged_model.coefficients).all():
         raise ValueError("the averaged model is not finite; the iterates diverged "
                          "(try a smaller gamma0)")
@@ -311,4 +318,5 @@ def run_curve(cfg: ExperimentConfig) -> RiskCurve:
             results = list(pool.map(_one_trial, jobs))
     else:
         results = [_one_trial(j) for j in jobs]
-    return aggregate_trials(results)
+    with np.errstate(invalid="ignore"):  # a diverged curve is refused by its caller
+        return aggregate_trials(results)

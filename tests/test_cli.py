@@ -1,13 +1,15 @@
+import argparse
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from weaksgd import cli, experiments, geometry
-from weaksgd.experiments import ConfigError, config_from_mapping
+from weaksgd.experiments import ConfigError, ExperimentConfig, config_from_mapping
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -173,6 +175,41 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             config_from_mapping({"gamma0": "fast"})
 
+    @pytest.mark.parametrize("mapping,message", [
+        ({"tsk": "sin-regression"}, "unknown configuration key 'tsk'"),
+        ({"budget": "many"}, "budget must be an integer, got 'many'"),
+        ({"grid_size": "1.5"}, "grid_size must be an integer, got '1.5'"),
+        ({"gamma0": "fast"}, "gamma0 must be a number, got 'fast'"),
+        ({"sigma": "wide"}, "sigma must be a number, got 'wide'"),
+        ({"ridge": ""}, "ridge must be a number, got ''"),
+    ])
+    def test_messages_name_the_key_and_the_value(self, mapping, message):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(mapping)
+        assert str(err.value) == message
+
+    def test_each_value_is_read_by_its_field_kind(self):
+        cfg = config_from_mapping({"budget": "32", "sigma": "0.25", "ridge": "1e-3",
+                                   "target": "7", "train_fraction": "0.5"})
+        assert (cfg.budget, cfg.sigma, cfg.ridge, cfg.target, cfg.train_fraction) == (
+            32, 0.25, 1e-3, "7", 0.5)
+
+    def test_run_offers_one_flag_per_config_field(self):
+        run = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices["run"]
+        flags = {a.option_strings[-1]: a for a in run._actions}
+        settings = [f"--{f.name.replace('_', '-')}" for f in fields(ExperimentConfig)]
+        assert settings == [
+            "--task", "--strategy", "--budget", "--trials", "--seed", "--sigma", "--gamma0",
+            "--schedule", "--ridge", "--bound", "--classes", "--epsilon", "--rank",
+            "--train-fraction", "--grid-size", "--input", "--target", "--jobs"]
+        assert sorted(flags) == sorted(["--help", "--config", "--outdir"] + settings)
+        for f, flag in zip(fields(ExperimentConfig), settings):
+            assert flags[flag].dest == f.name
+            assert flags[flag].default is None
+            assert flags[flag].help == f.metadata["help"]
+        assert flags["--grid-size"].help == "evaluation grid size for synthetic risks"
+
 
 class TestConstantsCommand:
     def test_table_and_exit_zero(self, capsys, tmp_path):
@@ -294,6 +331,7 @@ class TestRunCommand:
         assert code == 0
         assert read_curve(tmp_path / "curve.csv")[1][-1] < 2.0 / 3.0
 
+    @pytest.mark.filterwarnings("error")  # the one-line error is all a failed run prints
     def test_non_finite_curve_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", "--task", "sin-regression", "--budget", "64",
                                "--trials", "2", "--gamma0", "1e200",
@@ -303,6 +341,7 @@ class TestRunCommand:
         assert not any((tmp_path / name).exists()
                        for name in ("curve.csv", "curve.svg", "manifest"))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("strategy", ["active-median", "coordinate-passive",
                                           "infimum-loss"])
     def test_diverged_run_with_a_finite_curve_is_runtime_error(self, capsys, tmp_path,
@@ -311,15 +350,15 @@ class TestRunCommand:
         # decodes to a class, so the zero-one curve is finite: only the check
         # of the averaged model sees the divergence
         outdir = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, _, err = run_cli(capsys, "run", "--task", "libsvm", "--strategy", strategy,
-                                   "--input", str(FIXTURES / "blobs3.libsvm"),
-                                   "--gamma0", "1e300", "--budget", "64", "--trials", "1",
-                                   "--outdir", str(outdir))
+        code, _, err = run_cli(capsys, "run", "--task", "libsvm", "--strategy", strategy,
+                               "--input", str(FIXTURES / "blobs3.libsvm"),
+                               "--gamma0", "1e300", "--budget", "64", "--trials", "1",
+                               "--outdir", str(outdir))
         assert code == 2
         assert "not finite" in err
         assert not outdir.exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_failed_run_keeps_the_previous_artifacts(self, capsys, tmp_path):
         names = ("curve.csv", "curve.svg", "manifest")
         code, _, _ = run_cli(capsys, "run", "--task", "sin-regression", "--budget", "16",

@@ -1,3 +1,4 @@
+import inspect
 import os
 import pickle
 import subprocess
@@ -131,13 +132,13 @@ class TestRegressor:
         with pytest.raises(ValueError, match="budget must be >= 0"):
             WeakSGDRegressor(budget=-1).fit(X, y)
 
+    @pytest.mark.filterwarnings("error")  # the ValueError is all a diverged fit raises
     @pytest.mark.parametrize("cls", [WeakSGDRegressor, WeakSGDClassifier])
     def test_diverged_fit_raises(self, cls):
         X, y = sin_data(n=50) if cls is WeakSGDRegressor else blob_data(n=50)
         est = cls(schedule="constant", gamma0=1e308, budget=50, rank=5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="diverged"):
-                est.fit(X, y)
+        with pytest.raises(ValueError, match="diverged"):
+            est.fit(X, y)
         assert getattr(est, "model_", None) is None
 
     def test_unknown_strategy(self):
@@ -271,8 +272,41 @@ class TestParamsProtocol:
         assert reg.seed == 5
 
     def test_set_params_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            WeakSGDClassifier().set_params(kernel="rbf")
+        for cls in (WeakSGDRegressor, WeakSGDClassifier):
+            with pytest.raises(ValueError, match=f"invalid parameter 'kernel' for {cls.__name__}"):
+                cls().set_params(kernel="rbf")
+
+    @pytest.mark.parametrize("cls,extra", [
+        (WeakSGDRegressor, [("bound", 1.0), ("seed", 0)]),
+        (WeakSGDClassifier, [("seed", 0)]),
+    ])
+    def test_signature_lists_every_parameter_in_order(self, cls, extra):
+        params = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.default, p.kind) for p in params] == [
+            (name, default, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+            for name, default in [("strategy", "active-median"), ("bandwidth", 1.0),
+                                  ("gamma0", 1.0), ("schedule", "decaying"),
+                                  ("budget", None), ("rank", 100), ("ridge", 0.0)] + extra]
+        assert list(cls().get_params()) == [p.name for p in params]
+
+    def test_positional_parameters_keep_their_order(self):
+        reg = WeakSGDRegressor("median", 0.3)
+        assert (reg.strategy, reg.bandwidth) == ("median", 0.3)
+
+    def test_repr_is_the_full_call(self):
+        assert repr(WeakSGDRegressor("median", 0.3, budget=5)) == (
+            "WeakSGDRegressor(strategy='median', bandwidth=0.3, gamma0=1.0, "
+            "schedule='decaying', budget=5, rank=100, ridge=0.0, bound=1.0, seed=0)")
+        assert repr(WeakSGDClassifier(seed=4)) == (
+            "WeakSGDClassifier(strategy='active-median', bandwidth=1.0, gamma0=1.0, "
+            "schedule='decaying', budget=None, rank=100, ridge=0.0, seed=4)")
+
+    @pytest.mark.parametrize("cls", [WeakSGDRegressor, WeakSGDClassifier])
+    def test_equal_parameters_are_distinct_hashable_estimators(self, cls):
+        a, b = cls(budget=8), cls(budget=8)
+        assert a.get_params() == b.get_params()
+        assert a != b and a == a
+        assert len({a, b}) == 2
 
     def test_clone_reproduces_fit(self):
         X, y = sin_data(n=128)

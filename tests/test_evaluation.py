@@ -237,6 +237,22 @@ class TestEmission:
         for tag in ("rect", "circle", "path ", "<g>"):
             assert tag not in text
 
+    @pytest.mark.parametrize("budgets,risks", [
+        ([64], [0.25]),  # one checkpoint: no span of budgets
+        ([1, 2, 4], [0.25, 0.25, 0.25]),  # equal risks: no span of risks
+    ])
+    def test_svg_degenerate_axes_span_one_decade(self, tmp_path, budgets, risks):
+        path = tmp_path / "curve.svg"
+        curve = RiskCurve(np.array(budgets), np.array(risks), np.zeros(len(budgets)), 1)
+        emit_svg([("r", curve)], path)
+        coords = []
+        for el in ElementTree.parse(path).iter():  # well-formed XML
+            coords += [float(el.get(k)) for k in ("x", "y", "x1", "y1", "x2", "y2") if el.get(k)]
+            if el.get("points"):
+                coords += [float(v) for pt in el.get("points").split() for v in pt.split(",")]
+        assert len(coords) > 20
+        assert all(math.isfinite(v) for v in coords)
+
     def test_svg_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_svg([], tmp_path / "empty.svg")

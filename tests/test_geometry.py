@@ -259,6 +259,13 @@ class TestGeometricMedian:
         med = geometric_median(pts, np.array([1.0, 1.5, 1.0]), tol=1e-10)
         assert np.allclose(med, [0.0, 0.0], atol=0)
 
+    def test_no_weights_are_uniform_weights(self):
+        rng = np.random.default_rng(11)
+        for k, d in ((1, 2), (3, 1), (5, 3), (8, 2)):
+            pts = rng.standard_normal((k, d))
+            got = geometric_median(pts, tol=1e-9)
+            assert got.tobytes() == geometric_median(pts, np.ones(k), tol=1e-9).tobytes()
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             geometric_median(np.eye(2), np.zeros(2))

@@ -119,3 +119,15 @@ def test_an_alias_outside_its_kind_is_rejected_by_its_given_name(capsys, tmp_pat
 @pytest.mark.parametrize("estimator", [WeakSGDRegressor, WeakSGDClassifier])
 def test_estimators_default_to_the_run_name(estimator):
     assert estimator().get_params()["strategy"] == "active-median"
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_a_strategy_that_is_not_a_name_is_rejected_by_its_given_value(kind):
+    strategy = ["median"]  # unhashable, so no alias lookup may see it
+    message = re.escape("strategy ['median'] is not one of")
+    with pytest.raises(ConfigError, match=message):
+        train_models(strategy, kind)
+    with pytest.raises(ConfigError, match=message):
+        fit_predict(strategy, kind)
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(task=TASKS[kind], strategy=strategy).resolved()
